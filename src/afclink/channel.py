@@ -149,6 +149,20 @@ def as_closures(heralds: np.ndarray, schedule: ShutterSchedule) -> np.ndarray:
     return iv.as_interval_set(heralds + schedule.herald_close_delay, heralds + t_close)
 
 
+def gate_passes(
+    t: np.ndarray,
+    windows: np.ndarray,
+    closed: np.ndarray,
+    extinction: float,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """Shutter pass mask at memory-input times ``t``: open inside the
+    transmission ``windows`` away from the ``closed`` set, else leaking with
+    probability ``extinction`` (one uniform draw per photon)."""
+    is_open = iv.contains(windows, t) & ~iv.contains(closed, t)
+    return is_open | (rng.random(len(t)) < extinction)
+
+
 def fiber_transmit(
     events: EventBatch, link: FiberLink, rng: np.random.Generator
 ) -> EventBatch:
@@ -223,7 +237,8 @@ def shutter_gate(
         return events
     heralds = np.asarray(heralds, dtype=np.float64)
     span = (float(events.time.min()), float(np.nextafter(events.time.max(), np.inf)))
-    open_set = schedule.open_intervals(heralds, span)
-    is_open = iv.contains(open_set, events.time)
-    passes = is_open | (rng.random(len(events)) < schedule.extinction)
+    passes = gate_passes(
+        events.time, schedule.transmission_windows(span), as_closures(heralds, schedule),
+        schedule.extinction, rng,
+    )
     return events.select(passes)

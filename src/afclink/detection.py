@@ -212,7 +212,7 @@ def accumulate_histogram(
     tau = signals[s_idx] - heralds[h_idx]
     bins = hist.bin_index(tau)
     valid = (bins >= 0) & (bins < hist.n_bins)
-    np.add.at(hist.counts, bins[valid], 1)
+    hist.counts += np.bincount(bins[valid], minlength=hist.n_bins).astype(hist.counts.dtype)
 
 
 def build_histogram(

@@ -10,10 +10,11 @@ therefore materializes noise exactly where it can matter:
 
 - herald-arm noise is generated directly at its detected rate (thinning a
   Poisson stream is exact),
-- signal-arm noise is generated at full rate on the gate-open intervals and
-  at the extinction-thinned rate on the gate-closed intervals, restricted to
-  the union of herald-relative windows wide enough to cover every memory
-  delay.
+- signal-arm noise is generated at full rate on ``windows ∩ rel``, the
+  transmission windows restricted to the union of herald-relative windows
+  wide enough to cover every memory delay, and then thinned by the same
+  gate test the pair photons get (pass where the gate is open, else with
+  probability ``extinction``).
 
 The only approximation this leaves is dead-time shadowing by detections that
 could never reach the histogram; at the configured rates that is a relative
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import intervals as iv
-from .channel import as_closures
+from .channel import as_closures, gate_passes
 from .config import ScenarioConfig
 from .detection import (
     CoincidenceHistogram,
@@ -73,8 +74,8 @@ _S_HERALD_NOISE = 5
 _S_HERALD_DETECT = 6
 _S_FIBER_S = 7
 _S_CONVERT_S = 8
-_S_NOISE_OPEN = 9
-_S_NOISE_LEAK = 10
+_S_SIGNAL_NOISE = 9
+_S_NOISE_GATE = 10
 _S_GATE_LEAK = 11
 _S_MEMORY = 12
 _S_SIGNAL_DETECT = 13
@@ -107,16 +108,18 @@ def _transmission_windows(cfg: ScenarioConfig, cycle_lo: int, cycle_hi: int) -> 
 
 def _detect_stream(
     times: np.ndarray,
+    efficiency: float,
     spd,
     windows: np.ndarray,
     rng: np.random.Generator,
     *extra_cols: np.ndarray,
 ):
     """Efficiency-thin, jitter, add darks, dead-time filter; keeps companion
-    columns aligned.  Dark counts get origin ORIGIN_DARK_COUNT in the first
-    companion column (which must be the origin column)."""
-    if spd.efficiency < 1.0:
-        keep = rng.random(len(times)) < spd.efficiency
+    columns aligned and returns them sorted by time.  Dark counts get origin
+    ORIGIN_DARK_COUNT in the first companion column (which must be the
+    origin column)."""
+    if efficiency < 1.0:
+        keep = rng.random(len(times)) < efficiency
         t = times[keep]
         cols = [c[keep] for c in extra_cols]
     else:
@@ -197,7 +200,6 @@ class _Engine:
         windows = _transmission_windows(cfg, lo, hi)
         if len(windows) == 0:
             return
-        span = (float(windows[0, 0]), float(windows[-1, 1]))
 
         # source: pair creation shifted so arrivals land on the windows
         rng_src = _stream(cfg.seed, _S_SOURCE, batch_idx)
@@ -219,9 +221,7 @@ class _Engine:
         # herald-arm noise is drawn directly at its detected rate (exact
         # thinning of the beam-splitter share by the detector efficiency)
         rng = _stream(cfg.seed, _S_HERALD_NOISE, batch_idx)
-        noise_h = iv.sample_poisson(
-            windows, self.noise_rate_arm * cfg.detectors.herald.efficiency, rng, sort=False
-        )
+        noise_h = iv.sample_poisson(windows, self.noise_rate_arm * cfg.detectors.herald.efficiency, rng)
         rng_det = _stream(cfg.seed, _S_HERALD_DETECT, batch_idx)
         pair_h = herald_t[keep_h]
         pair_h = pair_h[rng_det.random(len(pair_h)) < cfg.detectors.herald.efficiency]
@@ -230,25 +230,17 @@ class _Engine:
             np.full(len(pair_h), ORIGIN_PAIR, dtype=np.uint8),
             np.full(len(noise_h), ORIGIN_CONVERSION_NOISE, dtype=np.uint8),
         ])
-        h_times, h_org = _detect_stream(
-            cand_t,
-            _UnitEfficiency(cfg.detectors.herald),
-            windows,
-            rng_det,
-            cand_org,
-        )
+        # pairs, noise and darks arrive as sorted runs (up to jitter), which
+        # the stable sort in _detect_stream merges in near-linear time
+        h_times, h_org = _detect_stream(cand_t, 1.0, cfg.detectors.herald, windows, rng_det, cand_org)
         counters["heralds_detected"] += len(h_times)
         for code, key in ((ORIGIN_PAIR, "pair"), (ORIGIN_CONVERSION_NOISE, "conversion_noise"), (ORIGIN_DARK_COUNT, "dark_count")):
             counters["heralds_by_origin"][key] += int(np.sum(h_org == code))
 
-        # gate geometry commanded by the detected heralds
-        closed = as_closures(h_times, cfg.shutter)
-        open_set = iv.intersect(windows, iv.complement(closed, span))
-        closed_set = iv.intersect(windows, closed)
-
+        # gate geometry commanded by the detected heralds, and the
         # herald-relative intervals inside which signal-arm events can still
-        # reach the histogram after any memory delay; every closure lies
-        # inside its own herald's interval, so closed_set needs no clipping
+        # reach the histogram after any memory delay
+        closed = as_closures(h_times, cfg.shutter)
         rel = iv.as_interval_set(
             h_times + self.hist.tau_min - self.max_delay, h_times + self.hist.tau_max
         )
@@ -261,25 +253,21 @@ class _Engine:
         s_t = signal_t[keep_s]
         s_off = self.mode_offsets[mode_idx[keep_s]]
         rng = _stream(cfg.seed, _S_GATE_LEAK, batch_idx)
-        in_open = iv.contains(open_set, s_t) & iv.contains(windows, s_t)
-        passes = in_open | (rng.random(len(s_t)) < cfg.shutter.extinction)
+        passes = gate_passes(s_t, windows, closed, cfg.shutter.extinction, rng)
         s_t, s_off = s_t[passes], s_off[passes]
 
-        # signal-arm converter noise, exactly thinned by gate state
-        rng = _stream(cfg.seed, _S_NOISE_OPEN, batch_idx)
-        t_no = iv.sample_poisson(iv.intersect(open_set, rel), self.noise_rate_arm, rng)
-        off_no = rng.uniform(-self.pm_halfspan, self.pm_halfspan, size=len(t_no))
-        rng = _stream(cfg.seed, _S_NOISE_LEAK, batch_idx)
-        t_nl = iv.sample_poisson(
-            closed_set, self.noise_rate_arm * cfg.shutter.extinction, rng
-        )
-        off_nl = rng.uniform(-self.pm_halfspan, self.pm_halfspan, size=len(t_nl))
+        # signal-arm converter noise at full rate, thinned by the same gate
+        rng = _stream(cfg.seed, _S_SIGNAL_NOISE, batch_idx)
+        t_n = iv.sample_poisson(iv.intersect(windows, rel), self.noise_rate_arm, rng)
+        rng_gate = _stream(cfg.seed, _S_NOISE_GATE, batch_idx)
+        t_n = t_n[gate_passes(t_n, windows, closed, cfg.shutter.extinction, rng_gate)]
+        off_n = rng.uniform(-self.pm_halfspan, self.pm_halfspan, size=len(t_n))
 
-        entry_t = np.concatenate([s_t, t_no, t_nl])
-        entry_off = np.concatenate([s_off, off_no, off_nl])
+        entry_t = np.concatenate([s_t, t_n])
+        entry_off = np.concatenate([s_off, off_n])
         entry_org = np.concatenate([
             np.full(len(s_t), ORIGIN_PAIR, dtype=np.uint8),
-            np.full(len(t_no) + len(t_nl), ORIGIN_CONVERSION_NOISE, dtype=np.uint8),
+            np.full(len(t_n), ORIGIN_CONVERSION_NOISE, dtype=np.uint8),
         ])
 
         # lock-chain residual shifts every photon against the comb
@@ -295,6 +283,7 @@ class _Engine:
         rng_det = _stream(cfg.seed, _S_SIGNAL_DETECT, batch_idx)
         det_t, det_org, det_kind = _detect_stream(
             exits[alive],
+            cfg.detectors.signal.efficiency,
             cfg.detectors.signal,
             windows,
             rng_det,
@@ -302,9 +291,8 @@ class _Engine:
             kinds[alive],
         )
         in_win = iv.contains(windows, det_t)
+        # still sorted by time, as accumulate_histogram requires
         det_t, det_org, det_kind = det_t[in_win], det_org[in_win], det_kind[in_win]
-        order = np.argsort(det_t, kind="stable")
-        det_t, det_org, det_kind = det_t[order], det_org[order], det_kind[order]
 
         counters["signal_detected"] += len(det_t)
         for code, key in ((ORIGIN_PAIR, "pair"), (ORIGIN_CONVERSION_NOISE, "conversion_noise"), (ORIGIN_DARK_COUNT, "dark_count")):
@@ -343,16 +331,6 @@ class _Engine:
             transmission_time=transmission,
             lock_result=self.lock_result,
         )
-
-
-class _UnitEfficiency:
-    """SPD view with efficiency forced to 1 (stream already thinned)."""
-
-    def __init__(self, spd):
-        self.efficiency = 1.0
-        self.dark_rate = spd.dark_rate
-        self.dead_time = spd.dead_time
-        self.jitter_fwhm = spd.jitter_fwhm
 
 
 def _fresh_counters() -> dict:

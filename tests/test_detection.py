@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from afclink.detection import (
     CoincidenceHistogram,
     SPDConfig,
+    accumulate_histogram,
     build_histogram,
     compute_snr,
     dead_time_filter,
@@ -117,6 +120,28 @@ def test_histogram_conservation_against_double_loop():
         if -200e-9 <= ts - th < 1400e-9
     )
     assert h.total() == brute
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    heralds=st.lists(st.integers(-160, 480), max_size=40),
+    signals=st.lists(st.integers(-160, 480), max_size=40),
+)
+def test_accumulate_histogram_matches_double_loop(heralds, signals):
+    # times on a grid of 1/4 with unit bins keep every delay and bin index exact
+    h = np.sort(np.array(heralds, dtype=float) / 4)
+    s = np.sort(np.array(signals, dtype=float) / 4)
+    hist = CoincidenceHistogram(1.0, -16.0, 64.0, (0.0, 8.0), (10.0, 12.0))
+    want = np.zeros(hist.n_bins, dtype=np.int64)
+    for th in h:
+        for ts in s:
+            if hist.tau_min <= ts - th < hist.tau_max:
+                want[math.floor((ts - th - hist.tau_min) / hist.bin_width)] += 1
+    accumulate_histogram(hist, h, s)
+    assert hist.counts.dtype == np.int64
+    assert np.array_equal(hist.counts, want)
+    accumulate_histogram(hist, h, s)  # accumulates in place
+    assert np.array_equal(hist.counts, 2 * want)
 
 
 def test_histogram_merge_elementwise():

@@ -22,6 +22,7 @@ from afclink.config import (
     scenario_to_json,
 )
 from afclink.lockchain import RfOffsets
+from afclink.memory import afc_efficiency
 from afclink.reporting import run_scenario
 from afclink.source import SourceConfig
 
@@ -160,7 +161,7 @@ def test_report_files_written(tmp_path):
 
 
 def test_noise_floor_matches_analytic_expectation():
-    # independent oracle for the engine's stratified noise bookkeeping: the
+    # independent oracle for the engine's gate-thinned noise bookkeeping: the
     # histogram floor per bin in a gate-open region is
     #   heralds * rate_detected * bin_width
     # with rate_detected built from first principles, and the gate-closed
@@ -178,7 +179,8 @@ def test_noise_floor_matches_analytic_expectation():
             return 1.0
         modes = np.asarray(afc.mode_offsets)
         if np.min(np.abs(f - modes)) <= afc.pit_halfwidth:
-            eta = 0.0801  # echo also reaches the detector, just delayed
+            # echo also reaches the detector, just delayed
+            eta = afc_efficiency(afc.tooth_peak_depth, afc.finesse, afc.background_depth)
             return math.exp(-afc.mean_comb_depth) + eta
         return math.exp(-float(inh.depth_at(f)))
 
