@@ -11,7 +11,6 @@ from .spectral import (  # noqa: F401
     profile_density,
     tpc_mode_offsets,
 )
-from .events import EventBatch, PhotonEvent  # noqa: F401
 from .lockchain import (  # noqa: F401
     DriftModel,
     LaserId,
@@ -23,34 +22,31 @@ from .lockchain import (  # noqa: F401
     derived_frequencies,
     matching_residual,
     simulate_lock_run,
-    step_free_running,
-    step_servo,
 )
-from .source import SourceConfig, apply_pair_correlation, sample_pairs  # noqa: F401
+from .source import SourceConfig, pair_delays, sample_pairs  # noqa: F401
 from .channel import (  # noqa: F401
     ConverterConfig,
     FiberLink,
     ShutterSchedule,
-    convert,
-    fiber_transmit,
-    sample_conversion_noise,
-    shutter_gate,
+    conversion_passes,
+    fiber_passes,
+    gate_passes,
 )
 from .memory import (  # noqa: F401
     AFCConfig,
     AbsorptionSpectrum,
     InhomogeneousProfile,
-    StorageOutcome,
     afc_efficiency,
     afc_efficiency_oracle,
     comb_spectrum,
+    exit_times,
     prepare_afc,
-    store_retrieve,
+    storage_branches,
 )
 from .detection import (  # noqa: F401
     CoincidenceHistogram,
     SPDConfig,
-    build_histogram,
+    accumulate_histogram,
     compute_snr,
     detect,
     moving_average,

@@ -16,9 +16,10 @@ photon is expected at the detector: the histogram places its signal window
 there, and the gate holds closed through it, reopening at ``t_close`` for
 the next photon.  Overlapping closure commands from nearby heralds merge.
 
-``shutter_gate`` acts on memory-input event times.  Events inside the open
-set pass with probability 1; everything else (preparation phases and closed
-intervals) leaks through with probability ``extinction``.
+``gate_passes`` acts on memory-input times.  Photons inside the open set
+(transmission phases minus the closures) pass with probability 1; everything
+else (preparation phases and closed intervals) leaks through with
+probability ``extinction``.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ import numpy as np
 from scipy.constants import c as _C_VACUUM
 
 from . import intervals as iv
-from .events import ORIGIN_CONVERSION_NOISE, ARM_SIGNAL, EventBatch
 
 
 @dataclass(frozen=True)
@@ -89,6 +89,13 @@ class ConverterConfig:
         x = np.asarray(mode_offset, dtype=np.float64) / self.pm_fwhm
         return np.exp(-4.0 * math.log(2.0) * x * x)
 
+    def noise_offsets(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        """Frequency offsets of ``n`` pump-induced noise photons: white
+        across the phase-matching FWHM.  Noise is born at the converter
+        output, so it sees neither fiber loss nor the conversion efficiency."""
+        half = 0.5 * self.pm_fwhm
+        return rng.uniform(-half, half, size=n)
+
 
 @dataclass(frozen=True)
 class ShutterSchedule:
@@ -115,31 +122,14 @@ class ShutterSchedule:
     def transmit_duration(self) -> float:
         return self.cycle_period - self.prep_duration
 
-    def transmission_windows(self, span: tuple[float, float]) -> np.ndarray:
-        """Transmission-phase intervals of the cycle pattern within ``span``."""
-        t0, t1 = span
-        first = math.floor(t0 / self.cycle_period)
-        last = math.ceil(t1 / self.cycle_period)
-        k = np.arange(first, last + 1)
+    def transmission_windows(self, cycle_lo: int, cycle_hi: int, duration: float) -> np.ndarray:
+        """Transmission phases of cycles ``cycle_lo .. cycle_hi - 1``, clipped
+        to the run ``duration``; empty phases are dropped."""
+        k = np.arange(cycle_lo, cycle_hi)
         starts = k * self.cycle_period + self.prep_duration
-        ends = (k + 1) * self.cycle_period
-        return iv.intersect(np.stack([starts, ends], axis=1), np.array([[t0, t1]]))
-
-    def open_intervals(self, heralds: np.ndarray, span: tuple[float, float]) -> np.ndarray:
-        """The gate's open set on ``span``: transmission phases minus the
-        union of herald-commanded closures [h + close_delay, h + t_close)."""
-        trans = self.transmission_windows(span)
-        heralds = np.asarray(heralds, dtype=np.float64)
-        closures = as_closures(heralds, self)
-        open_set = []
-        for lo, hi in trans:
-            open_set.append(iv.complement(closures, (lo, hi)))
-        if not open_set:
-            return np.empty((0, 2))
-        return iv.as_interval_set(
-            np.concatenate([o[:, 0] for o in open_set]) if open_set else np.empty(0),
-            np.concatenate([o[:, 1] for o in open_set]) if open_set else np.empty(0),
-        )
+        ends = np.minimum((k + 1) * self.cycle_period, duration)
+        keep = ends > starts
+        return np.stack([starts[keep], ends[keep]], axis=1)
 
 
 def as_closures(heralds: np.ndarray, schedule: ShutterSchedule) -> np.ndarray:
@@ -163,82 +153,19 @@ def gate_passes(
     return is_open | (rng.random(len(t)) < extinction)
 
 
-def fiber_transmit(
-    events: EventBatch, link: FiberLink, rng: np.random.Generator
-) -> EventBatch:
-    """Propagate events through the fiber: Bernoulli survival at the link's
-    loss budget, surviving times advanced by the group delay."""
-    if len(events) == 0:
-        return events
-    survive = rng.random(len(events)) < link.survival_probability
-    out = events.select(survive)
-    out.time = out.time + link.delay
-    return out
+def fiber_passes(link: FiberLink, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Fiber survival mask of ``n`` photons at the link's loss budget."""
+    return rng.random(n) < link.survival_probability
 
 
-def convert(
-    events: EventBatch, cfg: ConverterConfig, rng: np.random.Generator
-) -> EventBatch:
-    """Wavelength conversion: survival probability efficiency * T_pm(offset).
-
-    Times and mode offsets of survivors are unchanged (the lock chain
-    guarantees the frequency mapping onto the memory reference).
-    """
-    if len(events) == 0:
-        return events
-    p = cfg.efficiency * cfg.window_transmission(events.mode_offset)
-    survive = rng.random(len(events)) < p
-    return events.select(survive)
-
-
-def sample_conversion_noise(
+def conversion_passes(
     cfg: ConverterConfig,
-    window: tuple[float, float],
+    mode_offsets: np.ndarray,
+    mode_idx: np.ndarray,
     rng: np.random.Generator,
-    mode_span: tuple[float, float] | None = None,
-) -> EventBatch:
-    """Pump-induced noise: Poisson in time on ``window``, spectrally white
-    across the phase-matching span, origin tagged ``conversion_noise``.
-
-    Noise is born at the converter output, so it sees neither fiber loss nor
-    the conversion efficiency.
-    """
-    t0, t1 = window
-    if not t1 > t0:
-        raise ValueError("window must satisfy t1 > t0")
-    if mode_span is None:
-        mode_span = (-0.5 * cfg.pm_fwhm, 0.5 * cfg.pm_fwhm)
-    f_lo, f_hi = mode_span
-    n = rng.poisson(cfg.noise_rate * (t1 - t0))
-    times = np.sort(rng.uniform(t0, t1, size=n))
-    offsets = rng.uniform(f_lo, f_hi, size=n)
-    return EventBatch(
-        times,
-        offsets,
-        np.full(n, ARM_SIGNAL, dtype=np.uint8),
-        np.full(n, ORIGIN_CONVERSION_NOISE, dtype=np.uint8),
-    )
-
-
-def shutter_gate(
-    events: EventBatch,
-    heralds: np.ndarray,
-    schedule: ShutterSchedule,
-    rng: np.random.Generator,
-) -> EventBatch:
-    """Gate an event stream at its (memory-input) times.
-
-    Events inside the open set pass with probability 1; all others pass with
-    probability ``extinction``.  ``extinction = 1`` is the identity.
-    """
-    if len(events) == 0:
-        return events
-    if schedule.extinction == 1.0:
-        return events
-    heralds = np.asarray(heralds, dtype=np.float64)
-    span = (float(events.time.min()), float(np.nextafter(events.time.max(), np.inf)))
-    passes = gate_passes(
-        events.time, schedule.transmission_windows(span), as_closures(heralds, schedule),
-        schedule.extinction, rng,
-    )
-    return events.select(passes)
+) -> np.ndarray:
+    """Conversion survival mask, probability efficiency * T_pm(offset), for
+    photons on the modes ``mode_offsets[mode_idx]``.  The window is evaluated
+    once per mode, not once per photon."""
+    p_mode = cfg.efficiency * cfg.window_transmission(mode_offsets)
+    return rng.random(len(mode_idx)) < p_mode[mode_idx]

@@ -50,6 +50,12 @@ class MemorySettings:
         if self.slow_light_delay < 0:
             raise ValueError("slow_light_delay must be >= 0")
 
+    @property
+    def max_delay(self) -> float:
+        """Widest delay a photon can pick up in the memory before detection:
+        storage time plus slow-light delay, with a 100 ns margin."""
+        return self.afc.storage_time + self.slow_light_delay + 100e-9
+
 
 @dataclass(frozen=True)
 class DetectorSettings:
@@ -98,6 +104,19 @@ class ScenarioConfig:
         object.__setattr__(self, "memory", replace(
             self.memory, afc=replace(self.memory.afc, mode_offsets=offsets)
         ))
+        # the engine runs batches of cycles independently; that drops nothing
+        # only while no coincidence or dead time reaches across the
+        # preparation phase that separates two batches
+        reach = (
+            self.histogram.tau_max - self.histogram.tau_min + self.memory.max_delay
+            + max(self.detectors.herald.dead_time, self.detectors.signal.dead_time)
+        )
+        if not self.shutter.prep_duration > reach:
+            raise ScenarioError(
+                "shutter.prep_duration",
+                f"must exceed the {reach:.4g} s coincidence and dead-time reach "
+                "(tau_max - tau_min + memory delay + dead time)",
+            )
 
     def with_mode_count(self, n_modes: int, scale_rate: bool = True) -> "ScenarioConfig":
         """Same scenario with a different multiplexing count; the pair rate

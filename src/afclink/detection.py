@@ -18,8 +18,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .events import ORIGIN_DARK_COUNT, EventBatch
-from .intervals import ragged_offsets
+from . import intervals as iv
+
+#: origin codes of a detection record
+ORIGIN_PAIR = 0
+ORIGIN_CONVERSION_NOISE = 1
+ORIGIN_DARK_COUNT = 2
+
+#: companion-column value of a dark count, which had no memory outcome
+NO_OUTCOME = 255
 
 
 @dataclass(frozen=True)
@@ -60,42 +67,45 @@ def dead_time_filter(times: np.ndarray, dead_time: float) -> np.ndarray:
 
 
 def detect(
-    events: EventBatch,
+    times: np.ndarray,
+    efficiency: float,
     spd: SPDConfig,
-    window: tuple[float, float],
+    windows: np.ndarray,
     rng: np.random.Generator,
-    arm: int | None = None,
-) -> EventBatch:
-    """Detection records for one detector over ``window``.
+    *cols: np.ndarray,
+) -> tuple[np.ndarray, ...]:
+    """Detection records of one detector whose dark counts fall on the
+    interval set ``windows``.
 
-    Draw order is fixed (efficiency thinning, jitter, dark counts, dead
-    time) so runs are reproducible per stream.  ``arm`` tags the dark
-    counts when the input batch is empty.
+    Draw order is fixed (efficiency thinning, jitter, dark counts), then the
+    stream is time-sorted and dead-time filtered.  The companion columns
+    ``cols`` stay aligned with the times; dark counts get ORIGIN_DARK_COUNT
+    in the first column (which must be the origin column) and NO_OUTCOME in
+    the others.  Returns ``(times, *cols)``, sorted by time.
     """
-    t0, t1 = window
-    if not t1 > t0:
-        raise ValueError("window must satisfy t1 > t0")
-
-    kept = events.select(rng.random(len(events)) < spd.efficiency) if len(events) else events
-    times = kept.time
-    if spd.jitter_fwhm > 0 and len(times):
+    if efficiency < 1.0:
+        keep = rng.random(len(times)) < efficiency
+        t = times[keep]
+        cols = [c[keep] for c in cols]
+    else:
+        t = times
+        cols = list(cols)
+    if spd.jitter_fwhm > 0 and len(t):
         sigma = spd.jitter_fwhm / (2.0 * math.sqrt(2.0 * math.log(2.0)))
-        times = times + sigma * rng.standard_normal(len(times))
-
-    n_dark = rng.poisson(spd.dark_rate * (t1 - t0))
-    dark_times = np.sort(rng.uniform(t0, t1, size=n_dark))
-    dark_arm = arm if arm is not None else (kept.arm[0] if len(kept) else 0)
-    darks = EventBatch(
-        dark_times,
-        np.zeros(n_dark),
-        np.full(n_dark, dark_arm, dtype=np.uint8),
-        np.full(n_dark, ORIGIN_DARK_COUNT, dtype=np.uint8),
-    )
-
-    merged = EventBatch.concatenate(
-        [EventBatch(times, kept.mode_offset, kept.arm, kept.origin, kept.pair_id), darks]
-    ).sorted_by_time()
-    return merged.select(dead_time_filter(merged.time, spd.dead_time))
+        t = t + sigma * rng.standard_normal(len(t))
+    darks = iv.sample_poisson(windows, spd.dark_rate, rng)
+    if len(darks):
+        t = np.concatenate([t, darks])
+        filled = []
+        for i, c in enumerate(cols):
+            pad_value = ORIGIN_DARK_COUNT if i == 0 else NO_OUTCOME
+            filled.append(np.concatenate([c, np.full(len(darks), pad_value, dtype=c.dtype)]))
+        cols = filled
+    order = np.argsort(t, kind="stable")
+    t = t[order]
+    cols = [c[order] for c in cols]
+    alive = dead_time_filter(t, spd.dead_time)
+    return (t[alive], *[c[alive] for c in cols])
 
 
 @dataclass
@@ -200,7 +210,7 @@ def accumulate_histogram(
         if counts.sum() == 0:
             return
         h_idx = np.repeat(np.arange(len(heralds)), counts)
-        s_idx = np.repeat(lo, counts) + ragged_offsets(counts)
+        s_idx = np.repeat(lo, counts) + iv.ragged_offsets(counts)
     else:
         lo = np.searchsorted(heralds, signals - hist.tau_max, side="right")
         hi = np.searchsorted(heralds, signals - hist.tau_min, side="right")
@@ -208,30 +218,11 @@ def accumulate_histogram(
         if counts.sum() == 0:
             return
         s_idx = np.repeat(np.arange(len(signals)), counts)
-        h_idx = np.repeat(lo, counts) + ragged_offsets(counts)
+        h_idx = np.repeat(lo, counts) + iv.ragged_offsets(counts)
     tau = signals[s_idx] - heralds[h_idx]
     bins = hist.bin_index(tau)
     valid = (bins >= 0) & (bins < hist.n_bins)
     hist.counts += np.bincount(bins[valid], minlength=hist.n_bins).astype(hist.counts.dtype)
-
-
-def build_histogram(
-    heralds: np.ndarray,
-    signals: np.ndarray,
-    bin_width: float,
-    tau_range: tuple[float, float],
-    signal_window: tuple[float, float] | None = None,
-    noise_window: tuple[float, float] | None = None,
-) -> CoincidenceHistogram:
-    """Multi-stop start-stop histogram of t_signal - t_herald over ``tau_range``."""
-    kwargs = {}
-    if signal_window is not None:
-        kwargs["signal_window"] = signal_window
-    if noise_window is not None:
-        kwargs["noise_window"] = noise_window
-    hist = CoincidenceHistogram(bin_width, tau_range[0], tau_range[1], **kwargs)
-    accumulate_histogram(hist, heralds, signals)
-    return hist
 
 
 def moving_average(hist: CoincidenceHistogram | np.ndarray, n_bins: int) -> np.ndarray:

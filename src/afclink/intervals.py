@@ -1,8 +1,8 @@
 """Small vectorized toolkit for disjoint time-interval sets.
 
 An interval set is an (n, 2) float array of [start, end) rows, sorted by
-start and non-overlapping.  Used by the shutter gate (open/closed sets) and
-by the pipeline's noise sampler.
+start and non-overlapping.  Used by the shutter gate (transmission windows
+and herald-commanded closures) and by the pipeline's noise sampler.
 """
 
 from __future__ import annotations
@@ -42,11 +42,7 @@ def total_length(intervals: np.ndarray) -> float:
 def complement(intervals: np.ndarray, span: tuple[float, float]) -> np.ndarray:
     """Gaps of an interval set within [span0, span1)."""
     lo, hi = span
-    if len(intervals) == 0:
-        return np.array([[lo, hi]]) if hi > lo else np.empty((0, 2))
     clipped = intersect(intervals, np.array([[lo, hi]]))
-    if len(clipped) == 0:
-        return np.array([[lo, hi]])
     starts = np.concatenate([[lo], clipped[:, 1]])
     ends = np.concatenate([clipped[:, 0], [hi]])
     keep = ends > starts

@@ -20,8 +20,9 @@ The matching residual nu_606photon - nu_afc is therefore
     (f_beat + f_noisecut_aom - f_qm_pump_aom) + (e_photon + e_wc - 2*e_qm)
 
 i.e. an RF bookkeeping term that vanishes for the stock RF values plus the
-servo-suppressed combination of laser errors.  The comb reference itself is
-treated as perfect.
+servo-suppressed combination of laser errors.  ``matching_residual`` and the
+telemetry of ``simulate_lock_run`` both evaluate this one expression.  The
+comb reference itself is treated as perfect.
 
 Long runs
 ---------
@@ -31,8 +32,8 @@ above 1 Hz, so an explicit Euler step at the telemetry rate cannot represent
 the loop (it is unstable for gain*dt > 2).  Instead each step applies the
 exact solution of the joint linear stochastic differential equation
 (matrix exponential for the mean, Van Loan block integral for the noise
-covariance), which is both faster and exact for any gain.  ``step_servo``
-retains the plain first-order discrete update for unit-scale use.
+covariance), which is both faster and exact for any gain.  Free-running
+drift is the same run with every servo disabled.
 """
 
 from __future__ import annotations
@@ -139,13 +140,6 @@ class LaserNetworkState:
     def error(self, laser: LaserId) -> float:
         return self.errors[laser]
 
-    def with_error(self, laser: LaserId, value: float) -> "LaserNetworkState":
-        if laser in DERIVED_LASERS:
-            raise ValueError(f"cannot set error on derived laser {laser.value}")
-        errs = dict(self.errors)
-        errs[laser] = value
-        return LaserNetworkState(errors=errs, time=self.time)
-
 
 @dataclass(frozen=True)
 class DerivedFrequencies:
@@ -175,69 +169,20 @@ def beat_frequency(state: LaserNetworkState, rf: RfOffsets) -> float:
     return d.nu_monitor - d.nu_qm
 
 
+def _residual(rf: RfOffsets, e_photon, e_qm, e_wc):
+    """nu_606photon - nu_afc from the driven lasers' errors (scalars or
+    arrays): the RF bookkeeping term plus e_photon + e_wc - 2 e_qm."""
+    return rf.mismatch + e_photon + e_wc - 2.0 * e_qm
+
+
 def matching_residual(state: LaserNetworkState, rf: RfOffsets) -> float:
     """Photon-to-comb frequency mismatch nu_606photon - nu_afc (Hz)."""
-    d = derived_frequencies(state, rf)
-    return d.nu_606photon - d.nu_afc
-
-
-def step_free_running(
-    state: LaserNetworkState,
-    laser: LaserId,
-    drift: DriftModel,
-    dt: float,
-    rng: np.random.Generator,
-) -> LaserNetworkState:
-    """Advance one laser's error by its free-running drift process over ``dt``."""
-    if dt <= 0:
-        raise ValueError("dt must be > 0")
-    if laser in DERIVED_LASERS:
-        raise ValueError(f"cannot step derived laser {laser.value}")
-    e = state.error(laser)
-    if drift.kind == "random_walk" or drift.reversion_rate == 0.0:
-        e_new = e + drift.sigma * math.sqrt(dt) * rng.standard_normal()
-    else:
-        lam = drift.reversion_rate
-        decay = math.exp(-lam * dt)
-        # exact OU transition: variance sigma^2 * (1 - e^(-2 lam dt)) / (2 lam)
-        var = drift.sigma**2 * (-math.expm1(-2.0 * lam * dt)) / (2.0 * lam)
-        e_new = e * decay + math.sqrt(var) * rng.standard_normal()
-    new = state.with_error(laser, e_new)
-    return replace(new, time=state.time + dt)
-
-
-def _servo_noise_std(servo: ServoModel, dt: float) -> float:
-    # scaled so the closed-loop stationary contribution equals residual_noise_rms
-    g_dt = min(servo.gain * dt, 1.0)
-    return servo.residual_noise_rms * math.sqrt(max(0.0, g_dt * (2.0 - g_dt)))
-
-
-def step_servo(
-    state: LaserNetworkState,
-    servo: ServoModel,
-    measured_beat: float,
-    actuated_laser: LaserId,
-    dt: float,
-    rng: np.random.Generator,
-) -> LaserNetworkState:
-    """One discrete proportional servo update pulling the beat toward setpoint.
-
-    error' = error - gain * (measured_beat - setpoint) * dt, plus residual
-    noise injection.  The caller supplies the measured beat (typically
-    ``beat_frequency`` for the monitor loop, or a laser's own error for a
-    comb lock).
-    """
-    if dt <= 0:
-        raise ValueError("dt must be > 0")
-    if not servo.enabled:
-        raise ValueError("step_servo requires an enabled servo")
-    e = state.error(actuated_laser)
-    e_new = e - servo.gain * (measured_beat - servo.setpoint) * dt
-    noise = _servo_noise_std(servo, dt)
-    if noise > 0:
-        e_new += noise * rng.standard_normal()
-    new = state.with_error(actuated_laser, e_new)
-    return replace(new, time=state.time + dt)
+    return _residual(
+        rf,
+        state.error(LaserId.TPC_PUMP_1514),
+        state.error(LaserId.QM_MASTER_1212),
+        state.error(LaserId.WC_PUMP_1010),
+    )
 
 
 def comb_lock(gain: float, residual_noise_rms: float = 0.0, enabled: bool = True) -> ServoModel:
@@ -428,7 +373,7 @@ def simulate_lock_run(
         traj[k + 1] = x
 
     t = dt * np.arange(n_steps + 1)
-    residual = config.rf.mismatch + traj[:, 0] + traj[:, 2] - 2.0 * traj[:, 1]
+    residual = _residual(config.rf, traj[:, 0], traj[:, 1], traj[:, 2])
     return LockRunResult(
         t=t,
         residual=residual,

@@ -44,12 +44,6 @@ KIND_ECHO = 0
 KIND_PROMPT = 1
 KIND_OUT_OF_BAND = 2
 KIND_LOST = 3
-KIND_NAMES = {
-    KIND_ECHO: "echo",
-    KIND_PROMPT: "prompt_transmit",
-    KIND_OUT_OF_BAND: "out_of_band_transmit",
-    KIND_LOST: "lost",
-}
 
 
 @dataclass(frozen=True)
@@ -143,14 +137,6 @@ class AbsorptionSpectrum:
         for f, d in zip(self.frequencies(), self.optical_depth):
             buf.write(f"{f:.3f},{d:.9e}\n")
         return buf.getvalue()
-
-
-@dataclass(frozen=True)
-class StorageOutcome:
-    """Result of sending one photon into the prepared memory."""
-
-    kind: str
-    exit_time: float
 
 
 def prepare_afc(
@@ -397,24 +383,3 @@ def exit_times(
     t = np.where(kinds == KIND_OUT_OF_BAND, entry_times, prompt)
     t = np.where(kinds == KIND_ECHO, prompt + cfg.storage_time, t)
     return np.where(kinds == KIND_LOST, np.nan, t)
-
-
-def store_retrieve(
-    event,
-    spectrum: AbsorptionSpectrum,
-    cfg: AFCConfig,
-    slow_light_delay: float,
-    inh: InhomogeneousProfile,
-    rng: np.random.Generator,
-) -> StorageOutcome:
-    """Single-photon storage attempt; see ``storage_branches`` for the model.
-
-    ``event`` is a PhotonEvent (or anything with ``time`` and ``mode_offset``).
-    ``spectrum`` documents the prepared structure the branch probabilities
-    summarize; the off-pit absorption uses the analytic inhomogeneous profile
-    since photons may land far outside the gridded region.
-    """
-    del spectrum
-    kinds = storage_branches(np.array([event.mode_offset]), cfg, inh, rng)
-    t = exit_times(np.array([event.time]), kinds, cfg, slow_light_delay)
-    return StorageOutcome(kind=KIND_NAMES[int(kinds[0])], exit_time=float(t[0]))

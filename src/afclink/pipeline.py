@@ -37,18 +37,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import intervals as iv
-from .channel import as_closures, gate_passes
+from .channel import as_closures, conversion_passes, fiber_passes, gate_passes
 from .config import ScenarioConfig
 from .detection import (
-    CoincidenceHistogram,
-    accumulate_histogram,
-    dead_time_filter,
-    moving_average,
-)
-from .events import (
     ORIGIN_CONVERSION_NOISE,
     ORIGIN_DARK_COUNT,
     ORIGIN_PAIR,
+    CoincidenceHistogram,
+    accumulate_histogram,
+    detect,
 )
 from .lockchain import simulate_lock_run
 from .memory import (
@@ -59,10 +56,7 @@ from .memory import (
     exit_times,
     storage_branches,
 )
-
-#: bins of adjacent averaging used for peak statistics (1.28 ns at the
-#: default 0.128 ns resolution)
-SMOOTHING_BINS = 10
+from .source import pair_delays, sample_pairs
 
 # stage ids for the counter-based stream split
 _S_LOCK = 0
@@ -97,66 +91,13 @@ class RawRunResult:
     lock_result: object | None
 
 
-def _transmission_windows(cfg: ScenarioConfig, cycle_lo: int, cycle_hi: int) -> np.ndarray:
-    sh = cfg.shutter
-    k = np.arange(cycle_lo, cycle_hi)
-    starts = k * sh.cycle_period + sh.prep_duration
-    ends = np.minimum((k + 1) * sh.cycle_period, cfg.duration)
-    keep = ends > starts
-    return np.stack([starts[keep], ends[keep]], axis=1)
-
-
-def _detect_stream(
-    times: np.ndarray,
-    efficiency: float,
-    spd,
-    windows: np.ndarray,
-    rng: np.random.Generator,
-    *extra_cols: np.ndarray,
-):
-    """Efficiency-thin, jitter, add darks, dead-time filter; keeps companion
-    columns aligned and returns them sorted by time.  Dark counts get origin
-    ORIGIN_DARK_COUNT in the first companion column (which must be the
-    origin column)."""
-    if efficiency < 1.0:
-        keep = rng.random(len(times)) < efficiency
-        t = times[keep]
-        cols = [c[keep] for c in extra_cols]
-    else:
-        t = times
-        cols = list(extra_cols)
-    if spd.jitter_fwhm > 0 and len(t):
-        sigma = spd.jitter_fwhm / (2.0 * math.sqrt(2.0 * math.log(2.0)))
-        t = t + sigma * rng.standard_normal(len(t))
-    darks = iv.sample_poisson(windows, spd.dark_rate, rng)
-    if len(darks):
-        t = np.concatenate([t, darks])
-        filled = []
-        for i, c in enumerate(cols):
-            pad_value = ORIGIN_DARK_COUNT if i == 0 else 255  # 255: no memory outcome
-            filled.append(np.concatenate([c, np.full(len(darks), pad_value, dtype=c.dtype)]))
-        cols = filled
-    order = np.argsort(t, kind="stable")
-    t = t[order]
-    cols = [c[order] for c in cols]
-    alive = dead_time_filter(t, spd.dead_time)
-    return (t[alive], *[c[alive] for c in cols])
-
-
 class _Engine:
     def __init__(self, cfg: ScenarioConfig):
         self.cfg = cfg
         self.src = cfg.source
         self.mode_offsets = self.src.mode_offsets()
-        self.mode_weights = self.src.weights()
-        self.p_fiber = cfg.link.survival_probability
         self.fiber_delay = cfg.link.delay
-        self.p_convert_mode = cfg.converter.efficiency * cfg.converter.window_transmission(
-            self.mode_offsets
-        )
         self.noise_rate_arm = 0.5 * cfg.converter.noise_rate  # beam splitter share
-        self.pm_halfspan = 0.5 * cfg.converter.pm_fwhm
-        self.tau_c = self.src.coherence_time
         self.afc = cfg.memory.afc
         self.inh = cfg.memory.inhomogeneous
         self.slow = cfg.memory.slow_light_delay
@@ -164,8 +105,6 @@ class _Engine:
         self.hist = CoincidenceHistogram(
             hl.bin_width, hl.tau_min, hl.tau_max, hl.signal_window, hl.noise_window
         )
-        # widest memory delay a photon can pick up before detection
-        self.max_delay = self.afc.storage_time + self.slow + 100e-9
         n_cycles = int(math.ceil(cfg.duration / cfg.shutter.cycle_period))
         per_batch = max(1, int(round(6.0 / cfg.shutter.cycle_period)))
         self.batches = [
@@ -197,26 +136,24 @@ class _Engine:
     def run_batch(self, batch_idx: int, counters: dict):
         cfg = self.cfg
         lo, hi = self.batches[batch_idx]
-        windows = _transmission_windows(cfg, lo, hi)
+        windows = cfg.shutter.transmission_windows(lo, hi, cfg.duration)
         if len(windows) == 0:
             return
 
         # source: pair creation shifted so arrivals land on the windows
-        rng_src = _stream(cfg.seed, _S_SOURCE, batch_idx)
-        t_pairs = iv.sample_poisson(windows - self.fiber_delay, self.src.total_pair_rate, rng_src)
+        rng = _stream(cfg.seed, _S_SOURCE, batch_idx)
+        t_pairs, mode_idx = sample_pairs(self.src, windows - self.fiber_delay, rng)
         n_pairs = len(t_pairs)
-        mode_idx = rng_src.choice(len(self.mode_offsets), size=n_pairs, p=self.mode_weights)
         counters["pairs_generated"] += n_pairs
 
-        rng_corr = _stream(cfg.seed, _S_CORRELATION, batch_idx)
+        rng = _stream(cfg.seed, _S_CORRELATION, batch_idx)
         herald_t = t_pairs + self.fiber_delay
-        signal_t = herald_t + rng_corr.laplace(0.0, self.tau_c, size=n_pairs)
+        signal_t = herald_t + pair_delays(self.src, n_pairs, rng)
 
         # herald arm: fiber, conversion, detection (plus noise share and darks)
-        rng = _stream(cfg.seed, _S_FIBER_H, batch_idx)
-        keep_h = rng.random(n_pairs) < self.p_fiber
+        keep_h = fiber_passes(cfg.link, n_pairs, _stream(cfg.seed, _S_FIBER_H, batch_idx))
         rng = _stream(cfg.seed, _S_CONVERT_H, batch_idx)
-        keep_h &= rng.random(n_pairs) < self.p_convert_mode[mode_idx]
+        keep_h &= conversion_passes(cfg.converter, self.mode_offsets, mode_idx, rng)
 
         # herald-arm noise is drawn directly at its detected rate (exact
         # thinning of the beam-splitter share by the detector efficiency)
@@ -231,8 +168,8 @@ class _Engine:
             np.full(len(noise_h), ORIGIN_CONVERSION_NOISE, dtype=np.uint8),
         ])
         # pairs, noise and darks arrive as sorted runs (up to jitter), which
-        # the stable sort in _detect_stream merges in near-linear time
-        h_times, h_org = _detect_stream(cand_t, 1.0, cfg.detectors.herald, windows, rng_det, cand_org)
+        # the stable sort in detect merges in near-linear time
+        h_times, h_org = detect(cand_t, 1.0, cfg.detectors.herald, windows, rng_det, cand_org)
         counters["heralds_detected"] += len(h_times)
         for code, key in ((ORIGIN_PAIR, "pair"), (ORIGIN_CONVERSION_NOISE, "conversion_noise"), (ORIGIN_DARK_COUNT, "dark_count")):
             counters["heralds_by_origin"][key] += int(np.sum(h_org == code))
@@ -242,14 +179,13 @@ class _Engine:
         # reach the histogram after any memory delay
         closed = as_closures(h_times, cfg.shutter)
         rel = iv.as_interval_set(
-            h_times + self.hist.tau_min - self.max_delay, h_times + self.hist.tau_max
+            h_times + self.hist.tau_min - cfg.memory.max_delay, h_times + self.hist.tau_max
         )
 
         # signal arm: pair photons through fiber, converter, gate
-        rng = _stream(cfg.seed, _S_FIBER_S, batch_idx)
-        keep_s = rng.random(n_pairs) < self.p_fiber
+        keep_s = fiber_passes(cfg.link, n_pairs, _stream(cfg.seed, _S_FIBER_S, batch_idx))
         rng = _stream(cfg.seed, _S_CONVERT_S, batch_idx)
-        keep_s &= rng.random(n_pairs) < self.p_convert_mode[mode_idx]
+        keep_s &= conversion_passes(cfg.converter, self.mode_offsets, mode_idx, rng)
         s_t = signal_t[keep_s]
         s_off = self.mode_offsets[mode_idx[keep_s]]
         rng = _stream(cfg.seed, _S_GATE_LEAK, batch_idx)
@@ -261,7 +197,7 @@ class _Engine:
         t_n = iv.sample_poisson(iv.intersect(windows, rel), self.noise_rate_arm, rng)
         rng_gate = _stream(cfg.seed, _S_NOISE_GATE, batch_idx)
         t_n = t_n[gate_passes(t_n, windows, closed, cfg.shutter.extinction, rng_gate)]
-        off_n = rng.uniform(-self.pm_halfspan, self.pm_halfspan, size=len(t_n))
+        off_n = cfg.converter.noise_offsets(len(t_n), rng)
 
         entry_t = np.concatenate([s_t, t_n])
         entry_off = np.concatenate([s_off, off_n])
@@ -281,7 +217,7 @@ class _Engine:
             counters["memory_outcomes"][key] += int(np.sum((kinds == code) & (entry_org == ORIGIN_PAIR)))
 
         rng_det = _stream(cfg.seed, _S_SIGNAL_DETECT, batch_idx)
-        det_t, det_org, det_kind = _detect_stream(
+        det_t, det_org, det_kind = detect(
             exits[alive],
             cfg.detectors.signal.efficiency,
             cfg.detectors.signal,
@@ -317,7 +253,8 @@ class _Engine:
 
     def run(self, workers: int | None = None) -> RawRunResult:
         transmission = sum(
-            iv.total_length(_transmission_windows(self.cfg, lo, hi)) for lo, hi in self.batches
+            iv.total_length(self.cfg.shutter.transmission_windows(lo, hi, self.cfg.duration))
+            for lo, hi in self.batches
         )
         n_workers = _effective_workers(workers, len(self.batches))
         if n_workers <= 1:
@@ -402,38 +339,3 @@ def _run_parallel(engine: "_Engine", n_workers: int):
 def run_raw(cfg: ScenarioConfig, workers: int | None = None) -> RawRunResult:
     """Execute the pipeline and return the raw histogram and counters."""
     return _Engine(cfg).run(workers=workers)
-
-
-def peak_above_floor(
-    hist: CoincidenceHistogram,
-    echo_delay: float | None = None,
-    smoothing_bins: int = SMOOTHING_BINS,
-):
-    """Echo-peak statistics from the adjacent-averaged histogram.
-
-    ``peak_above_floor`` is the smoothed count at the expected echo delay
-    minus the noise-window floor; reading the known echo position instead of
-    searching for a maximum keeps the statistic unbiased (a max over many
-    noisy bins rides several counts above the true peak), which matters for
-    rate calibration.  The in-window maximum is reported alongside for
-    display.
-    """
-    smoothed = moving_average(hist, smoothing_bins)
-    sl = hist._window_slice(hist.signal_window)
-    peak_max = float(np.max(smoothed[sl])) if sl.stop > sl.start else 0.0
-    raw_peak = int(np.max(hist.counts[sl])) if sl.stop > sl.start else 0
-    nb = hist.window_bins(hist.noise_window)
-    floor = hist.window_counts(hist.noise_window) / nb if nb else 0.0
-    if echo_delay is None:
-        at_echo = peak_max
-    else:
-        idx = int(np.clip(hist.bin_index(echo_delay), 0, hist.n_bins - 1))
-        at_echo = float(smoothed[idx])
-    return {
-        "peak_raw": raw_peak,
-        "peak_smoothed_max": peak_max,
-        "peak_at_echo": at_echo,
-        "floor_per_bin": float(floor),
-        "peak_above_floor": float(at_echo - floor),
-        "smoothing_bins": smoothing_bins,
-    }

@@ -1,16 +1,15 @@
 """Photon-pair source: Poissonian pair emission on a comb of frequency modes.
 
 Pairs are created at Poisson times with a total rate across all active
-modes; each pair lands on one mode (both members share the mode offset and a
-pair id).  The temporal correlation between the two members follows a
-two-sided exponential whose decay constant is set by the source linewidth:
+modes; each pair lands on one mode, which both members share.  The temporal
+correlation between the two members follows a two-sided exponential whose
+decay constant is set by the source linewidth:
 
     tau_c = 1 / (2 * pi * linewidth)
 
 which is the coincidence profile of a Lorentzian line.  ``sample_pairs``
-emits both members at the creation time; ``apply_pair_correlation`` then
-shifts the signal member by a double-exponential draw, leaving the herald
-untouched.
+draws the creation times and modes; the herald member leaves at the
+creation time and the signal member ``pair_delays`` later.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .events import ARM_HERALD, ARM_SIGNAL, ORIGIN_PAIR, EventBatch
+from . import intervals as iv
 from .spectral import tpc_mode_offsets
 
 
@@ -71,48 +70,17 @@ class SourceConfig:
 
 
 def sample_pairs(
-    cfg: SourceConfig,
-    window: tuple[float, float],
-    rng: np.random.Generator,
-    first_pair_id: int = 0,
-) -> EventBatch:
-    """Draw pair events on ``window``: a Poisson process in time, a weighted
-    categorical draw over modes.  Both members carry the creation time (the
-    correlation jitter is a separate step); the batch is time-sorted with
-    herald before signal at equal times."""
-    t0, t1 = window
-    if not t1 > t0:
-        raise ValueError("window must satisfy t1 > t0")
-    n = rng.poisson(cfg.total_pair_rate * (t1 - t0))
-    if n == 0:
-        return EventBatch.empty()
-    times = np.sort(rng.uniform(t0, t1, size=n))
-    modes = cfg.mode_offsets()[rng.choice(cfg.n_modes, size=n, p=cfg.weights())]
-    pair_ids = first_pair_id + np.arange(n, dtype=np.int64)
-
-    both_times = np.repeat(times, 2)
-    both_modes = np.repeat(modes, 2)
-    both_ids = np.repeat(pair_ids, 2)
-    arms = np.tile(np.array([ARM_HERALD, ARM_SIGNAL], dtype=np.uint8), n)
-    origins = np.full(2 * n, ORIGIN_PAIR, dtype=np.uint8)
-    return EventBatch(both_times, both_modes, arms, origins, both_ids)
+    cfg: SourceConfig, windows: np.ndarray, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """Pair creation on the interval set ``windows``: sorted Poisson times at
+    the total pair rate, then one weighted categorical mode draw per pair.
+    Returns ``(times, mode_idx)``; ``mode_idx`` indexes ``cfg.mode_offsets()``."""
+    times = iv.sample_poisson(windows, cfg.total_pair_rate, rng)
+    mode_idx = rng.choice(cfg.n_modes, size=len(times), p=cfg.weights())
+    return times, mode_idx
 
 
-def apply_pair_correlation(
-    pairs: EventBatch,
-    linewidth: float,
-    rng: np.random.Generator,
-) -> EventBatch:
-    """Offset each signal member from its herald by a double-exponential draw
-    with decay constant tau_c = 1/(2 pi linewidth); heralds are unchanged."""
-    if linewidth <= 0:
-        raise ValueError("linewidth must be > 0")
-    tau_c = 1.0 / (2.0 * math.pi * linewidth)
-    out = EventBatch(
-        pairs.time.copy(), pairs.mode_offset, pairs.arm, pairs.origin, pairs.pair_id
-    )
-    signal = pairs.arm == ARM_SIGNAL
-    n_sig = int(signal.sum())
-    if n_sig:
-        out.time[signal] = out.time[signal] + rng.laplace(0.0, tau_c, size=n_sig)
-    return out.sorted_by_time()
+def pair_delays(cfg: SourceConfig, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Signal-minus-herald emission delays of ``n`` pairs: two-sided
+    exponential draws with decay constant ``cfg.coherence_time``."""
+    return rng.laplace(0.0, cfg.coherence_time, size=n)

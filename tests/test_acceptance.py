@@ -16,7 +16,7 @@ from scipy.optimize import minimize_scalar
 import afclink as al
 from afclink import intervals as iv
 from afclink.calibrate import calibrate_rate
-from afclink.channel import sample_conversion_noise, shutter_gate
+from afclink.channel import FiberLink, as_closures, fiber_passes, gate_passes
 from afclink.config import LockSettings, load_bundled_scenario
 from afclink.detection import CoincidenceHistogram, compute_snr
 from afclink.lockchain import DRIVEN_LASERS
@@ -94,14 +94,9 @@ def test_criterion_3_sideband_plan():
 
 
 def test_criterion_4_link_budget():
-    from afclink.channel import FiberLink, fiber_transmit
-    from afclink.events import ARM_SIGNAL, ORIGIN_PAIR, EventBatch
-
     n = 100_000
-    b = EventBatch(np.linspace(0, 1, n), np.zeros(n),
-                   np.full(n, ARM_SIGNAL, np.uint8), np.full(n, ORIGIN_PAIR, np.uint8))
-    out = fiber_transmit(b, FiberLink(length=10.0, loss=0.2), np.random.default_rng(SEED))
-    p_hat = len(out) / n
+    keep = fiber_passes(FiberLink(length=10.0, loss=0.2), n, np.random.default_rng(SEED))
+    p_hat = keep.sum() / n
     p = 10 ** (-0.2)
     sigma = math.sqrt(p * (1 - p) / n)
     ok = abs(p_hat - 0.6310) <= 3 * sigma
@@ -176,9 +171,11 @@ def test_criterion_7_noise_gating(fig_run):
     # 40 duty cycles give a thousand-count ungated flux to compare against
     herald_rate = rep.counts["heralds_detected"] / rep.transmission_time
     span = (0.0, 40 * sched.cycle_period)
-    heralds = iv.sample_poisson(sched.transmission_windows(span), herald_rate, rng)
-    noise = sample_conversion_noise(cfg.converter, span, rng)
-    gated = shutter_gate(noise, heralds, sched, rng)
+    windows = sched.transmission_windows(0, 40, span[1])
+    heralds = iv.sample_poisson(windows, herald_rate, rng)
+    noise = iv.sample_poisson(np.array([span]), cfg.converter.noise_rate, rng)
+    closed = as_closures(heralds, sched)
+    gated = noise[gate_passes(noise, windows, closed, sched.extinction, rng)]
     w0, w1 = sched.echo_window
 
     def in_echo_windows(times):
@@ -186,9 +183,9 @@ def test_criterion_7_noise_gating(fig_run):
         hi = np.searchsorted(times, heralds + w1)
         return int(np.sum(hi - lo))
 
-    flux_ungated = in_echo_windows(noise.time)
-    flux_gated = in_echo_windows(gated.time)
-    open_set = sched.open_intervals(heralds, span)
+    flux_ungated = in_echo_windows(noise)
+    flux_gated = in_echo_windows(gated)
+    open_set = iv.intersect(windows, iv.complement(closed, span))
     echo_wins = iv.as_interval_set(heralds + w0, heralds + w1)
     open_len = iv.total_length(iv.intersect(echo_wins, open_set))
     closed_len = iv.total_length(echo_wins) - open_len

@@ -6,43 +6,48 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from afclink.detection import (
+    NO_OUTCOME,
+    ORIGIN_DARK_COUNT,
+    ORIGIN_PAIR,
     CoincidenceHistogram,
     SPDConfig,
     accumulate_histogram,
-    build_histogram,
     compute_snr,
     dead_time_filter,
     detect,
     moving_average,
 )
-from afclink.events import ARM_SIGNAL, ORIGIN_DARK_COUNT, ORIGIN_PAIR, EventBatch
 
 
-def _batch(times):
-    times = np.asarray(times, dtype=float)
-    n = len(times)
-    return EventBatch(times, np.zeros(n), np.full(n, ARM_SIGNAL, np.uint8), np.full(n, ORIGIN_PAIR, np.uint8))
+def _span(t0, t1):
+    return np.array([[t0, t1]])
+
+
+def _detect(times, spd, window, rng):
+    """Detected times of a pair-photon stream on one window."""
+    t = np.asarray(times, dtype=float)
+    return detect(t, spd.efficiency, spd, _span(*window), rng)[0]
 
 
 def test_ideal_detector_is_identity():
     spd = SPDConfig(efficiency=1.0, dark_rate=0.0, dead_time=0.0, jitter_fwhm=0.0)
     t = np.sort(np.random.default_rng(0).uniform(0, 1, 500))
-    out = detect(_batch(t), spd, (0.0, 1.0), np.random.default_rng(1))
-    assert np.array_equal(out.time, t)
+    out = _detect(t, spd, (0.0, 1.0), np.random.default_rng(1))
+    assert np.array_equal(out, t)
 
 
 def test_efficiency_binomial():
     spd = SPDConfig(efficiency=0.5, dark_rate=0.0, dead_time=0.0, jitter_fwhm=0.0)
     n = 100_000
-    out = detect(_batch(np.linspace(0, 1, n)), spd, (0.0, 1.0), np.random.default_rng(2))
+    out = _detect(np.linspace(0, 1, n), spd, (0.0, 1.0), np.random.default_rng(2))
     sigma = math.sqrt(0.25 / n)
     assert len(out) / n == pytest.approx(0.5, abs=3 * sigma)
 
 
 def test_dead_time_blocks_second_event():
     spd = SPDConfig(efficiency=1.0, dark_rate=0.0, dead_time=50e-9, jitter_fwhm=0.0)
-    out = detect(_batch([1.0, 1.0 + 10e-9]), spd, (0.0, 2.0), np.random.default_rng(3))
-    assert len(out) == 1 and out.time[0] == 1.0
+    out = _detect([1.0, 1.0 + 10e-9], spd, (0.0, 2.0), np.random.default_rng(3))
+    assert len(out) == 1 and out[0] == 1.0
 
 
 def test_dead_time_filter_runs():
@@ -53,41 +58,83 @@ def test_dead_time_filter_runs():
     assert list(keep) == [True, False, True, False]
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    ticks=st.lists(st.integers(0, 400), max_size=60),
+    dead=st.integers(0, 40),
+)
+def test_dead_time_filter_matches_sequential_scan(ticks, dead):
+    # integer ticks keep every gap comparison exact; duplicates and runs
+    # longer than the dead time exercise the multi-pass path
+    t = np.sort(np.array(ticks, dtype=float))
+    want = np.zeros(len(t), dtype=bool)
+    last = -np.inf
+    for i, ti in enumerate(t):
+        if ti - last >= dead:
+            want[i] = True
+            last = ti
+    assert np.array_equal(dead_time_filter(t, float(dead)), want)
+
+
 def test_dark_counts_poisson():
     spd = SPDConfig(efficiency=1.0, dark_rate=5000.0, dead_time=0.0, jitter_fwhm=0.0)
     rng = np.random.default_rng(4)
-    counts = [len(detect(_batch([]), spd, (0.0, 1.0), rng, arm=ARM_SIGNAL)) for _ in range(40)]
+    empty = np.empty(0)
+    counts = [len(detect(empty, 1.0, spd, _span(0.0, 1.0), rng)[0]) for _ in range(40)]
     assert np.mean(counts) == pytest.approx(5000, abs=3 * math.sqrt(5000 / 40))
-    out = detect(_batch([]), spd, (0.0, 1.0), rng, arm=ARM_SIGNAL)
-    assert np.all(out.origin == ORIGIN_DARK_COUNT)
+    t, origin, kind = detect(
+        empty, 1.0, spd, _span(0.0, 1.0), rng, np.empty(0, np.uint8), np.empty(0, np.uint8)
+    )
+    assert np.all(origin == ORIGIN_DARK_COUNT)
+    assert np.all(kind == NO_OUTCOME)
+
+
+def test_detect_keeps_companion_columns_aligned():
+    spd = SPDConfig(efficiency=0.6, dark_rate=2000.0, dead_time=50e-9, jitter_fwhm=0.0)
+    t = np.sort(np.random.default_rng(13).uniform(0, 1, 3000))
+    label = np.arange(len(t), dtype=np.int64)
+    out_t, org, lab = detect(
+        t, spd.efficiency, spd, _span(0.0, 1.0), np.random.default_rng(14),
+        np.full(len(t), ORIGIN_PAIR, np.uint8), label,
+    )
+    assert np.all(np.diff(out_t) >= 0)
+    pair = org == ORIGIN_PAIR
+    assert np.array_equal(out_t[pair], t[lab[pair]])
+    assert np.all(lab[~pair] == NO_OUTCOME)
 
 
 def test_jitter_broadens_timing():
     spd = SPDConfig(efficiency=1.0, dark_rate=0.0, dead_time=0.0, jitter_fwhm=100e-12)
     t = np.full(20000, 0.5)
-    out = detect(_batch(t), spd, (0.0, 1.0), np.random.default_rng(5))
+    out = _detect(t, spd, (0.0, 1.0), np.random.default_rng(5))
     sigma = 100e-12 / (2 * math.sqrt(2 * math.log(2)))
-    assert np.std(out.time) == pytest.approx(sigma, rel=0.05)
+    assert np.std(out) == pytest.approx(sigma, rel=0.05)
 
 
 def test_detect_zero_dead_time_commutes_with_concatenation():
     spd = SPDConfig(efficiency=0.7, dark_rate=0.0, dead_time=0.0, jitter_fwhm=0.0)
     t1 = np.sort(np.random.default_rng(6).uniform(0, 1, 4000))
     t2 = np.sort(np.random.default_rng(7).uniform(1, 2, 4000))
-    joint = detect(_batch(np.concatenate([t1, t2])), spd, (0.0, 2.0), np.random.default_rng(8))
-    a = detect(_batch(t1), spd, (0.0, 1.0), np.random.default_rng(8))
+    joint = _detect(np.concatenate([t1, t2]), spd, (0.0, 2.0), np.random.default_rng(8))
+    a = _detect(t1, spd, (0.0, 1.0), np.random.default_rng(8))
     # same rng state stream: the first len(t1) draws coincide, so the kept
     # subset of the first block is identical
-    assert np.array_equal(joint.time[joint.time < 1.0], a.time)
+    assert np.array_equal(joint[joint < 1.0], a)
+
+
+def _histogram(heralds, signals, bin_width, tau_range, **windows):
+    hist = CoincidenceHistogram(bin_width, tau_range[0], tau_range[1], **windows)
+    accumulate_histogram(hist, heralds, signals)
+    return hist
 
 
 def test_histogram_empty():
-    h = build_histogram(np.array([1.0, 2.0]), np.array([]), 0.128e-9, (-200e-9, 1400e-9))
+    h = _histogram(np.array([1.0, 2.0]), np.array([]), 0.128e-9, (-200e-9, 1400e-9))
     assert h.total() == 0
 
 
 def test_histogram_single_bin_index():
-    h = build_histogram(np.array([0.0]), np.array([870.0e-9]), 0.128e-9, (0.0, 1400e-9))
+    h = _histogram(np.array([0.0]), np.array([870.0e-9]), 0.128e-9, (0.0, 1400e-9))
     assert h.total() == 1
     idx = int(np.flatnonzero(h.counts)[0])
     assert idx == math.floor(870.0 / 0.128) == 6796
@@ -98,7 +145,7 @@ def test_histogram_uniform_noise_floor():
     heralds = np.sort(rng.uniform(0, 1.0, 200))
     rate = 50_000.0
     signals = np.sort(rng.uniform(0, 1.0, rng.poisson(rate)))
-    h = build_histogram(
+    h = _histogram(
         heralds, signals, 1e-9, (100e-9, 1100e-9),
         signal_window=(200e-9, 300e-9), noise_window=(400e-9, 500e-9),
     )
@@ -112,7 +159,7 @@ def test_histogram_conservation_against_double_loop():
     rng = np.random.default_rng(10)
     heralds = np.sort(rng.uniform(0, 1e-3, 40))
     signals = np.sort(rng.uniform(0, 1e-3, 60))
-    h = build_histogram(heralds, signals, 0.128e-9, (-200e-9, 1400e-9))
+    h = _histogram(heralds, signals, 0.128e-9, (-200e-9, 1400e-9))
     brute = sum(
         1
         for th in heralds
@@ -148,9 +195,9 @@ def test_histogram_merge_elementwise():
     rng = np.random.default_rng(11)
     heralds = np.sort(rng.uniform(0, 1e-3, 30))
     signals = np.sort(rng.uniform(0, 1e-3, 50))
-    full = build_histogram(heralds, signals, 0.128e-9, (-200e-9, 1400e-9))
-    a = build_histogram(heralds[:15], signals, 0.128e-9, (-200e-9, 1400e-9))
-    b = build_histogram(heralds[15:], signals, 0.128e-9, (-200e-9, 1400e-9))
+    full = _histogram(heralds, signals, 0.128e-9, (-200e-9, 1400e-9))
+    a = _histogram(heralds[:15], signals, 0.128e-9, (-200e-9, 1400e-9))
+    b = _histogram(heralds[15:], signals, 0.128e-9, (-200e-9, 1400e-9))
     merged = a + b
     assert np.array_equal(merged.counts, full.counts)
 

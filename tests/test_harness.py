@@ -60,6 +60,19 @@ def test_invalid_value_names_field():
     assert "link" in str(err.value)
 
 
+def test_prep_phase_shorter_than_batch_edge_reach_rejected():
+    # batches run independently, which is exact only while the preparation
+    # phase between them outlasts every coincidence and dead-time reach
+    # (tau_max - tau_min + memory delay + dead time, about 2.8 us here)
+    d = scenario_to_dict(load_bundled_scenario("multiplexed_25mode_10km"))
+    d["shutter"]["prep_duration"] = 2e-6
+    with pytest.raises(ScenarioError) as err:
+        scenario_from_dict(d)
+    assert err.value.field == "shutter.prep_duration"
+    d["shutter"]["prep_duration"] = 4e-6
+    assert scenario_from_dict(d).shutter.prep_duration == 4e-6
+
+
 def test_bundled_scenarios_load():
     names = bundled_scenarios()
     for expected in (
@@ -69,6 +82,7 @@ def test_bundled_scenarios_load():
         "single_mode_5m",
     ):
         assert expected in names
+    assert len(names) == 5
     for n in names:
         cfg = load_bundled_scenario(n)
         assert cfg.source.n_modes == len(cfg.memory.afc.mode_offsets)

@@ -1,5 +1,5 @@
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -95,3 +95,56 @@ def test_sample_poisson_uniform_ks():
     cum = np.concatenate([[0.0], np.cumsum(s[:, 1] - s[:, 0])])
     flat = cum[row] + (pts - s[row, 0])
     assert stats.kstest(flat, "uniform", args=(0.0, cum[-1])).pvalue > 1e-3
+
+
+# raw, possibly overlapping, unsorted or empty rows on a grid of 1/8; the
+# probes sit on a grid of 1/16, so they hit every edge and every gap exactly
+_raw_rows = st.lists(
+    st.tuples(st.integers(-200, 200), st.integers(-8, 80)), max_size=20
+).map(lambda rows: np.array([[a / 8, (a + w) / 8] for a, w in rows]).reshape(-1, 2))
+_probes = np.arange(-40 * 16, 40 * 16 + 1) / 16
+
+
+def _naive_contains(rows, t):
+    rows = np.asarray(rows).reshape(-1, 2)
+    return ((t[:, None] >= rows[None, :, 0]) & (t[:, None] < rows[None, :, 1])).any(axis=1)
+
+
+def _assert_canonical(s):
+    assert s.shape == (len(s), 2)
+    assert np.all(s[:, 1] > s[:, 0])
+    assert np.all(s[1:, 0] > s[:-1, 1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=_raw_rows)
+def test_as_interval_set_and_contains_match_naive_membership(rows):
+    s = iv.as_interval_set(rows[:, 0], rows[:, 1])
+    _assert_canonical(s)
+    want = _naive_contains(rows, _probes)
+    assert np.array_equal(_naive_contains(s, _probes), want)
+    assert np.array_equal(iv.contains(s, _probes), want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=_raw_rows, b=_raw_rows)
+def test_intersect_matches_naive_membership(a, b):
+    sa, sb = iv.as_interval_set(a[:, 0], a[:, 1]), iv.as_interval_set(b[:, 0], b[:, 1])
+    got = iv.intersect(sa, sb)
+    assert np.all(got[:, 1] > got[:, 0])
+    assert np.all(got[1:, 0] >= got[:-1, 1])
+    want = _naive_contains(a, _probes) & _naive_contains(b, _probes)
+    assert np.array_equal(_naive_contains(got, _probes), want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=_raw_rows, lo=st.integers(-300, 300), width=st.integers(0, 300))
+@example(a=np.array([[0.0, 0.125]]), lo=0, width=0)  # empty span: no zero-length row
+def test_complement_matches_naive_membership(a, lo, width):
+    span = (lo / 8, (lo + width) / 8)
+    s = iv.as_interval_set(a[:, 0], a[:, 1])
+    got = iv.complement(s, span)
+    assert np.all(got[:, 1] > got[:, 0])
+    assert np.all(got[1:, 0] >= got[:-1, 1])
+    in_span = (_probes >= span[0]) & (_probes < span[1])
+    assert np.array_equal(_naive_contains(got, _probes), in_span & ~_naive_contains(a, _probes))

@@ -15,11 +15,10 @@ from afclink.lockchain import (
     derived_frequencies,
     matching_residual,
     simulate_lock_run,
-    step_free_running,
-    step_servo,
 )
 
 RF = RfOffsets()
+STILL = DriftModel("random_walk", 0.0)
 
 
 def _state(e_photon=0.0, e_qm=0.0, e_wc=0.0):
@@ -79,31 +78,37 @@ def test_matching_theorem_independent_of_common_errors():
         assert matching_residual(st, RF) == pytest.approx(0.0, abs=1e-3)
 
 
-def test_step_free_running_zero_sigma():
-    st = _state(e_photon=123.0)
-    rng = np.random.default_rng(0)
-    out = step_free_running(st, LaserId.TPC_PUMP_1514, DriftModel("random_walk", 0.0), 1.0, rng)
-    assert out.error(LaserId.TPC_PUMP_1514) == 123.0
-    assert out.time == 1.0
+def _chain(drift=None, monitor_lock=None):
+    """Lock chain whose lasers hold still except those in ``drift``, with no
+    comb locks and only the given monitor lock."""
+    drifts = {laser: STILL for laser in DRIVEN_LASERS}
+    drifts.update(drift or {})
+    if monitor_lock is None:
+        monitor_lock = ServoModel(setpoint=RF.f_beat, gain=1.0, enabled=False)
+    return LockChainConfig(drift=drifts, comb_locks={}, monitor_lock=monitor_lock)
 
 
-def test_step_free_running_rejects_derived():
+def test_free_running_zero_sigma():
+    res = simulate_lock_run(_chain(), duration=1.0, dt=1.0, seed=0)
+    for errors in res.laser_errors.values():
+        assert np.all(errors == 0.0)
+    assert res.t[-1] == 1.0
+
+
+def test_drift_rejects_derived_laser():
     with pytest.raises(ValueError):
-        step_free_running(_state(), LaserId.MONITOR_606, DriftModel("random_walk", 1.0), 1.0,
-                          np.random.default_rng(0))
+        LockChainConfig(drift={LaserId.MONITOR_606: DriftModel("random_walk", 1.0)})
 
 
 def test_random_walk_variance():
-    # Monte Carlo vs Var[e(T)] = sigma^2 T
+    # Monte Carlo vs Var[e(T)] = sigma^2 T, over disjoint T-long blocks of one
+    # free-running trajectory
     sigma, dt, n_steps, n_trials = 100.0, 0.5, 16, 3000
-    rng = np.random.default_rng(21)
     drift = DriftModel("random_walk", sigma)
-    finals = np.empty(n_trials)
-    for k in range(n_trials):
-        st = _state()
-        for _ in range(n_steps):
-            st = step_free_running(st, LaserId.WC_PUMP_1010, drift, dt, rng)
-        finals[k] = st.error(LaserId.WC_PUMP_1010)
+    res = simulate_lock_run(_chain({LaserId.WC_PUMP_1010: drift}), n_trials * n_steps * dt, dt, seed=21)
+    e = res.laser_errors[LaserId.WC_PUMP_1010]
+    finals = e[n_steps::n_steps] - e[:-n_steps:n_steps]
+    assert len(finals) == n_trials
     want = sigma**2 * dt * n_steps
     assert np.var(finals) == pytest.approx(want, rel=0.05)
 
@@ -111,70 +116,45 @@ def test_random_walk_variance():
 def test_ou_stationary_std():
     sigma, lam = 500.0, 4.0
     drift = DriftModel("ou_process", sigma, reversion_rate=lam)
-    rng = np.random.default_rng(8)
-    st = _state()
-    vals = []
-    for k in range(6000):
-        st = step_free_running(st, LaserId.TPC_PUMP_1514, drift, 0.125, rng)
-        if k > 500:
-            vals.append(st.error(LaserId.TPC_PUMP_1514))
+    res = simulate_lock_run(_chain({LaserId.TPC_PUMP_1514: drift}), 6000 * 0.125, 0.125, seed=8)
+    vals = res.laser_errors[LaserId.TPC_PUMP_1514][502:]
     want = sigma / np.sqrt(2 * lam)
     assert np.std(vals) == pytest.approx(want, rel=0.05)
 
 
 def test_servo_no_error_signal_no_motion():
     servo = ServoModel(setpoint=RF.f_beat, gain=50.0, residual_noise_rms=0.0)
-    st = _state(e_wc=7.0)
-    out = step_servo(st, servo, measured_beat=RF.f_beat, actuated_laser=LaserId.WC_PUMP_1010,
-                     dt=0.01, rng=np.random.default_rng(0))
-    assert out.error(LaserId.WC_PUMP_1010) == 7.0
-
-
-def test_servo_requires_enabled():
-    servo = ServoModel(setpoint=0.0, gain=10.0, enabled=False)
-    with pytest.raises(ValueError):
-        step_servo(_state(), servo, 0.0, LaserId.WC_PUMP_1010, 0.1, np.random.default_rng(0))
+    res = simulate_lock_run(_chain(monitor_lock=servo), 1.0, 0.01, seed=0)
+    assert np.all(res.laser_errors[LaserId.WC_PUMP_1010] == 0.0)
 
 
 def test_servo_step_response_decay():
-    # constant disturbance d on the beat: residual decays like exp(-gain t)
+    # constant disturbance d on the beat (setpoint d below the nominal beat):
+    # the beat error decays like exp(-gain t)
     gain, dt, d = 10.0, 1e-3, 1000.0
-    servo = ServoModel(setpoint=0.0, gain=gain, residual_noise_rms=0.0)
-    rng = np.random.default_rng(0)
-    st = _state()
-    t = 0.0
-    checks = {1.0: np.exp(-1.0), 2.0: np.exp(-2.0)}
-    n_steps = int(round(10.0 / gain / dt))
-    for k in range(n_steps):
-        beat = d + st.error(LaserId.WC_PUMP_1010)
-        st = step_servo(st, servo, beat, LaserId.WC_PUMP_1010, dt, rng)
-        t += dt
-        for t_chk, decay in checks.items():
-            if abs(t - t_chk / gain) < dt / 2:
-                assert d + st.error(LaserId.WC_PUMP_1010) == pytest.approx(d * decay, rel=0.02)
-    assert abs(d + st.error(LaserId.WC_PUMP_1010)) < 0.02 * d
+    servo = ServoModel(setpoint=RF.f_beat - d, gain=gain, residual_noise_rms=0.0)
+    res = simulate_lock_run(_chain(monitor_lock=servo), 10.0 / gain, dt, seed=0)
+    beat_error = d + res.laser_errors[LaserId.WC_PUMP_1010]
+    for t_chk, decay in {1.0: np.exp(-1.0), 2.0: np.exp(-2.0)}.items():
+        k = int(round(t_chk / gain / dt))
+        assert beat_error[k] == pytest.approx(d * decay, rel=0.02)
+    assert abs(beat_error[-1]) < 0.02 * d
 
 
 def test_servo_high_gain_converges_in_few_steps():
-    gain, dt = 1000.0, 1e-3  # gain*dt = 1
-    servo = ServoModel(setpoint=RF.f_beat, gain=gain, residual_noise_rms=0.0)
-    st = _state(e_wc=5e5)
-    rng = np.random.default_rng(0)
-    for _ in range(5):
-        st = step_servo(st, servo, beat_frequency(st, RF), LaserId.WC_PUMP_1010, dt, rng)
-    assert abs(beat_frequency(st, RF) - RF.f_beat) < 1.0
+    # gain*dt = 3 lies beyond the stability limit (2) of an explicit update
+    gain, dt, d = 3000.0, 1e-3, 5e5
+    servo = ServoModel(setpoint=RF.f_beat - d, gain=gain, residual_noise_rms=0.0)
+    res = simulate_lock_run(_chain(monitor_lock=servo), 5 * dt, dt, seed=0)
+    st = LaserNetworkState(errors={laser: e[-1] for laser, e in res.laser_errors.items()})
+    assert abs(beat_frequency(st, RF) - servo.setpoint) < 1.0
 
 
 def test_servo_noise_stationary_rms():
     gain, dt, rms = 50.0, 1e-3, 30.0
-    servo = ServoModel(setpoint=0.0, gain=gain, residual_noise_rms=rms)
-    rng = np.random.default_rng(77)
-    st = _state()
-    vals = []
-    for k in range(30000):
-        st = step_servo(st, servo, st.error(LaserId.WC_PUMP_1010), LaserId.WC_PUMP_1010, dt, rng)
-        if k > 2000:
-            vals.append(st.error(LaserId.WC_PUMP_1010))
+    servo = ServoModel(setpoint=RF.f_beat, gain=gain, residual_noise_rms=rms)
+    res = simulate_lock_run(_chain(monitor_lock=servo), 30000 * dt, dt, seed=77)
+    vals = res.laser_errors[LaserId.WC_PUMP_1010][2002:]
     assert np.std(vals) == pytest.approx(rms, rel=0.10)
 
 

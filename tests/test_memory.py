@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from afclink.events import PhotonEvent
 from afclink.memory import (
     AFCConfig,
     AbsorptionSpectrum,
@@ -14,7 +13,6 @@ from afclink.memory import (
     exit_times,
     prepare_afc,
     storage_branches,
-    store_retrieve,
     KIND_ECHO,
     KIND_LOST,
     KIND_OUT_OF_BAND,
@@ -176,8 +174,10 @@ def test_peak_convention_runs_hotter_than_formula():
 SPEC = prepare_afc(INH, CFG)
 
 
-def _event(offset, t=1.0):
-    return PhotonEvent(time=t, mode_offset=offset, arm="signal", origin="pair")
+def _store(offset, rng, t=1.0):
+    """Outcome code and exit time of one photon sent into the memory."""
+    kinds = storage_branches(np.array([offset]), CFG, INH, rng)
+    return int(kinds[0]), float(exit_times(np.array([t]), kinds, CFG, 150e-9)[0])
 
 
 def test_echo_and_prompt_timing_exact():
@@ -190,9 +190,9 @@ def test_echo_and_prompt_timing_exact():
 
 
 def test_out_of_band_transmits_without_delay():
-    out = store_retrieve(_event(15e9), SPEC, CFG, 150e-9, INH, np.random.default_rng(1))
-    assert out.kind == "out_of_band_transmit"
-    assert out.exit_time == 1.0
+    kind, exit_time = _store(15e9, np.random.default_rng(1))
+    assert kind == KIND_OUT_OF_BAND
+    assert exit_time == 1.0
 
 
 def test_echo_probability_matches_formula():
@@ -240,11 +240,11 @@ def test_in_band_off_pit_absorption():
     assert np.sum(kinds == KIND_ECHO) == 0
 
 
-def test_store_retrieve_scalar_wrapper():
-    out = store_retrieve(_event(0.0), SPEC, CFG, 150e-9, INH, np.random.default_rng(6))
-    assert out.kind in ("echo", "prompt_transmit", "lost")
-    if out.kind == "echo":
-        assert out.exit_time == pytest.approx(1.0 + 150e-9 + CFG.storage_time)
+def test_comb_center_photon_outcome_and_exit_time():
+    kind, exit_time = _store(0.0, np.random.default_rng(6))
+    assert kind in (KIND_ECHO, KIND_PROMPT, KIND_LOST)
+    if kind == KIND_ECHO:
+        assert exit_time == pytest.approx(1.0 + 150e-9 + CFG.storage_time)
 
 
 def test_spectrum_csv_format():

@@ -45,11 +45,11 @@ def test_gate_thinned_signal_noise_matches_gate_strata(monkeypatch):
 
         counts = np.zeros((2, 2))
         for (lo, hi), h, t in zip(engine.batches, heralds, entries):
-            windows = pipeline._transmission_windows(cfg, lo, hi)
+            windows = cfg.shutter.transmission_windows(lo, hi, cfg.duration)
             span = (float(windows[0, 0]), float(windows[-1, 1]))
             closed = iv.intersect(windows, as_closures(h, cfg.shutter))
             rel = iv.as_interval_set(
-                h + cfg.histogram.tau_min - engine.max_delay, h + cfg.histogram.tau_max
+                h + cfg.histogram.tau_min - cfg.memory.max_delay, h + cfg.histogram.tau_max
             )
             open_rel = iv.intersect(iv.intersect(windows, rel), iv.complement(closed, span))
             in_open, in_closed = iv.contains(open_rel, t), iv.contains(closed, t)
