@@ -118,10 +118,6 @@ class ShutterSchedule:
         if self.herald_close_delay < 0 or self.herald_close_delay > t_open:
             raise ValueError("herald_close_delay must be in [0, t_open]")
 
-    @property
-    def transmit_duration(self) -> float:
-        return self.cycle_period - self.prep_duration
-
     def transmission_windows(self, cycle_lo: int, cycle_hi: int, duration: float) -> np.ndarray:
         """Transmission phases of cycles ``cycle_lo .. cycle_hi - 1``, clipped
         to the run ``duration``; empty phases are dropped."""

@@ -121,12 +121,11 @@ class ServoModel:
 
 @dataclass(frozen=True)
 class LaserNetworkState:
-    """Frequency errors of the driven lasers (Hz) at simulation time ``time``."""
+    """Frequency errors of the driven lasers (Hz)."""
 
     errors: Mapping[LaserId, float] = field(
         default_factory=lambda: {laser: 0.0 for laser in DRIVEN_LASERS}
     )
-    time: float = 0.0
 
     def __post_init__(self):
         errs = dict(self.errors)

@@ -34,6 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import intervals as iv
 from .spectral import SpectralGrid
 
 _FOUR_LN2 = 4.0 * math.log(2.0)
@@ -335,8 +336,11 @@ def storage_branches(
         return out
     off = offsets[idx]
     modes = np.asarray(cfg.mode_offsets)
-    nearest = modes[np.clip(np.searchsorted(modes, off), 0, len(modes) - 1)]
-    alt = modes[np.clip(np.searchsorted(modes, off) - 1, 0, len(modes) - 1)]
+    # the comb modes on either side of each photon; the closer one wins, the
+    # upper one on a tie
+    above = iv.table_lookup(modes, off, side="left")
+    nearest = modes[np.minimum(above, len(modes) - 1)]
+    alt = modes[np.maximum(above - 1, 0)]
     nearest = np.where(np.abs(off - alt) < np.abs(off - nearest), alt, nearest)
     detune = off - nearest
     in_pit = np.abs(detune) <= cfg.pit_halfwidth
@@ -349,18 +353,16 @@ def storage_branches(
         raise ValueError("comb parameters give echo + transmit probability > 1")
 
     u = rng.random(idx.size)
-    res = np.full(idx.size, KIND_LOST, dtype=np.uint8)
-
-    # inside a pit: echo (if tooth-aligned), background transmission, or loss
-    p_echo = np.where(on_tooth, eta, 0.0)
-    res[in_pit & (u < p_echo)] = KIND_ECHO
-    res[in_pit & (u >= p_echo) & (u < p_echo + p_prompt_pit)] = KIND_PROMPT
-
-    # in band but outside any pit: plain absorption by the unprepared profile
+    # one uniform per photon: echo below p_echo (eta on a tooth, else 0),
+    # prompt below p_echo + p_prompt_pit inside a pit, or below the plain
+    # absorption survival exp(-depth) of the unprepared profile outside one
+    prompt_below = np.where(on_tooth, eta + p_prompt_pit, p_prompt_pit)
     off_pit = ~in_pit
     if np.any(off_pit):
-        p_pass = np.exp(-inh.depth_at(off[off_pit]))
-        res[off_pit] = np.where(u[off_pit] < p_pass, KIND_PROMPT, KIND_LOST)
+        prompt_below[off_pit] = np.exp(-inh.depth_at(off[off_pit]))
+    res = np.full(idx.size, KIND_LOST, dtype=np.uint8)
+    res[u < prompt_below] = KIND_PROMPT
+    res[on_tooth & (u < eta)] = KIND_ECHO
 
     out[idx] = res
     return out

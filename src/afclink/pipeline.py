@@ -75,6 +75,19 @@ _S_MEMORY = 12
 _S_SIGNAL_DETECT = 13
 
 
+_ORIGIN_KEYS = (
+    (ORIGIN_PAIR, "pair"), (ORIGIN_CONVERSION_NOISE, "conversion_noise"), (ORIGIN_DARK_COUNT, "dark_count")
+)
+_KIND_KEYS = ((KIND_ECHO, "echo"), (KIND_PROMPT, "prompt"), (KIND_OUT_OF_BAND, "out_of_band"))
+
+
+def _tally(dst: dict, keys: tuple, codes: np.ndarray) -> None:
+    """Add to ``dst[key]`` how often each ``code`` of ``keys`` occurs in ``codes``."""
+    counts = np.bincount(codes, minlength=max(code for code, _ in keys) + 1)
+    for code, key in keys:
+        dst[key] += int(counts[code])
+
+
 def _stream(seed: int, stage: int, batch: int) -> np.random.Generator:
     return np.random.Generator(
         np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(stage, batch)))
@@ -171,8 +184,7 @@ class _Engine:
         # the stable sort in detect merges in near-linear time
         h_times, h_org = detect(cand_t, 1.0, cfg.detectors.herald, windows, rng_det, cand_org)
         counters["heralds_detected"] += len(h_times)
-        for code, key in ((ORIGIN_PAIR, "pair"), (ORIGIN_CONVERSION_NOISE, "conversion_noise"), (ORIGIN_DARK_COUNT, "dark_count")):
-            counters["heralds_by_origin"][key] += int(np.sum(h_org == code))
+        _tally(counters["heralds_by_origin"], _ORIGIN_KEYS, h_org)
 
         # gate geometry commanded by the detected heralds, and the
         # herald-relative intervals inside which signal-arm events can still
@@ -213,8 +225,7 @@ class _Engine:
         kinds = storage_branches(entry_off, self.afc, self.inh, rng)
         exits = exit_times(entry_t, kinds, self.afc, self.slow)
         alive = kinds != KIND_LOST
-        for code, key in ((KIND_ECHO, "echo"), (KIND_PROMPT, "prompt"), (KIND_OUT_OF_BAND, "out_of_band")):
-            counters["memory_outcomes"][key] += int(np.sum((kinds == code) & (entry_org == ORIGIN_PAIR)))
+        _tally(counters["memory_outcomes"], _KIND_KEYS, kinds[entry_org == ORIGIN_PAIR])
 
         rng_det = _stream(cfg.seed, _S_SIGNAL_DETECT, batch_idx)
         det_t, det_org, det_kind = detect(
@@ -231,10 +242,8 @@ class _Engine:
         det_t, det_org, det_kind = det_t[in_win], det_org[in_win], det_kind[in_win]
 
         counters["signal_detected"] += len(det_t)
-        for code, key in ((ORIGIN_PAIR, "pair"), (ORIGIN_CONVERSION_NOISE, "conversion_noise"), (ORIGIN_DARK_COUNT, "dark_count")):
-            counters["signal_by_origin"][key] += int(np.sum(det_org == code))
-        for code, key in ((KIND_ECHO, "echo"), (KIND_PROMPT, "prompt"), (KIND_OUT_OF_BAND, "out_of_band")):
-            counters["detected_outcomes"][key] += int(np.sum((det_kind == code) & (det_org == ORIGIN_PAIR)))
+        _tally(counters["signal_by_origin"], _ORIGIN_KEYS, det_org)
+        _tally(counters["detected_outcomes"], _KIND_KEYS, det_kind[det_org == ORIGIN_PAIR])
 
         # histogram and the per-herald noise flux into the echo window
         accumulate_histogram(self.hist, h_times, det_t)

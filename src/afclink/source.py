@@ -74,9 +74,16 @@ def sample_pairs(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Pair creation on the interval set ``windows``: sorted Poisson times at
     the total pair rate, then one weighted categorical mode draw per pair.
-    Returns ``(times, mode_idx)``; ``mode_idx`` indexes ``cfg.mode_offsets()``."""
+    Returns ``(times, mode_idx)``; ``mode_idx`` indexes ``cfg.mode_offsets()``.
+
+    The mode draw inverts the normalised cumulative weights at one uniform
+    per pair through ``iv.table_lookup``: the same draws and the same indices
+    as ``rng.choice(cfg.n_modes, size=len(times), p=cfg.weights())``, without
+    its per-pair binary search."""
     times = iv.sample_poisson(windows, cfg.total_pair_rate, rng)
-    mode_idx = rng.choice(cfg.n_modes, size=len(times), p=cfg.weights())
+    cdf = np.cumsum(cfg.weights())
+    cdf /= cdf[-1]
+    mode_idx = iv.table_lookup(cdf, rng.random(len(times)), side="right")
     return times, mode_idx
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -113,6 +114,39 @@ def test_run_deterministic_byte_identical():
     assert a.to_json() == b.to_json()
     assert a.histogram.to_csv(a.smoothed) == b.histogram.to_csv(b.smoothed)
     assert a.summary_csv() == b.summary_csv()
+
+
+# SHA-256 of the seeded payload. A change that keeps the random draw order
+# must leave these bytes alone; a change that alters the draw order (or the
+# report format) updates the constants and says so in CHANGES.md.
+_PINNED_PAYLOADS = {
+    "smoke": {
+        "report.json": "6a63909a8ced516ce583d1fc9142e58570b5dc11aad724d68ca449c022cfd79c",
+        "histogram.csv": "517242cba16547cc4a91a4e3c6cee7ecb2ff95bb91ea400983dcd3f3cfcead5b",
+        "summary.csv": "2d2575c1f8c60fad5cd5b0ca0235177330f2fba196d964f3ad0bf9140693149b",
+    },
+    "pair_rich_30s": {
+        "report.json": "ab21f341234fd161b792202429a9012448c72cd9048e5a44fa15b4f8890cf566",
+        "histogram.csv": "e83f4eae79c0542fa075ccb84e985f20262051ebe637f6565e5efd6de6c580d3",
+        "summary.csv": "b1adb1544ba7ac39a67ad2d668743f80e4e53c416280ed0a57b52a8887d96e9f",
+    },
+}
+
+
+def test_seeded_payload_is_pinned(tmp_path):
+    flagship = load_bundled_scenario("multiplexed_25mode_10km")
+    # a pair-dominated slice: a tenth of the converter noise, 2e4 pairs/s
+    pair_rich = dataclasses.replace(
+        flagship,
+        duration=30.0,
+        converter=dataclasses.replace(flagship.converter, pump_power=14.0),
+    ).with_rate(2e4)
+    cfgs = {"smoke": load_bundled_scenario("multiplexed_25mode_10km_smoke"), "pair_rich_30s": pair_rich}
+    for name, cfg in cfgs.items():
+        out = tmp_path / name
+        run_scenario(cfg, out_dir=str(out), workers=1)
+        got = {f: hashlib.sha256((out / f).read_bytes()).hexdigest() for f in _PINNED_PAYLOADS[name]}
+        assert got == _PINNED_PAYLOADS[name], name
 
 
 def test_parallel_matches_serial():

@@ -24,6 +24,12 @@ def test_intersect_pairs():
     assert np.allclose(got, [[0.0, 2.0], [3.0, 4.0], [9.0, 10.0]])
 
 
+def test_intersect_drops_zero_length_rows():
+    # complement hands intersect a zero-length span when span0 == span1
+    assert iv.intersect(np.array([[0.0, 10.0]]), np.array([[5.0, 5.0]])).shape == (0, 2)
+    assert iv.intersect(np.array([[5.0, 5.0]]), np.array([[0.0, 10.0]])).shape == (0, 2)
+
+
 def test_contains_membership():
     s = np.array([[0.0, 1.0], [2.0, 3.0]])
     t = np.array([-0.5, 0.5, 1.5, 2.0, 2.9, 3.0])
@@ -148,3 +154,113 @@ def test_complement_matches_naive_membership(a, lo, width):
     assert np.all(got[1:, 0] >= got[:-1, 1])
     in_span = (_probes >= span[0]) & (_probes < span[1])
     assert np.array_equal(_naive_contains(got, _probes), in_span & ~_naive_contains(a, _probes))
+
+
+class _ScriptedRng:
+    """Stands in for a Generator in ``sample_poisson``: returns a fixed count
+    and fixed exponential spacings."""
+
+    def __init__(self, spacings):
+        self.spacings = np.asarray(spacings, dtype=np.float64)
+
+    def poisson(self, lam):
+        return len(self.spacings) - 1
+
+    def standard_exponential(self, size):
+        assert size == len(self.spacings)
+        return self.spacings
+
+
+def _place_per_point(intervals, u):
+    """The per-point placement ``sample_poisson`` must reproduce."""
+    cum = np.concatenate([[0.0], np.cumsum(intervals[:, 1] - intervals[:, 0])])
+    idx = np.clip(np.searchsorted(cum, u, side="right") - 1, 0, len(intervals) - 1)
+    return intervals[idx, 0] + (u - cum[idx])
+
+
+def test_sample_poisson_points_on_interior_edges():
+    # spacings summing to the total length 4 put u at 0.5, 1, 2, 3, 3.5 exactly;
+    # u = 1 and u = 3 are interior cumulative edges and open the next row
+    s = np.array([[0.0, 1.0], [5.0, 7.0], [10.0, 11.0]])
+    pts = iv.sample_poisson(s, 1.0, _ScriptedRng([0.5, 0.5, 1.0, 1.0, 0.5, 0.5]))
+    assert pts.tolist() == [0.5, 5.0, 6.0, 10.0, 10.5]
+    assert np.array_equal(pts, _place_per_point(s, np.array([0.5, 1.0, 2.0, 3.0, 3.5])))
+    # fewer points than rows: u = 1 and u = 3 alone
+    pts = iv.sample_poisson(s, 1.0, _ScriptedRng([1.0, 2.0, 1.0]))
+    assert pts.tolist() == [5.0, 10.0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(s=_interval_sets, data=st.data())
+def test_sample_poisson_placement_matches_per_point_search(s, data):
+    # u on the 1/8 grid of the interval edges (so it hits them), spacings of
+    # total exactly L, hence L / total == 1 and u comes out unrounded
+    L = iv.total_length(s)
+    if L == 0:
+        return
+    k = np.sort(data.draw(st.lists(st.integers(0, int(L * 8)), min_size=1, max_size=60)))
+    u = k / 8
+    pts = iv.sample_poisson(s, 1.0, _ScriptedRng(np.diff(u, prepend=0.0, append=L)))
+    assert np.array_equal(pts, _place_per_point(s, u))
+
+
+@settings(max_examples=200, deadline=None)
+@given(s=_interval_sets, rate=st.floats(1e-2, 50.0), seed=st.integers(0, 2**32 - 1))
+def test_sample_poisson_placement_matches_per_point_search_on_draws(s, rate, seed):
+    pts = iv.sample_poisson(s, rate, np.random.default_rng(seed))
+    rng = np.random.default_rng(seed)
+    L = iv.total_length(s)
+    if L == 0 or len(pts) == 0:
+        return
+    u = np.cumsum(rng.standard_exponential(rng.poisson(rate * L) + 1))
+    u = u[:-1] * (L / u[-1])
+    assert np.array_equal(pts, _place_per_point(s, u))
+
+
+def _tables():
+    # short sorted tables with duplicates, on a coarse grid so keys hit entries
+    grid = st.one_of(
+        st.integers(-6, 6).map(float),
+        st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False),
+    )
+    return st.lists(grid, min_size=1, max_size=30).map(lambda v: np.sort(np.array(v)))
+
+
+def _keys(table, extra):
+    near = np.concatenate([
+        table,
+        np.nextafter(table, -np.inf),
+        np.nextafter(table, np.inf),
+        [table[0] - 1.0, table[-1] + 1.0, -np.inf, np.inf, -1e300, 1e300],
+    ])
+    return np.concatenate([near, np.asarray(extra, dtype=np.float64)])
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    table=_tables(),
+    extra=st.lists(st.floats(-2e3, 2e3, allow_nan=False), max_size=40),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(table=np.array([3.0]), extra=[3.0, 2.0, 4.0], seed=0)  # one-entry table
+@example(table=np.array([1.0, 1.0, 1.0]), extra=[1.0], seed=0)  # all entries equal
+@example(table=np.array([0.0, 5e-324]), extra=[0.0, 5e-324, 1e-300], seed=0)  # subnormal span
+@example(table=np.array([0.0, 1e-300]), extra=[1e3], seed=0)  # key * scale overflows
+@example(table=np.array([-np.inf, 0.0, np.inf]), extra=[0.0, 1.0], seed=0)  # infinite edges
+def test_table_lookup_matches_searchsorted(table, extra, seed):
+    x = np.random.default_rng(seed).permutation(_keys(table, extra))
+    for side in ("left", "right"):
+        got = iv.table_lookup(table, x, side=side)
+        assert got.dtype == np.intp
+        assert np.array_equal(got, np.searchsorted(table, x, side=side))
+
+
+def test_table_lookup_uniform_keys_and_shapes():
+    rng = np.random.default_rng(8)
+    cdf = np.cumsum(rng.random(25))
+    cdf /= cdf[-1]
+    u = rng.random((300, 7))
+    for side in ("left", "right"):
+        assert np.array_equal(iv.table_lookup(cdf, u, side), np.searchsorted(cdf, u, side))
+    assert iv.table_lookup(np.empty(0), np.array([1.0, 2.0])).tolist() == [0, 0]
+    assert iv.table_lookup(cdf, np.empty(0)).shape == (0,)

@@ -240,6 +240,50 @@ def test_in_band_off_pit_absorption():
     assert np.sum(kinds == KIND_ECHO) == 0
 
 
+def _storage_branch_per_photon(offsets, cfg, inh, u):
+    """Per-photon reference of ``storage_branches`` given its uniforms, one
+    per in-band photon in order."""
+    eta = afc_efficiency(cfg.tooth_peak_depth, cfg.finesse, cfg.background_depth)
+    p_prompt_pit = math.exp(-cfg.mean_comb_depth)
+    p_pass = np.exp(-inh.depth_at(offsets))
+    u = iter(u)
+    out = []
+    for f, p_off_pit in zip(offsets, p_pass):
+        if abs(f) > inh.fwhm:
+            out.append(KIND_OUT_OF_BAND)
+            continue
+        v = next(u)
+        nearest = min(cfg.mode_offsets, key=lambda m: (abs(f - m), -m))  # upper on a tie
+        d = f - nearest
+        if abs(d) <= cfg.pit_halfwidth:
+            miss = abs(d - cfg.tooth_spacing * round(d / cfg.tooth_spacing))
+            p_echo = eta if miss <= 0.5 * cfg.tooth_fwhm else 0.0
+            out.append(KIND_ECHO if v < p_echo else KIND_PROMPT if v < p_echo + p_prompt_pit else KIND_LOST)
+        else:
+            out.append(KIND_PROMPT if v < p_off_pit else KIND_LOST)
+    return np.array(out, dtype=np.uint8)
+
+
+def test_storage_branches_match_per_photon_reference():
+    cfg = AFCConfig(mode_offsets=tuple(tpc_mode_offsets(5, 117.2e6)))
+    modes = np.array(cfg.mode_offsets)
+    rng = np.random.default_rng(12)
+    k = rng.integers(-8, 9, 4000) * cfg.tooth_spacing
+    offsets = np.concatenate([
+        modes,
+        0.5 * (modes[1:] + modes[:-1]),  # ties between neighbouring modes
+        modes[:, None] + [-cfg.pit_halfwidth, cfg.pit_halfwidth],  # pit edges
+        modes[rng.integers(0, len(modes), 4000)] + k + rng.uniform(-0.6, 0.6, 4000) * cfg.tooth_fwhm,
+        rng.uniform(-2.0, 2.0, 4000) * modes.max(),
+        [-INH.fwhm, INH.fwhm, np.nextafter(INH.fwhm, np.inf), 3e9, -15e9],
+    ], axis=None)
+    offsets = rng.permutation(offsets)
+    kinds = storage_branches(offsets, cfg, INH, np.random.default_rng(99))
+    u = np.random.default_rng(99).random(int(np.sum(np.abs(offsets) <= INH.fwhm)))
+    assert np.array_equal(kinds, _storage_branch_per_photon(offsets, cfg, INH, u))
+    assert set(np.unique(kinds)) == {KIND_ECHO, KIND_PROMPT, KIND_OUT_OF_BAND, KIND_LOST}
+
+
 def test_comb_center_photon_outcome_and_exit_time():
     kind, exit_time = _store(0.0, np.random.default_rng(6))
     assert kind in (KIND_ECHO, KIND_PROMPT, KIND_LOST)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from afclink import intervals as iv
 from afclink.source import SourceConfig, pair_delays, sample_pairs
 
 
@@ -31,6 +32,29 @@ def test_mode_histogram_matches_weights():
     counts = np.bincount(mode_idx, minlength=3)
     res = stats.chisquare(counts, w * counts.sum())
     assert res.pvalue > 0.001
+
+
+@pytest.mark.parametrize(
+    "n_modes, weights",
+    [
+        (25, None),
+        (1, None),
+        (4, (0.97, 0.01, 0.01, 0.01)),
+        (6, (0.0, 0.5, 0.0, 0.0, 0.25, 0.25)),  # zero weights repeat cdf entries
+    ],
+)
+@pytest.mark.parametrize("bitgen", [np.random.PCG64, np.random.Philox])
+def test_mode_draw_equals_generator_choice(n_modes, weights, bitgen):
+    cfg = SourceConfig(total_pair_rate=40000.0, n_modes=n_modes, mode_weights=weights)
+    windows = np.array([[0.0, 0.5], [1.0, 1.25]])
+    rng = np.random.Generator(bitgen(123))
+    times, mode_idx = sample_pairs(cfg, windows, rng)
+    ref = np.random.Generator(bitgen(123))
+    want_times = iv.sample_poisson(windows, cfg.total_pair_rate, ref)
+    want = ref.choice(cfg.n_modes, size=len(want_times), p=cfg.weights())
+    assert np.array_equal(times, want_times)
+    assert np.array_equal(mode_idx, want)
+    assert rng.random() == ref.random()  # same number of draws consumed
 
 
 def test_same_mode_double_pair_probability():
