@@ -9,7 +9,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .config import ScenarioConfig
+from .config import ScenarioConfig, ScenarioError
 from .reporting import RunReport, run_scenario
 
 
@@ -29,9 +29,10 @@ def measure_echo_peak(
 ) -> float:
     """Background-subtracted smoothed echo peak, scaled to cfg.duration.
 
-    The peak statistic is the maximum of the 10-bin adjacent average inside
-    the signal window minus the noise-window floor: linear in the pair rate
-    and far less shot-noisy than a single raw bin.
+    The peak statistic is the report's ``peak_above_floor``: the 10-bin
+    adjacent average read at the expected echo delay (``peak_at_echo``) minus
+    the noise-window floor; linear in the pair rate and unbiased, unlike a
+    maximum over noisy bins.
     """
     run_cfg = replace(cfg, seed=seed)
     scale = 1.0
@@ -120,7 +121,7 @@ def _get_path(cfg, path: str):
     obj = cfg
     for part in path.split("."):
         if not dataclasses.is_dataclass(obj) or part not in {f.name for f in dataclasses.fields(obj)}:
-            raise ValueError(f"unknown config path {path!r}")
+            raise ScenarioError(path, "unknown config path")
         obj = getattr(obj, part)
     return obj
 
@@ -149,7 +150,7 @@ def sweep(
     """
     current = _get_path(cfg, parameter_path)
     if isinstance(current, bool) or not isinstance(current, (int, float)):
-        raise ValueError(f"config path {parameter_path!r} is not numeric")
+        raise ScenarioError(parameter_path, "not a numeric config field")
     rows = []
     for i, v in enumerate(values):
         if parameter_path == "source.n_modes":

@@ -1,23 +1,29 @@
 """Scenario configuration: one serializable description of an experiment run.
 
 JSON documents map 1:1 onto the dataclasses (same field names, SI units:
-seconds, Hz, counts/s; fiber length in km, pump power in mW).  Unknown keys
-are rejected with the offending path in the error, so config typos fail
-loudly instead of silently running defaults.
+seconds, Hz, counts/s; fiber length in km, pump power in mW).  The decoder
+follows the dataclasses' type hints: unknown or missing keys, values of the
+wrong type and lists of the wrong length fail loudly at load, with the
+offending path in the error, instead of running defaults or failing mid-run.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
+import math
+import types
+import typing
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field, replace
 from importlib import resources
-from typing import Any, Optional
+from typing import Any, Literal, Optional
 
 from .channel import ConverterConfig, FiberLink, ShutterSchedule
-from .detection import SPDConfig
-from .lockchain import DriftModel, LaserId, LockChainConfig, RfOffsets, ServoModel
+from .detection import HistogramLayout, SPDConfig
+from .lockchain import LaserId, LockChainConfig
 from .memory import AFCConfig, InhomogeneousProfile
 from .source import SourceConfig
 from .spectral import tpc_mode_offsets
@@ -29,15 +35,6 @@ class ScenarioError(ValueError):
     def __init__(self, field_path: str, message: str):
         self.field = field_path
         super().__init__(f"{field_path}: {message}")
-
-
-@dataclass(frozen=True)
-class HistogramLayout:
-    bin_width: float = 0.128e-9
-    tau_min: float = -200e-9
-    tau_max: float = 1400e-9
-    signal_window: tuple[float, float] = (900e-9, 1150e-9)
-    noise_window: tuple[float, float] = (1155e-9, 1195e-9)
 
 
 @dataclass(frozen=True)
@@ -69,7 +66,7 @@ class LockSettings:
     'simulated' runs the closed-loop network and feeds its residual into
     every photon's mode offset before the memory."""
 
-    mode: str = "ideal"
+    mode: Literal["ideal", "simulated"] = "ideal"
     config: Optional[LockChainConfig] = None
     dt: float = 1.0
 
@@ -97,8 +94,10 @@ class ScenarioConfig:
     lock: LockSettings = field(default_factory=LockSettings)
 
     def __post_init__(self):
-        if self.duration <= 0:
-            raise ValueError("duration must be > 0")
+        if not self.duration > 0:
+            raise ScenarioError("duration", "must be > 0")
+        if self.seed < 0:
+            raise ScenarioError("seed", "must be >= 0")
         # the memory comb plan always follows the active source modes
         offsets = tuple(tpc_mode_offsets(self.source.n_modes, self.source.fsr))
         object.__setattr__(self, "memory", replace(
@@ -132,98 +131,91 @@ class ScenarioConfig:
 
 
 # ---------------------------------------------------------------------------
-# JSON (de)serialization.  Strict: every key must be a known dataclass field.
+# JSON (de)serialization, driven by the dataclasses' type hints.
 
-_LASER_KEYS = {laser.value: laser for laser in LaserId}
-
-
-def _check_keys(d: dict, cls, path: str):
-    known = {f.name for f in dataclasses.fields(cls)}
-    for k in d:
-        if k not in known:
-            raise ScenarioError(f"{path}.{k}" if path else k, "unknown key")
+_type_hints = functools.cache(typing.get_type_hints)
 
 
-def _build(cls, d: Any, path: str):
-    """Construct dataclass ``cls`` from a plain dict, recursing into known
-    dataclass fields and converting list pairs to tuples."""
-    if not isinstance(d, dict):
-        raise ScenarioError(path, f"expected an object, got {type(d).__name__}")
-    _check_keys(d, cls, path)
+def _input_fields(cls) -> dict[str, dataclasses.Field]:
+    """Fields a document sets: all but those marked as derived from others."""
+    return {f.name: f for f in dataclasses.fields(cls) if "derived" not in f.metadata}
+
+
+def _reject(path: str, expected: str, value: Any) -> typing.NoReturn:
+    got = json.dumps(value, default=repr)[:40]
+    raise ScenarioError(path or "<document>", f"expected {expected}, got {got}")
+
+
+def _decode(tp, value: Any, path: str):
+    """``value`` from a JSON document as an instance of the type hint ``tp``."""
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin in (typing.Union, types.UnionType):  # Optional[X] and X | None
+        (inner,) = [a for a in args if a is not type(None)]
+        return None if value is None else _decode(inner, value, path)
+    if dataclasses.is_dataclass(tp) or origin is Mapping:
+        if not isinstance(value, dict):
+            _reject(path, "an object", value)
+        # a dataclass is keyed by its input fields, a Mapping by an enum
+        keys = _input_fields(tp) if origin is None else {m.value: m for m in args[0]}
+        for k in value:
+            if k not in keys:
+                raise ScenarioError(f"{path}.{k}" if path else k,
+                                    f"unknown key; expected one of {', '.join(keys)}")
+        if origin is Mapping:
+            return {keys[k]: _decode(args[1], v, f"{path}.{k}") for k, v in value.items()}
+        return _build(tp, value, path)
+    if origin in (tuple, Sequence):
+        fixed = origin is tuple and args[-1] is not Ellipsis
+        if not isinstance(value, list) or (fixed and len(value) != len(args)):
+            _reject(path, f"a list of {len(args)}" if fixed else "a list", value)
+        items = args if fixed else (args[0],) * len(value)
+        return tuple(_decode(t, v, f"{path}[{i}]") for i, (t, v) in enumerate(zip(items, value)))
+    if origin is Literal:
+        if value not in args:
+            _reject(path, f"one of {', '.join(map(json.dumps, args))}", value)
+    elif tp is float:
+        # an int stays an int, so the document's config_sha256 does not move
+        if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+            _reject(path, "a finite number", value)
+    elif type(value) is not tp:  # int, bool, str: True is no int and 1.0 no int
+        _reject(path, {int: "an integer", bool: "true or false", str: "a string"}[tp], value)
+    return value
+
+
+def _build(cls, d: dict, path: str):
+    """Construct dataclass ``cls`` from a JSON object ``d`` of its input fields."""
     kwargs = {}
-    types = {f.name: f.type for f in dataclasses.fields(cls)}
-    for k, v in d.items():
-        sub = f"{path}.{k}" if path else k
-        kwargs[k] = _convert(types[k], v, sub)
+    for name, f in _input_fields(cls).items():
+        sub = f"{path}.{name}" if path else name
+        if name in d:
+            kwargs[name] = _decode(_type_hints(cls)[name], d[name], sub)
+        elif f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
+            raise ScenarioError(sub, "missing required key")
     try:
         return cls(**kwargs)
     except ScenarioError:
         raise
-    except (TypeError, ValueError) as exc:
-        raise ScenarioError(path or cls.__name__, str(exc)) from exc
-
-
-_DATACLASS_FIELDS = {
-    "source": SourceConfig,
-    "link": FiberLink,
-    "converter": ConverterConfig,
-    "shutter": ShutterSchedule,
-    "memory": MemorySettings,
-    "detectors": DetectorSettings,
-    "histogram": HistogramLayout,
-    "lock": LockSettings,
-    "inhomogeneous": InhomogeneousProfile,
-    "afc": AFCConfig,
-    "herald": SPDConfig,
-    "signal": SPDConfig,
-    "rf": RfOffsets,
-    "monitor_lock": ServoModel,
-}
-
-
-def _convert(annotation, v, path: str):
-    name = path.rsplit(".", 1)[-1]
-    if name == "config" and isinstance(v, dict):
-        return _lock_chain_from_dict(v, path)
-    if name in ("drift", "comb_locks") and isinstance(v, dict):
-        sub_cls = DriftModel if name == "drift" else ServoModel
-        out = {}
-        for laser_name, sub in v.items():
-            if laser_name not in _LASER_KEYS:
-                raise ScenarioError(f"{path}.{laser_name}", "unknown laser id")
-            out[_LASER_KEYS[laser_name]] = _build(sub_cls, sub, f"{path}.{laser_name}")
-        return out
-    if name in _DATACLASS_FIELDS and isinstance(v, dict):
-        return _build(_DATACLASS_FIELDS[name], v, path)
-    if isinstance(v, list):
-        return tuple(v)
-    return v
-
-
-def _lock_chain_from_dict(d: dict, path: str) -> LockChainConfig:
-    return _build(LockChainConfig, d, path)
+    except ValueError as exc:
+        raise ScenarioError(path or "<document>", str(exc)) from exc
 
 
 def scenario_from_dict(d: dict) -> ScenarioConfig:
-    return _build(ScenarioConfig, d, "")
+    return _decode(ScenarioConfig, d, "")
 
 
 def scenario_to_dict(cfg: ScenarioConfig) -> dict:
     def enc(obj):
         if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-            return {f.name: enc(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+            return {name: enc(getattr(obj, name)) for name in _input_fields(type(obj))}
         if isinstance(obj, dict):
-            return {(k.value if isinstance(k, LaserId) else k): enc(v) for k, v in obj.items()}
+            return {enc(k): enc(v) for k, v in obj.items()}
         if isinstance(obj, tuple):
             return [enc(x) for x in obj]
         if isinstance(obj, LaserId):
             return obj.value
         return obj
 
-    d = enc(cfg)
-    # mode_offsets are derived from the source plan, not an input
-    d["memory"]["afc"].pop("mode_offsets", None)
-    return d
+    return enc(cfg)
 
 
 def scenario_from_json(text: str) -> ScenarioConfig:

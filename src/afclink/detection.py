@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -108,16 +108,16 @@ def detect(
     return (t[alive], *[c[alive] for c in cols])
 
 
-@dataclass
-class CoincidenceHistogram:
-    """Binned herald-to-signal delays with signal/noise window bookkeeping."""
+@dataclass(frozen=True)
+class HistogramLayout:
+    """Delay range, bin width and signal/noise windows of a coincidence
+    histogram (seconds); bins cover [tau_min, tau_max)."""
 
     bin_width: float = 0.128e-9
     tau_min: float = -200e-9
     tau_max: float = 1400e-9
     signal_window: tuple[float, float] = (900e-9, 1150e-9)
     noise_window: tuple[float, float] = (1155e-9, 1195e-9)
-    counts: np.ndarray = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
         if self.bin_width <= 0:
@@ -130,14 +130,11 @@ class CoincidenceHistogram:
         s, nw = self.signal_window, self.noise_window
         if max(s[0], nw[0]) < min(s[1], nw[1]):
             raise ValueError("signal and noise windows must be disjoint")
-        if self.counts is None:
-            self.counts = np.zeros(self.n_bins, dtype=np.int64)
-        else:
-            self.counts = np.asarray(self.counts, dtype=np.int64)
-            if self.counts.shape != (self.n_bins,):
-                raise ValueError("counts length must match the bin count")
-            if np.any(self.counts < 0):
-                raise ValueError("counts must be nonnegative")
+
+    @property
+    def layout(self) -> "HistogramLayout":
+        """The layout fields alone, without what a subclass adds."""
+        return HistogramLayout(**{f.name: getattr(self, f.name) for f in fields(HistogramLayout)})
 
     @property
     def n_bins(self) -> int:
@@ -154,25 +151,33 @@ class CoincidenceHistogram:
         b = int(np.floor((window[1] - self.tau_min) / self.bin_width + 1e-9))
         return slice(max(a, 0), min(b, self.n_bins))
 
-    def window_counts(self, window: tuple[float, float]) -> int:
-        return int(self.counts[self._window_slice(window)].sum())
-
     def window_bins(self, window: tuple[float, float]) -> int:
         sl = self._window_slice(window)
         return sl.stop - sl.start
 
-    def total(self) -> int:
-        return int(self.counts.sum())
+
+@dataclass(frozen=True)
+class CoincidenceHistogram(HistogramLayout):
+    """Binned herald-to-signal delays on a layout; ``counts`` is updated in place."""
+
+    counts: np.ndarray = None  # type: ignore[assignment]
+
+    def __post_init__(self):
+        super().__post_init__()
+        counts = np.zeros(self.n_bins, np.int64) if self.counts is None else np.asarray(self.counts, np.int64)
+        if counts.shape != (self.n_bins,):
+            raise ValueError("counts length must match the bin count")
+        if np.any(counts < 0):
+            raise ValueError("counts must be nonnegative")
+        object.__setattr__(self, "counts", counts)
+
+    def window_counts(self, window: tuple[float, float]) -> int:
+        return int(self.counts[self._window_slice(window)].sum())
 
     def __add__(self, other: "CoincidenceHistogram") -> "CoincidenceHistogram":
-        for name in ("bin_width", "tau_min", "tau_max", "signal_window", "noise_window"):
-            if getattr(self, name) != getattr(other, name):
-                raise ValueError("histograms with different layouts cannot be merged")
-        return CoincidenceHistogram(
-            self.bin_width, self.tau_min, self.tau_max,
-            self.signal_window, self.noise_window,
-            self.counts + other.counts,
-        )
+        if self.layout != other.layout:
+            raise ValueError("histograms with different layouts cannot be merged")
+        return replace(self, counts=self.counts + other.counts)
 
     def to_csv(self, smoothed: np.ndarray | None = None) -> str:
         buf = io.StringIO()
@@ -222,7 +227,7 @@ def accumulate_histogram(
     tau = signals[s_idx] - heralds[h_idx]
     bins = hist.bin_index(tau)
     valid = (bins >= 0) & (bins < hist.n_bins)
-    hist.counts += np.bincount(bins[valid], minlength=hist.n_bins).astype(hist.counts.dtype)
+    hist.counts[:] += np.bincount(bins[valid], minlength=hist.n_bins)
 
 
 def moving_average(hist: CoincidenceHistogram | np.ndarray, n_bins: int) -> np.ndarray:

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -79,7 +79,9 @@ class AFCConfig:
     tooth_peak_depth: float = 2.0
     background_depth: float = 0.2
     pit_halfwidth: float = 9e6
-    mode_offsets: tuple[float, ...] = (0.0,)
+    mode_offsets: tuple[float, ...] = field(
+        default=(0.0,), metadata={"derived": "ScenarioConfig sets it from the source modes"}
+    )
 
     def __post_init__(self):
         if self.tooth_spacing <= 0:

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -114,10 +114,7 @@ class _Engine:
         self.afc = cfg.memory.afc
         self.inh = cfg.memory.inhomogeneous
         self.slow = cfg.memory.slow_light_delay
-        hl = cfg.histogram
-        self.hist = CoincidenceHistogram(
-            hl.bin_width, hl.tau_min, hl.tau_max, hl.signal_window, hl.noise_window
-        )
+        self.hist = CoincidenceHistogram(**asdict(cfg.histogram.layout))
         n_cycles = int(math.ceil(cfg.duration / cfg.shutter.cycle_period))
         per_batch = max(1, int(round(6.0 / cfg.shutter.cycle_period)))
         self.batches = [
@@ -270,7 +267,7 @@ class _Engine:
             counts, counters = self.run_range(0, len(self.batches))
         else:
             counts, counters = _run_parallel(self, n_workers)
-            self.hist.counts = counts
+            self.hist.counts[:] = counts
         return RawRunResult(
             histogram=self.hist,
             counters=counters,

@@ -130,12 +130,12 @@ def _histogram(heralds, signals, bin_width, tau_range, **windows):
 
 def test_histogram_empty():
     h = _histogram(np.array([1.0, 2.0]), np.array([]), 0.128e-9, (-200e-9, 1400e-9))
-    assert h.total() == 0
+    assert h.counts.sum() == 0
 
 
 def test_histogram_single_bin_index():
     h = _histogram(np.array([0.0]), np.array([870.0e-9]), 0.128e-9, (0.0, 1400e-9))
-    assert h.total() == 1
+    assert h.counts.sum() == 1
     idx = int(np.flatnonzero(h.counts)[0])
     assert idx == math.floor(870.0 / 0.128) == 6796
 
@@ -166,7 +166,7 @@ def test_histogram_conservation_against_double_loop():
         for ts in signals
         if -200e-9 <= ts - th < 1400e-9
     )
-    assert h.total() == brute
+    assert h.counts.sum() == brute
 
 
 @settings(max_examples=200, deadline=None)
@@ -200,6 +200,8 @@ def test_histogram_merge_elementwise():
     b = _histogram(heralds[15:], signals, 0.128e-9, (-200e-9, 1400e-9))
     merged = a + b
     assert np.array_equal(merged.counts, full.counts)
+    with pytest.raises(ValueError, match="different layouts"):
+        a + _histogram(heralds, signals, 0.256e-9, (-200e-9, 1400e-9))
 
 
 def test_moving_average_identity_and_constant():

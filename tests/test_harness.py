@@ -38,11 +38,24 @@ def small_cfg(duration=60.0, rate=500.0, seed=777, **kw):
 
 # -- configuration ----------------------------------------------------------
 
+# config_hash of each bundled scenario: decoding must keep every value as the
+# document gives it (an int stays an int), or the provenance hash moves
+_BUNDLED_HASHES = {
+    "lock_12h": "16fbb7a0bb0e8c85600e5ff4ca5af2f907a0007ce4696324686ae90678d2f51b",
+    "multiplexed_25mode_10km": "c672c7c4121c461af4c2eb0a3fd5d886bbaf1a9e9593466b92201145c6315b75",
+    "multiplexed_25mode_10km_smoke": "bf33eccaf80f1d91762824247b71d384d2eff7622beccd800151fd143b7cc308",
+    "multiplexed_5mode_5m": "f541ecc480a54dfcfce76e5fd9750bb061db8003c06be2aff18c50532c25637b",
+    "single_mode_5m": "93278bd45c251f67f0d80125708399f5d221fa98ac9acfbf05f3e9888e74bc92",
+}
+
+
 def test_json_round_trip():
-    cfg = load_bundled_scenario("multiplexed_25mode_10km")
-    again = scenario_from_json(scenario_to_json(cfg))
-    assert again == cfg
-    assert config_hash(again) == config_hash(cfg)
+    assert bundled_scenarios() == sorted(_BUNDLED_HASHES)
+    for name, want in _BUNDLED_HASHES.items():
+        cfg = load_bundled_scenario(name)
+        again = scenario_from_json(scenario_to_json(cfg))
+        assert again == cfg, name
+        assert config_hash(again) == config_hash(cfg) == want, name
 
 
 def test_unknown_key_rejected_with_path():
@@ -59,6 +72,53 @@ def test_invalid_value_names_field():
     with pytest.raises(ScenarioError) as err:
         scenario_from_dict(d)
     assert "link" in str(err.value)
+
+
+_LOCK = "lock.config.comb_locks.tpc_pump_1514"
+
+# malformed documents as (key path, value, field the error must name); each
+# is rejected at load, none runs or fails mid-run
+_MALFORMED = [
+    ("source", 5, "source"),
+    ("source", "<delete>", "source"),
+    ("shutter", [1, 2], "shutter"),
+    ("lock.config", 5, "lock.config"),
+    ("lock.mode", "simulate", "lock.mode"),
+    ("source.n_modes", 25.0, "source.n_modes"),
+    ("source.n_modes", True, "source.n_modes"),
+    ("source.mode_weights", [0.5, "0.5"], "source.mode_weights[1]"),
+    ("seed", 1.5, "seed"),
+    ("seed", -1, "seed"),
+    ("duration", 0, "duration"),
+    ("name", None, "name"),
+    ("link.length", True, "link.length"),
+    ("link.length", float("nan"), "link.length"),
+    ("histogram.signal_window", [9e-7, 1e-6, 1.1e-6], "histogram.signal_window"),
+    ("histogram.tau_min", 2e-6, "histogram"),
+    ("histogram.bin_width", 0, "histogram"),
+    ("histogram.noise_window", [1.1e-6, 1.2e-6], "histogram"),
+    (f"{_LOCK}.enabled", "no", f"{_LOCK}.enabled"),
+    ("lock.config.drift.tpc_pump_1515", {}, "lock.config.drift.tpc_pump_1515"),
+    ("memory.afc.mode_offsets", [0.0], "memory.afc.mode_offsets"),
+]
+
+
+@pytest.mark.parametrize(
+    "path, value, field", _MALFORMED, ids=[f"{p}={v}" for p, v, _ in _MALFORMED]
+)
+def test_malformed_document_rejected_with_path(path, value, field):
+    d = scenario_to_dict(load_bundled_scenario("multiplexed_25mode_10km_smoke"))
+    *parents, key = path.split(".")
+    obj = d
+    for p in parents:
+        obj = obj[p]
+    if value == "<delete>":
+        del obj[key]
+    else:
+        obj[key] = value
+    with pytest.raises(ScenarioError) as err:
+        scenario_from_dict(d)
+    assert err.value.field == field
 
 
 def test_prep_phase_shorter_than_batch_edge_reach_rejected():
@@ -322,6 +382,25 @@ def test_cli_unknown_config_is_structured_error(capsys):
     assert code == 2
     err = json.loads(capsys.readouterr().out)
     assert err["error"]["kind"] == "config"
+
+
+@pytest.mark.parametrize("argv, field", [
+    (["simulate", "--config", "{bad}"], "source"),
+    (["simulate", "--config", "multiplexed_25mode_10km_smoke", "--seed", "-1"], "seed"),
+    (["sweep", "--config", "multiplexed_25mode_10km_smoke", "--param", "link.lenght",
+      "--values", "1"], "link.lenght"),
+], ids=["source_not_an_object", "negative_seed", "unknown_sweep_path"])
+def test_cli_config_error_names_field(tmp_path, capsys, argv, field):
+    bad = tmp_path / "bad.json"
+    d = scenario_to_dict(load_bundled_scenario("multiplexed_25mode_10km_smoke"))
+    d["source"] = 5
+    bad.write_text(json.dumps(d))
+    code = cli_main([a.format(bad=bad) for a in argv])
+    assert code == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])["error"]
+    assert err["kind"] == "config" and err["field"] == field
 
 
 def test_cli_lockcheck(tmp_path, capsys):
