@@ -5,10 +5,8 @@ GPS-comb-referenced lock chain, and a herald-synchronized noise shutter."""
 __version__ = "0.1.0"
 
 from .spectral import (  # noqa: F401
-    LineProfile,
     SpectralGrid,
     eom_sideband_offsets,
-    profile_density,
     tpc_mode_offsets,
 )
 from .lockchain import (  # noqa: F401
@@ -18,8 +16,6 @@ from .lockchain import (  # noqa: F401
     LockChainConfig,
     RfOffsets,
     ServoModel,
-    beat_frequency,
-    derived_frequencies,
     matching_residual,
     simulate_lock_run,
 )

@@ -2,14 +2,14 @@
 
 from __future__ import annotations
 
-import dataclasses
+import csv
 import io
 from dataclasses import replace
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .config import ScenarioConfig, ScenarioError
+from .config import ScenarioConfig, ScenarioError, scenario_from_dict, scenario_to_dict
 from .reporting import RunReport, run_scenario
 
 
@@ -117,47 +117,41 @@ def calibrate_rate(
     )
 
 
-def _get_path(cfg, path: str):
-    obj = cfg
-    for part in path.split("."):
-        if not dataclasses.is_dataclass(obj) or part not in {f.name for f in dataclasses.fields(obj)}:
-            raise ScenarioError(path, "unknown config path")
-        obj = getattr(obj, part)
-    return obj
-
-
-def _set_path(cfg, path: str, value):
-    parts = path.split(".")
-    if len(parts) == 1:
-        return replace(cfg, **{parts[0]: value})
-    child = getattr(cfg, parts[0])
-    return replace(cfg, **{parts[0]: _set_path(child, ".".join(parts[1:]), value)})
-
-
 def sweep(
     cfg: ScenarioConfig,
     parameter_path: str,
-    values: Sequence[float],
+    values: Sequence,
     workers: Optional[int] = None,
 ) -> list[dict]:
-    """Run the scenario once per value of a numeric config field.
+    """Run the scenario once per value of the config field at a dotted path.
 
+    Each value is set at the path in the scenario's document and decoded like
+    a document, all before the first run, so an unknown path or a refused
+    value raises ``ScenarioError`` naming the field without running anything.
     Each run uses a seed derived from (scenario seed, value index), so
     toggling a value does not perturb the others.  Sweeping
     ``source.n_modes`` reconfigures the whole multiplexing plan and scales
     the pair rate proportionally (constant rate per mode), mirroring how a
     multiplexed source is pumped harder as modes are added.
     """
-    current = _get_path(cfg, parameter_path)
-    if isinstance(current, bool) or not isinstance(current, (int, float)):
-        raise ScenarioError(parameter_path, "not a numeric config field")
-    rows = []
+    *parents, key = parameter_path.split(".")
+    rescale = parameter_path == "source.n_modes"
+    run_cfgs = []
     for i, v in enumerate(values):
-        if parameter_path == "source.n_modes":
-            run_cfg = cfg.with_mode_count(int(v))
-        else:
-            run_cfg = _set_path(cfg, parameter_path, type(current)(v))
-        run_cfg = replace(run_cfg, seed=_derived_seed(cfg.seed, 7002, i))
+        doc = obj = scenario_to_dict(cfg)
+        for part in parents:
+            obj = obj.get(part) if isinstance(obj, dict) else None
+        if not isinstance(obj, dict):
+            raise ScenarioError(parameter_path, "no such config path")
+        obj[key] = v
+        if rescale:  # the weights become uniform, as in with_mode_count
+            doc["source"]["mode_weights"] = None
+        run_cfg = scenario_from_dict(doc)
+        if rescale:
+            run_cfg = cfg.with_mode_count(run_cfg.source.n_modes)
+        run_cfgs.append(replace(run_cfg, seed=_derived_seed(cfg.seed, 7002, i)))
+    rows = []
+    for v, run_cfg in zip(values, run_cfgs):
         rep: RunReport = run_scenario(run_cfg, workers=workers)
         rows.append(
             {
@@ -175,18 +169,14 @@ def sweep(
 
 
 def sweep_csv(rows: list[dict]) -> str:
+    """Rows as CSV; a swept value that holds commas (a list) is quoted."""
     buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
     cols = ["value", "S", "N", "snr", "signal_pair", "signal_conversion_noise", "signal_dark", "heralds"]
-    buf.write(",".join(cols) + "\n")
+    writer.writerow(cols)
     for r in rows:
-        out = []
-        for c in cols:
-            v = r[c]
-            if v is None:
-                out.append("")
-            elif isinstance(v, float):
-                out.append(f"{v:.6g}")
-            else:
-                out.append(str(v))
-        buf.write(",".join(out) + "\n")
+        writer.writerow(
+            "" if v is None else f"{v:.6g}" if isinstance(v, float) else v
+            for v in (r[c] for c in cols)
+        )
     return buf.getvalue()

@@ -54,7 +54,10 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = _load_config(args.config)
-    values = [float(v) for v in args.values.split(",") if v.strip()]
+    try:
+        values = json.loads(f"[{args.values}]")
+    except json.JSONDecodeError as exc:
+        raise ScenarioError("--values", f"not a comma-separated list of JSON values: {exc}") from exc
     rows = sweep(cfg, args.param, values, workers=args.workers)
     csv_text = sweep_csv(rows)
     if args.out:
@@ -129,10 +132,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None, help="override the scenario seed")
     p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("sweep", help="sweep one numeric config field")
+    p = sub.add_parser("sweep", help="sweep one config field")
     common(p)
     p.add_argument("--param", required=True, help="dotted config path, e.g. source.n_modes")
-    p.add_argument("--values", required=True, help="comma-separated values")
+    p.add_argument("--values", required=True, help="comma-separated JSON values, e.g. 1,5,25")
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("lockcheck", help="simulate the lock chain alone")

@@ -26,7 +26,6 @@ from .detection import HistogramLayout, SPDConfig
 from .lockchain import LaserId, LockChainConfig
 from .memory import AFCConfig, InhomogeneousProfile
 from .source import SourceConfig
-from .spectral import tpc_mode_offsets
 
 
 class ScenarioError(ValueError):
@@ -99,7 +98,10 @@ class ScenarioConfig:
         if self.seed < 0:
             raise ScenarioError("seed", "must be >= 0")
         # the memory comb plan always follows the active source modes
-        offsets = tuple(tpc_mode_offsets(self.source.n_modes, self.source.fsr))
+        try:
+            offsets = tuple(self.source.mode_offsets())
+        except ValueError as exc:
+            raise ScenarioError("source.n_modes", str(exc)) from exc
         object.__setattr__(self, "memory", replace(
             self.memory, afc=replace(self.memory.afc, mode_offsets=offsets)
         ))
@@ -117,12 +119,10 @@ class ScenarioConfig:
                 "(tau_max - tau_min + memory delay + dead time)",
             )
 
-    def with_mode_count(self, n_modes: int, scale_rate: bool = True) -> "ScenarioConfig":
-        """Same scenario with a different multiplexing count; the pair rate
-        scales proportionally by default (constant rate per mode)."""
-        rate = self.source.total_pair_rate
-        if scale_rate:
-            rate = rate * n_modes / self.source.n_modes
+    def with_mode_count(self, n_modes: int) -> "ScenarioConfig":
+        """Same scenario with a different multiplexing count and uniform mode
+        weights; the pair rate scales proportionally (constant rate per mode)."""
+        rate = self.source.total_pair_rate * n_modes / self.source.n_modes
         src = replace(self.source, n_modes=n_modes, total_pair_rate=rate, mode_weights=None)
         return replace(self, source=src)
 

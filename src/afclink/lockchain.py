@@ -1,6 +1,6 @@
 """Frequency-stabilization network: drifting lasers, offset-lock servos, and
-the derived-frequency identities that make the photon and memory frequencies
-track each other.
+the beat identity that makes the photon and memory frequencies track each
+other.
 
 Coordinate convention
 ---------------------
@@ -20,9 +20,11 @@ The matching residual nu_606photon - nu_afc is therefore
     (f_beat + f_noisecut_aom - f_qm_pump_aom) + (e_photon + e_wc - 2*e_qm)
 
 i.e. an RF bookkeeping term that vanishes for the stock RF values plus the
-servo-suppressed combination of laser errors.  ``matching_residual`` and the
-telemetry of ``simulate_lock_run`` both evaluate this one expression.  The
-comb reference itself is treated as perfect.
+servo-suppressed combination of laser errors.  That combination is the beat
+error the monitor lock measures; ``BEAT`` holds its coefficients, and the
+monitor servo row, ``matching_residual`` and the telemetry of
+``simulate_lock_run`` are all built from it.  The comb reference itself is
+treated as perfect.
 
 Long runs
 ---------
@@ -49,17 +51,19 @@ from scipy.linalg import expm
 
 
 class LaserId(str, enum.Enum):
-    """Lasers of the network. The two 606 nm entries are derived, never driven."""
+    """Driven lasers of the network; the 606 nm frequencies derive from them."""
 
     TPC_PUMP_1514 = "tpc_pump_1514"
     QM_MASTER_1212 = "qm_master_1212"
     WC_PUMP_1010 = "wc_pump_1010"
-    MONITOR_606 = "monitor_606"
-    QM_CONTROL_606 = "qm_control_606"
 
 
+#: Order of the state vector of the joint linear SDE.
 DRIVEN_LASERS = (LaserId.TPC_PUMP_1514, LaserId.QM_MASTER_1212, LaserId.WC_PUMP_1010)
-DERIVED_LASERS = (LaserId.MONITOR_606, LaserId.QM_CONTROL_606)
+
+#: The beat identity: coefficients over DRIVEN_LASERS of the laser errors in
+#: the monitor beat error and in the matching residual, e_photon - 2 e_qm + e_wc.
+BEAT = (1.0, -2.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -131,57 +135,26 @@ class LaserNetworkState:
         errs = dict(self.errors)
         for laser in DRIVEN_LASERS:
             errs.setdefault(laser, 0.0)
-        for laser in errs:
-            if laser in DERIVED_LASERS:
-                raise ValueError(f"{laser.value} is derived; it carries no independent error")
         object.__setattr__(self, "errors", errs)
 
     def error(self, laser: LaserId) -> float:
         return self.errors[laser]
 
 
-@dataclass(frozen=True)
-class DerivedFrequencies:
-    """Derived network frequencies, offset form (see module docstring)."""
-
-    nu_qm: float
-    nu_afc: float
-    nu_monitor: float
-    nu_606photon: float
-
-
-def derived_frequencies(state: LaserNetworkState, rf: RfOffsets) -> DerivedFrequencies:
-    """Evaluate the frequency identities of the chain for the given state."""
-    nu_qm = 2.0 * state.error(LaserId.QM_MASTER_1212)
-    nu_monitor = rf.f_beat + state.error(LaserId.TPC_PUMP_1514) + state.error(LaserId.WC_PUMP_1010)
-    return DerivedFrequencies(
-        nu_qm=nu_qm,
-        nu_afc=nu_qm + rf.f_qm_pump_aom,
-        nu_monitor=nu_monitor,
-        nu_606photon=nu_monitor + rf.f_noisecut_aom,
-    )
-
-
-def beat_frequency(state: LaserNetworkState, rf: RfOffsets) -> float:
-    """Beat note between the monitoring light and the memory control laser."""
-    d = derived_frequencies(state, rf)
-    return d.nu_monitor - d.nu_qm
-
-
-def _residual(rf: RfOffsets, e_photon, e_qm, e_wc):
+def _residual(rf: RfOffsets, errors):
     """nu_606photon - nu_afc from the driven lasers' errors (scalars or
-    arrays): the RF bookkeeping term plus e_photon + e_wc - 2 e_qm."""
-    return rf.mismatch + e_photon + e_wc - 2.0 * e_qm
+    arrays, in DRIVEN_LASERS order): the RF bookkeeping term plus the beat
+    identity.  The terms are added photon, wc, qm; the telemetry's bytes
+    depend on that order."""
+    total = rf.mismatch
+    for i in (0, 2, 1):
+        total = total + BEAT[i] * errors[i]
+    return total
 
 
 def matching_residual(state: LaserNetworkState, rf: RfOffsets) -> float:
     """Photon-to-comb frequency mismatch nu_606photon - nu_afc (Hz)."""
-    return _residual(
-        rf,
-        state.error(LaserId.TPC_PUMP_1514),
-        state.error(LaserId.QM_MASTER_1212),
-        state.error(LaserId.WC_PUMP_1010),
-    )
+    return _residual(rf, [state.error(laser) for laser in DRIVEN_LASERS])
 
 
 def comb_lock(gain: float, residual_noise_rms: float = 0.0, enabled: bool = True) -> ServoModel:
@@ -224,9 +197,6 @@ class LockChainConfig:
                 "monitor_lock",
                 ServoModel(setpoint=self.rf.f_beat, gain=2000.0, residual_noise_rms=200.0),
             )
-        for laser in self.drift:
-            if laser in DERIVED_LASERS:
-                raise ValueError("drift models apply to driven lasers only")
         for laser in self.comb_locks:
             if laser not in (LaserId.TPC_PUMP_1514, LaserId.QM_MASTER_1212):
                 raise ValueError("comb locks act on the 1514 and 1212 nm lasers")
@@ -258,10 +228,6 @@ class LockRunResult:
         return buf.getvalue()
 
 
-# state vector order for the joint linear SDE
-_ORDER = (LaserId.TPC_PUMP_1514, LaserId.QM_MASTER_1212, LaserId.WC_PUMP_1010)
-
-
 def _system_matrices(config: LockChainConfig):
     """Drift matrix A, forcing b and noise covariance density Q of
     dX = (-A X + b) dt + Sigma dW for X = (e_photon, e_qm_master, e_wc)."""
@@ -269,13 +235,13 @@ def _system_matrices(config: LockChainConfig):
     b = np.zeros(3)
     q = np.zeros(3)
 
-    for i, laser in enumerate(_ORDER):
+    for i, laser in enumerate(DRIVEN_LASERS):
         drift = config.drift.get(laser, DriftModel("random_walk", 0.0))
         q[i] += drift.sigma**2
         if drift.kind == "ou_process":
             A[i, i] += drift.reversion_rate
 
-    for i, laser in enumerate(_ORDER[:2]):
+    for i, laser in enumerate(DRIVEN_LASERS[:2]):
         servo = config.comb_locks.get(laser)
         if servo is not None and servo.enabled:
             A[i, i] += servo.gain
@@ -284,10 +250,8 @@ def _system_matrices(config: LockChainConfig):
 
     mon = config.monitor_lock
     if mon.enabled:
-        # beat error = e_photon + e_wc - 2 e_qm + (f_beat - setpoint)
-        A[2, 0] += mon.gain
-        A[2, 1] += -2.0 * mon.gain
-        A[2, 2] += mon.gain
+        # beat error = BEAT . (e_photon, e_qm, e_wc) + (f_beat - setpoint)
+        A[2] += mon.gain * np.array(BEAT)
         b[2] += -mon.gain * (config.rf.f_beat - mon.setpoint)
         q[2] += 2.0 * mon.gain * mon.residual_noise_rms**2
 
@@ -372,11 +336,11 @@ def simulate_lock_run(
         traj[k + 1] = x
 
     t = dt * np.arange(n_steps + 1)
-    residual = _residual(config.rf, traj[:, 0], traj[:, 1], traj[:, 2])
+    residual = _residual(config.rf, traj.T)
     return LockRunResult(
         t=t,
         residual=residual,
-        laser_errors={laser: traj[:, i].copy() for i, laser in enumerate(_ORDER)},
+        laser_errors={laser: traj[:, i].copy() for i, laser in enumerate(DRIVEN_LASERS)},
         max_abs_residual=float(np.max(np.abs(residual))),
         rms_residual=float(np.sqrt(np.mean(residual**2))),
     )

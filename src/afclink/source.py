@@ -44,6 +44,8 @@ class SourceConfig:
             raise ValueError("total_pair_rate must be >= 0")
         if self.n_modes < 1:
             raise ValueError("n_modes must be >= 1")
+        if self.fsr <= 0:
+            raise ValueError("fsr must be > 0")
         if self.linewidth <= 0:
             raise ValueError("linewidth must be > 0")
         if self.mode_weights is not None:

@@ -7,8 +7,6 @@ Conventions
   comb pattern is centered).  Keeping offsets rather than absolute optical
   frequencies (~490 THz) keeps all arithmetic in the MHz-GHz range, where
   double precision is exact to well below 1 Hz.
-- Line profiles are intensity densities normalized to unit area; no field
-  amplitudes or phases are modeled here.
 - Two offsets are considered the same frequency when they differ by less
   than ``MERGE_TOL_HZ`` (all plan frequencies are specified to 0.1 MHz, so
   1 Hz is far below any physical distinction in the model).
@@ -21,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Literal
 
 import numpy as np
 
@@ -49,38 +46,6 @@ class SpectralGrid:
 
     def frequencies(self) -> np.ndarray:
         return self.f_min + self.step * np.arange(self.n_points)
-
-
-@dataclass(frozen=True)
-class LineProfile:
-    """Normalized spectral line: 'lorentzian' or 'gaussian', given center and FWHM."""
-
-    kind: Literal["lorentzian", "gaussian"]
-    center: float
-    fwhm: float
-
-    def __post_init__(self):
-        if self.kind not in ("lorentzian", "gaussian"):
-            raise ValueError(f"unknown profile kind {self.kind!r}")
-        if self.fwhm <= 0:
-            raise ValueError("profile fwhm must be > 0")
-
-
-def profile_density(p: LineProfile, f):
-    """Unit-area spectral density of ``p`` evaluated at offset(s) ``f`` (1/Hz).
-
-    Symmetric about ``p.center``; accepts scalars or numpy arrays.
-    """
-    x = np.asarray(f, dtype=np.float64) - p.center
-    if p.kind == "lorentzian":
-        hw = 0.5 * p.fwhm
-        out = (hw / math.pi) / (x * x + hw * hw)
-    else:
-        sigma = p.fwhm / (2.0 * math.sqrt(2.0 * math.log(2.0)))
-        out = np.exp(-0.5 * (x / sigma) ** 2) / (sigma * math.sqrt(2.0 * math.pi))
-    if np.ndim(f) == 0:
-        return float(out)
-    return out
 
 
 def tpc_mode_offsets(n_modes: int, fsr: float) -> np.ndarray:

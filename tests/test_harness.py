@@ -1,13 +1,17 @@
+import ast
+import csv
 import dataclasses
 import hashlib
 import json
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from afclink import calibrate, cli
 from afclink.calibrate import CalibrationError, calibrate_rate, sweep, sweep_csv
 from afclink.cli import main as cli_main
 from afclink.config import (
@@ -86,6 +90,7 @@ _MALFORMED = [
     ("lock.mode", "simulate", "lock.mode"),
     ("source.n_modes", 25.0, "source.n_modes"),
     ("source.n_modes", True, "source.n_modes"),
+    ("source.n_modes", 4, "source.n_modes"),
     ("source.mode_weights", [0.5, "0.5"], "source.mode_weights[1]"),
     ("seed", 1.5, "seed"),
     ("seed", -1, "seed"),
@@ -99,6 +104,7 @@ _MALFORMED = [
     ("histogram.noise_window", [1.1e-6, 1.2e-6], "histogram"),
     (f"{_LOCK}.enabled", "no", f"{_LOCK}.enabled"),
     ("lock.config.drift.tpc_pump_1515", {}, "lock.config.drift.tpc_pump_1515"),
+    ("lock.config.drift.monitor_606", {}, "lock.config.drift.monitor_606"),
     ("memory.afc.mode_offsets", [0.0], "memory.afc.mode_offsets"),
 ]
 
@@ -321,6 +327,25 @@ def test_sweep_requires_numeric_path():
         sweep(cfg, "name", [1, 2])
     with pytest.raises(ValueError):
         sweep(cfg, "source.not_a_field", [1, 2])
+    # lock.config is null in an ideal-lock scenario, so the path leads nowhere
+    with pytest.raises(ScenarioError) as err:
+        sweep(cfg, "lock.config.rf.f_beat", [1e8])
+    assert err.value.field == "lock.config.rf.f_beat"
+
+
+def _refuse_runs(monkeypatch):
+    def run_scenario(*args, **kwargs):
+        raise AssertionError("a scenario ran before the config error")
+
+    for module in (calibrate, cli):
+        monkeypatch.setattr(module, "run_scenario", run_scenario)
+
+
+def test_sweep_decodes_every_value_before_the_first_run(monkeypatch):
+    _refuse_runs(monkeypatch)
+    with pytest.raises(ScenarioError) as err:
+        sweep(small_cfg(), "link.loss", [0.2, -1])
+    assert err.value.field == "link"
 
 
 def test_sweep_rows_and_csv():
@@ -331,6 +356,10 @@ def test_sweep_rows_and_csv():
     lines = text.strip().split("\n")
     assert lines[0].startswith("value,S,N,snr")
     assert len(lines) == 3
+    # a swept list holds commas, so it is quoted into one column
+    listed = sweep_csv([{**rows[0], "value": [9e-7, 1.1e-6]}]).splitlines()[1]
+    assert next(csv.reader([listed]))[0] == "[9e-07, 1.1e-06]"
+    assert len(next(csv.reader([listed]))) == len(lines[0].split(","))
     # the noise floor per herald scales linearly with pump power (the herald
     # count itself also scales, being dominated by converter noise)
     per_herald = [r["signal_conversion_noise"] / r["heralds"] for r in rows]
@@ -384,13 +413,21 @@ def test_cli_unknown_config_is_structured_error(capsys):
     assert err["error"]["kind"] == "config"
 
 
+_SWEEP = ["sweep", "--config", "multiplexed_25mode_10km_smoke", "--param"]
+
+
 @pytest.mark.parametrize("argv, field", [
     (["simulate", "--config", "{bad}"], "source"),
     (["simulate", "--config", "multiplexed_25mode_10km_smoke", "--seed", "-1"], "seed"),
-    (["sweep", "--config", "multiplexed_25mode_10km_smoke", "--param", "link.lenght",
-      "--values", "1"], "link.lenght"),
-], ids=["source_not_an_object", "negative_seed", "unknown_sweep_path"])
-def test_cli_config_error_names_field(tmp_path, capsys, argv, field):
+    (_SWEEP + ["link.lenght", "--values", "1"], "link.lenght"),
+    (_SWEEP + ["link.loss", "--values", "-1"], "link"),
+    (_SWEEP + ["source.n_modes", "--values", "1,3.5"], "source.n_modes"),
+    (_SWEEP + ["source.n_modes", "--values", "1,4"], "source.n_modes"),
+    (_SWEEP + ["link.loss", "--values", "0.2,x"], "--values"),
+], ids=["source_not_an_object", "negative_seed", "unknown_sweep_path", "refused_sweep_value",
+        "fractional_mode_count", "even_mode_count", "unparsed_sweep_values"])
+def test_cli_config_error_names_field(tmp_path, capsys, monkeypatch, argv, field):
+    _refuse_runs(monkeypatch)
     bad = tmp_path / "bad.json"
     d = scenario_to_dict(load_bundled_scenario("multiplexed_25mode_10km_smoke"))
     d["source"] = 5
@@ -431,3 +468,35 @@ def test_cli_sweep(tmp_path, capsys):
     text = open(os.path.join(out, "sweep.csv")).read()
     assert text.splitlines()[0].startswith("value,")
     assert len(text.splitlines()) == 3
+
+
+# -- package -------------------------------------------------------------------
+
+def test_every_export_is_used_outside_tests():
+    # each name the package exports is referenced by the package itself, a
+    # demo, the benchmark or the acceptance gate, outside its own definition;
+    # an export only unit tests call is test-only API
+    root = Path(__file__).resolve().parent.parent
+    init = root / "src" / "afclink" / "__init__.py"
+    exported = {
+        alias.asname or alias.name
+        for node in ast.parse(init.read_text(encoding="utf-8")).body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    users = [
+        *(p for p in (root / "src" / "afclink").glob("*.py") if p != init),
+        *(root / "demos").glob("*.py"),
+        *(root / "perfbench").glob("*.py"),
+        root / "tests" / "test_acceptance.py",
+    ]
+    used = set()
+    for path in users:
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            names = {n.id for n in ast.walk(top) if isinstance(n, ast.Name)}
+            names |= {n.attr for n in ast.walk(top) if isinstance(n, ast.Attribute)}
+            names |= {a.name for n in ast.walk(top) if isinstance(n, ast.ImportFrom) for a in n.names}
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+                names.discard(top.name)
+            used |= names
+    assert sorted(exported - used) == []

@@ -4,59 +4,11 @@ import numpy as np
 import pytest
 
 from afclink.spectral import (
-    LineProfile,
     SpectralGrid,
     eom_sideband_offsets,
     merge_offsets,
-    profile_density,
     tpc_mode_offsets,
 )
-
-
-def test_lorentzian_peak_value():
-    w = 7.1e6
-    p = LineProfile("lorentzian", 0.0, w)
-    assert profile_density(p, 0.0) == pytest.approx(2.0 / (math.pi * w), rel=1e-12)
-
-
-def test_lorentzian_half_maximum_at_half_fwhm():
-    w = 5e6
-    p = LineProfile("lorentzian", 0.0, w)
-    peak = profile_density(p, 0.0)
-    assert profile_density(p, w / 2) == pytest.approx(peak / 2, rel=1e-12)
-    assert profile_density(p, -w / 2) == pytest.approx(peak / 2, rel=1e-12)
-
-
-def test_gaussian_half_maximum_at_half_fwhm():
-    w = 3e6
-    p = LineProfile("gaussian", 1e6, w)
-    peak = profile_density(p, 1e6)
-    assert profile_density(p, 1e6 + w / 2) == pytest.approx(peak / 2, rel=1e-12)
-
-
-@pytest.mark.parametrize("kind", ["lorentzian", "gaussian"])
-def test_unit_integral_by_quadrature(kind):
-    # trapezoid-rule oracle over +/- 1000 FWHM
-    w = 2e6
-    p = LineProfile(kind, 0.0, w)
-    f = np.linspace(-1000 * w, 1000 * w, 2_000_001)
-    integral = np.trapezoid(profile_density(p, f), f)
-    assert integral == pytest.approx(1.0, abs=1e-3)
-
-
-def test_density_nonnegative_and_symmetric():
-    p = LineProfile("lorentzian", 2e6, 1e6)
-    f = np.linspace(-1e9, 1e9, 10001)
-    d = profile_density(p, f)
-    assert np.all(d >= 0)
-    assert profile_density(p, 2e6 + 3.3e6) == pytest.approx(profile_density(p, 2e6 - 3.3e6), rel=1e-12)
-
-
-def test_profile_validation():
-    with pytest.raises(ValueError):
-        LineProfile("voigt", 0.0, 1e6)
-    with pytest.raises(ValueError):
-        LineProfile("gaussian", 0.0, 0.0)
 
 
 def test_spectral_grid_points():
