@@ -43,76 +43,49 @@ def measure_echo_peak(
     return rep.peak["peak_above_floor"] * scale
 
 
+#: evaluations ``calibrate_rate`` makes before it gives up
+_MAX_EVALUATIONS = 12
+
+
 def calibrate_rate(
     cfg: ScenarioConfig,
     target_peak_counts: float,
     rel_tol: float = 0.10,
-    max_iter: int = 12,
     calibration_duration: Optional[float] = None,
     workers: Optional[int] = None,
 ) -> ScenarioConfig:
-    """Bisect the total pair rate until the echo-peak count over the
-    configured duration lands within ``rel_tol`` of the target.
+    """Step the total pair rate until one evaluation's echo-peak count over
+    the configured duration lands within ``rel_tol`` of the target.
 
-    A first run at the configured rate seeds the bracket through the
-    linearity of the echo yield; the bracket is then expanded if needed and
-    bisected.  Raises CalibrationError with diagnostics if no bracket can
-    be established.
+    Evaluation k runs at the current rate on seed
+    ``_derived_seed(cfg.seed, 7001, k)``, starting from the configured rate.
+    After a miss the rate steps to target / s, where s = sum(r m) / sum(r^2)
+    is the slope through the origin fitted to every (rate, peak) pair so far:
+    the peak statistic is linear in the rate (see ``measure_echo_peak``), so
+    pooling the runs averages their scatter out of the step.  While that
+    slope is not positive the rate quadruples instead.  Raises
+    CalibrationError listing every evaluation after 12 misses.
     """
     if target_peak_counts <= 0:
         raise CalibrationError("target_peak_counts must be > 0")
-    r0 = cfg.source.total_pair_rate
-    if r0 <= 0:
+    rate = cfg.source.total_pair_rate
+    if rate <= 0:
         raise CalibrationError("scenario must start from a positive pair rate")
 
     evals: list[tuple[float, float]] = []
-
-    def f(rate: float, k: int) -> float:
+    for k in range(_MAX_EVALUATIONS):
         peak = measure_echo_peak(
             cfg.with_rate(rate), seed=_derived_seed(cfg.seed, 7001, k),
             duration=calibration_duration, workers=workers,
         )
         evals.append((rate, peak))
-        return peak
-
-    m0 = f(r0, 0)
-    if abs(m0 - target_peak_counts) <= rel_tol * target_peak_counts:
-        return cfg.with_rate(r0)
-    if m0 <= 0:
-        r_guess = 4.0 * r0
-    else:
-        r_guess = r0 * target_peak_counts / m0
-
-    lo, hi = 0.6 * r_guess, 1.6 * r_guess
-    m_lo, m_hi = f(lo, 1), f(hi, 2)
-    expansions = 0
-    while not (m_lo < target_peak_counts < m_hi):
-        expansions += 1
-        if expansions > 6:
-            raise CalibrationError(
-                "could not bracket the target peak count; evaluations: "
-                + ", ".join(f"rate={r:.3g} -> peak={m:.3g}" for r, m in evals)
-            )
-        if m_lo >= target_peak_counts:
-            lo *= 0.5
-            m_lo = f(lo, 2 + 2 * expansions)
-        if m_hi <= target_peak_counts:
-            hi *= 2.0
-            m_hi = f(hi, 3 + 2 * expansions)
-
-    rate = 0.5 * (lo + hi)
-    for k in range(max_iter):
-        m = f(rate, 20 + k)
-        if abs(m - target_peak_counts) <= rel_tol * target_peak_counts:
+        if abs(peak - target_peak_counts) <= rel_tol * target_peak_counts:
             return cfg.with_rate(rate)
-        if m < target_peak_counts:
-            lo = rate
-        else:
-            hi = rate
-        rate = 0.5 * (lo + hi)
+        slope = sum(r * m for r, m in evals) / sum(r * r for r, _ in evals)
+        rate = target_peak_counts / slope if slope > 0 else 4.0 * rate
     raise CalibrationError(
-        f"bisection did not converge to +/-{rel_tol:.0%} of {target_peak_counts} "
-        f"in {max_iter} iterations; evaluations: "
+        f"no evaluation landed within +/-{rel_tol:.0%} of {target_peak_counts} "
+        f"in {_MAX_EVALUATIONS} evaluations; evaluations: "
         + ", ".join(f"rate={r:.3g} -> peak={m:.3g}" for r, m in evals)
     )
 

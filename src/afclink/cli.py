@@ -148,7 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=_cmd_afc_plot)
 
-    p = sub.add_parser("calibrate", help="bisect the pair rate to a target echo peak")
+    p = sub.add_parser("calibrate", help="step the pair rate to a target echo peak")
     common(p)
     p.add_argument("--target-peak", type=float, required=True)
     p.add_argument("--calibration-duration", type=float, default=None,

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -132,11 +132,6 @@ class HistogramLayout:
             raise ValueError("signal and noise windows must be disjoint")
 
     @property
-    def layout(self) -> "HistogramLayout":
-        """The layout fields alone, without what a subclass adds."""
-        return HistogramLayout(**{f.name: getattr(self, f.name) for f in fields(HistogramLayout)})
-
-    @property
     def n_bins(self) -> int:
         return int(math.ceil((self.tau_max - self.tau_min) / self.bin_width))
 
@@ -174,22 +169,11 @@ class CoincidenceHistogram(HistogramLayout):
     def window_counts(self, window: tuple[float, float]) -> int:
         return int(self.counts[self._window_slice(window)].sum())
 
-    def __add__(self, other: "CoincidenceHistogram") -> "CoincidenceHistogram":
-        if self.layout != other.layout:
-            raise ValueError("histograms with different layouts cannot be merged")
-        return replace(self, counts=self.counts + other.counts)
-
-    def to_csv(self, smoothed: np.ndarray | None = None) -> str:
+    def to_csv(self, smoothed: np.ndarray) -> str:
         buf = io.StringIO()
-        centers_ns = self.bin_centers() * 1e9
-        if smoothed is None:
-            buf.write("tau_ns,counts\n")
-            for c, n in zip(centers_ns, self.counts):
-                buf.write(f"{c:.4f},{n}\n")
-        else:
-            buf.write("tau_ns,counts,smoothed\n")
-            for c, n, s in zip(centers_ns, self.counts, smoothed):
-                buf.write(f"{c:.4f},{n},{s:.6f}\n")
+        buf.write("tau_ns,counts,smoothed\n")
+        for c, n, s in zip(self.bin_centers() * 1e9, self.counts, smoothed):
+            buf.write(f"{c:.4f},{n},{s:.6f}\n")
         return buf.getvalue()
 
 

@@ -114,7 +114,7 @@ class _Engine:
         self.afc = cfg.memory.afc
         self.inh = cfg.memory.inhomogeneous
         self.slow = cfg.memory.slow_light_delay
-        self.hist = CoincidenceHistogram(**asdict(cfg.histogram.layout))
+        self.hist = CoincidenceHistogram(**asdict(cfg.histogram))
         n_cycles = int(math.ceil(cfg.duration / cfg.shutter.cycle_period))
         per_batch = max(1, int(round(6.0 / cfg.shutter.cycle_period)))
         self.batches = [

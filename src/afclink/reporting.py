@@ -87,12 +87,9 @@ class RunReport:
                 fh.write(self.lock_result.to_csv())
 
 
-def peak_above_floor(
-    hist: CoincidenceHistogram,
-    echo_delay: float | None = None,
-    smoothing_bins: int = SMOOTHING_BINS,
-):
-    """Echo-peak statistics from the adjacent-averaged histogram.
+def peak_above_floor(hist: CoincidenceHistogram, smoothed: np.ndarray, echo_delay: float) -> dict:
+    """Echo-peak statistics from ``smoothed``, the histogram averaged over
+    SMOOTHING_BINS adjacent bins.
 
     ``peak_above_floor`` is the smoothed count at the expected echo delay
     minus the noise-window floor; reading the known echo position instead of
@@ -101,24 +98,19 @@ def peak_above_floor(
     rate calibration.  The in-window maximum is reported alongside for
     display.
     """
-    smoothed = moving_average(hist, smoothing_bins)
     sl = hist._window_slice(hist.signal_window)
     peak_max = float(np.max(smoothed[sl])) if sl.stop > sl.start else 0.0
     raw_peak = int(np.max(hist.counts[sl])) if sl.stop > sl.start else 0
     nb = hist.window_bins(hist.noise_window)
     floor = hist.window_counts(hist.noise_window) / nb if nb else 0.0
-    if echo_delay is None:
-        at_echo = peak_max
-    else:
-        idx = int(np.clip(hist.bin_index(echo_delay), 0, hist.n_bins - 1))
-        at_echo = float(smoothed[idx])
+    at_echo = float(smoothed[int(np.clip(hist.bin_index(echo_delay), 0, hist.n_bins - 1))])
     return {
         "peak_raw": raw_peak,
         "peak_smoothed_max": peak_max,
         "peak_at_echo": at_echo,
         "floor_per_bin": float(floor),
         "peak_above_floor": float(at_echo - floor),
-        "smoothing_bins": smoothing_bins,
+        "smoothing_bins": SMOOTHING_BINS,
     }
 
 
@@ -165,7 +157,7 @@ def analyze(cfg: ScenarioConfig, raw: RawRunResult) -> RunReport:
         snr=snr,
         snr_error=snr_error,
         degenerate=degenerate,
-        peak=peak_above_floor(hist, echo_delay, SMOOTHING_BINS),
+        peak=peak_above_floor(hist, smoothed, echo_delay),
         counts=raw.counters,
         lock=lock,
         lock_result=raw.lock_result,

@@ -368,13 +368,67 @@ def test_sweep_rows_and_csv():
 
 def test_sweep_mode_count_rescales_rate():
     cfg = small_cfg(duration=20.0, rate=5000.0)
-    rows = sweep(cfg, "source.n_modes", [1, 25], workers=2)
-    assert rows[0]["signal_pair"] < rows[1]["signal_pair"]
+    # with 25 weights rising 1:25 in the document, the swept mode count only
+    # decodes if sweep drops the weights, as with_mode_count does
+    for weights in (None, tuple(np.arange(1, 26) / 325.0)):
+        src = dataclasses.replace(cfg.source, mode_weights=weights)
+        rows = sweep(dataclasses.replace(cfg, source=src), "source.n_modes", [1, 25], workers=2)
+        assert rows[0]["signal_pair"] < rows[1]["signal_pair"]
 
 
 def test_calibrate_rejects_nonpositive_target():
     with pytest.raises(CalibrationError):
         calibrate_rate(small_cfg(), 0.0)
+
+
+def _fake_peaks(monkeypatch, model):
+    """Make ``measure_echo_peak`` return ``model(rate)``; the returned list
+    collects each call's (rate, seed, duration, workers)."""
+    calls = []
+
+    def measure(cfg, seed, duration=None, workers=None):
+        calls.append((cfg.source.total_pair_rate, seed, duration, workers))
+        return model(cfg.source.total_pair_rate)
+
+    monkeypatch.setattr(calibrate, "measure_echo_peak", measure)
+    return calls
+
+
+def test_calibrate_steps_on_pooled_slope(monkeypatch):
+    # linear plus an offset: the slope through the origin is biased, so the
+    # loop needs several pooled steps before one evaluation lands
+    def model(rate):
+        return 0.1 * rate + 5.0
+
+    calls = _fake_peaks(monkeypatch, model)
+    cal = calibrate_rate(small_cfg(seed=5), 74.0, rel_tol=0.005, calibration_duration=30.0, workers=3)
+    rates = [c[0] for c in calls]
+    peaks = [model(r) for r in rates]
+    assert len(calls) > 2
+    assert [c[1] for c in calls] == [calibrate._derived_seed(5, 7001, k) for k in range(len(calls))]
+    assert all(c[2:] == (30.0, 3) for c in calls)
+    assert all(abs(m - 74.0) > 0.005 * 74.0 for m in peaks[:-1])
+    assert abs(peaks[-1] - 74.0) <= 0.005 * 74.0
+    assert cal.source.total_pair_rate == rates[-1]
+    for k in range(1, len(rates)):
+        slope = sum(r * m for r, m in zip(rates[:k], peaks)) / sum(r * r for r in rates[:k])
+        assert rates[k] == 74.0 / slope
+
+
+def test_calibrate_quadruples_on_nonpositive_peaks(monkeypatch):
+    calls = _fake_peaks(monkeypatch, lambda r: -3.0 if r < 1000 else 0.0 if r < 5000 else 0.01 * r)
+    cal = calibrate_rate(small_cfg(rate=500.0), 80.0)
+    assert [c[0] for c in calls] == [500.0, 2000.0, 8000.0]
+    assert cal.source.total_pair_rate == 8000.0
+
+
+def test_calibrate_error_lists_every_evaluation(monkeypatch):
+    calls = _fake_peaks(monkeypatch, lambda r: 10.0)
+    with pytest.raises(CalibrationError) as err:
+        calibrate_rate(small_cfg(), 74.0)
+    assert len(calls) == 12
+    assert str(err.value).count("rate=") == 12
+    assert all(f"rate={c[0]:.3g} -> peak=10" in str(err.value) for c in calls)
 
 
 def test_calibrate_converges_and_is_linear():
