@@ -7,18 +7,13 @@ import io
 from dataclasses import replace
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .config import ScenarioConfig, ScenarioError, scenario_from_dict, scenario_to_dict
+from .pipeline import _derived_seed
 from .reporting import RunReport, run_scenario
 
 
 class CalibrationError(RuntimeError):
     pass
-
-
-def _derived_seed(base_seed: int, tag: int, index: int) -> int:
-    return int(np.random.SeedSequence(entropy=base_seed, spawn_key=(tag, index)).generate_state(1)[0])
 
 
 def measure_echo_peak(

@@ -214,7 +214,7 @@ def accumulate_histogram(
     hist.counts[:] += np.bincount(bins[valid], minlength=hist.n_bins)
 
 
-def moving_average(hist: CoincidenceHistogram | np.ndarray, n_bins: int) -> np.ndarray:
+def moving_average(counts: np.ndarray, n_bins: int) -> np.ndarray:
     """Centered boxcar average over ``n_bins`` bins; edges use truncated windows.
 
     For even ``n_bins`` the window takes one extra bin on the left of the
@@ -222,8 +222,7 @@ def moving_average(hist: CoincidenceHistogram | np.ndarray, n_bins: int) -> np.n
     """
     if n_bins < 1:
         raise ValueError("n_bins must be >= 1")
-    counts = hist.counts if isinstance(hist, CoincidenceHistogram) else np.asarray(hist)
-    counts = counts.astype(np.float64)
+    counts = np.asarray(counts, dtype=np.float64)
     if n_bins == 1:
         return counts.copy()
     n = len(counts)

@@ -212,13 +212,20 @@ class LockChainConfig:
 
 @dataclass(frozen=True)
 class LockRunResult:
-    """Residual telemetry of a simulated lock run."""
+    """Residual telemetry of a simulated lock run, sampled every ``dt`` seconds."""
 
+    dt: float
     t: np.ndarray
     residual: np.ndarray
     laser_errors: dict[LaserId, np.ndarray]
     max_abs_residual: float
     rms_residual: float
+
+    def residual_at(self, t: np.ndarray) -> np.ndarray:
+        """Residual at times ``t``, each holding the last sample at or before
+        it; times outside the run take the first or last sample."""
+        idx = np.clip((np.asarray(t) / self.dt).astype(np.int64), 0, len(self.residual) - 1)
+        return self.residual[idx]
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -338,6 +345,7 @@ def simulate_lock_run(
     t = dt * np.arange(n_steps + 1)
     residual = _residual(config.rf, traj.T)
     return LockRunResult(
+        dt=dt,
         t=t,
         residual=residual,
         laser_errors={laser: traj[:, i].copy() for i, laser in enumerate(DRIVEN_LASERS)},

@@ -1,6 +1,12 @@
 """End-to-end scenario engine: source -> fiber -> conversion -> shutter ->
 memory -> detection -> histogram.
 
+Each batch of shutter cycles is one ``run_batch``: the source draws the
+pairs, ``herald_arm`` turns their herald photons into detected heralds,
+``signal_arm`` carries their signal photons through the gate the heralds
+command, the memory and the signal detector, and ``run_batch`` fills the
+histogram.  Both arms tally into one integer count vector per chunk.
+
 Event budget
 ------------
 A long run at realistic rates carries ~1e9 converter-noise photons; almost
@@ -24,8 +30,9 @@ detectors unusable during pit burning), so preparation-phase photons are
 dropped at source.
 
 Randomness is split into one counter-based stream per (stage, batch), so
-toggling one stage never perturbs another stage's draws and batched
-execution is reproducible event for event.
+toggling one stage never perturbs another stage's draws, the order in which
+the arms run does not matter, and batched execution is reproducible event
+for event.
 """
 
 from __future__ import annotations
@@ -47,7 +54,7 @@ from .detection import (
     accumulate_histogram,
     detect,
 )
-from .lockchain import simulate_lock_run
+from .lockchain import LockRunResult, simulate_lock_run
 from .memory import (
     KIND_ECHO,
     KIND_LOST,
@@ -74,24 +81,62 @@ _S_GATE_LEAK = 11
 _S_MEMORY = 12
 _S_SIGNAL_DETECT = 13
 
+# slots of a chunk's count vector: two blocks indexed by the ORIGIN_* codes,
+# two indexed by the KIND_* codes, then two scalars
+_N_ORIGIN = ORIGIN_DARK_COUNT + 1
+_N_KIND = KIND_LOST + 1
+_HERALD_ORIGIN = 0
+_SIGNAL_ORIGIN = _HERALD_ORIGIN + _N_ORIGIN
+_MEMORY_KIND = _SIGNAL_ORIGIN + _N_ORIGIN  # pair photons at the memory
+_DETECTED_KIND = _MEMORY_KIND + _N_KIND  # detected pair photons
+_PAIRS = _DETECTED_KIND + _N_KIND
+_NOISE_IN_ECHO = _PAIRS + 1
+_N_SLOTS = _NOISE_IN_ECHO + 1
 
-_ORIGIN_KEYS = (
+_ORIGIN_NAMES = (
     (ORIGIN_PAIR, "pair"), (ORIGIN_CONVERSION_NOISE, "conversion_noise"), (ORIGIN_DARK_COUNT, "dark_count")
 )
-_KIND_KEYS = ((KIND_ECHO, "echo"), (KIND_PROMPT, "prompt"), (KIND_OUT_OF_BAND, "out_of_band"))
+_KIND_NAMES = ((KIND_ECHO, "echo"), (KIND_PROMPT, "prompt"), (KIND_OUT_OF_BAND, "out_of_band"))
 
 
-def _tally(dst: dict, keys: tuple, codes: np.ndarray) -> None:
-    """Add to ``dst[key]`` how often each ``code`` of ``keys`` occurs in ``codes``."""
-    counts = np.bincount(codes, minlength=max(code for code, _ in keys) + 1)
-    for code, key in keys:
-        dst[key] += int(counts[code])
+def _tally(vec: np.ndarray, slot: int, width: int, codes: np.ndarray) -> None:
+    """Add how often each code occurs in ``codes`` to the block at ``slot``."""
+    vec[slot:slot + width] += np.bincount(codes, minlength=width)
+
+
+def _counters(vec: np.ndarray) -> dict:
+    """The report's nested counters from a run's count vector."""
+
+    def block(slot: int, names: tuple) -> dict:
+        return {name: int(vec[slot + code]) for code, name in names}
+
+    return {
+        "pairs_generated": int(vec[_PAIRS]),
+        "heralds_detected": int(vec[_HERALD_ORIGIN:_HERALD_ORIGIN + _N_ORIGIN].sum()),
+        "heralds_by_origin": block(_HERALD_ORIGIN, _ORIGIN_NAMES),
+        "signal_detected": int(vec[_SIGNAL_ORIGIN:_SIGNAL_ORIGIN + _N_ORIGIN].sum()),
+        "signal_by_origin": block(_SIGNAL_ORIGIN, _ORIGIN_NAMES),
+        "memory_outcomes": block(_MEMORY_KIND, _KIND_NAMES),
+        "detected_outcomes": block(_DETECTED_KIND, _KIND_NAMES),
+        "noise_in_echo_window": int(vec[_NOISE_IN_ECHO]),
+    }
+
+
+def _derived_seed(base_seed: int, tag: int, index: int) -> int:
+    """One integer seed from ``base_seed`` for the (tag, index) spawn key."""
+    return int(np.random.SeedSequence(entropy=base_seed, spawn_key=(tag, index)).generate_state(1)[0])
 
 
 def _stream(seed: int, stage: int, batch: int) -> np.random.Generator:
     return np.random.Generator(
         np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(stage, batch)))
     )
+
+
+def _origins(*runs: np.ndarray) -> np.ndarray:
+    """Origin codes for concatenated runs: pair photons first, then noise."""
+    codes = (ORIGIN_PAIR, ORIGIN_CONVERSION_NOISE)
+    return np.concatenate([np.full(len(r), c, dtype=np.uint8) for r, c in zip(runs, codes)])
 
 
 @dataclass
@@ -101,200 +146,157 @@ class RawRunResult:
     histogram: CoincidenceHistogram
     counters: dict
     transmission_time: float
-    lock_result: object | None
+    lock_result: LockRunResult | None
 
 
 class _Engine:
     def __init__(self, cfg: ScenarioConfig):
         self.cfg = cfg
-        self.src = cfg.source
-        self.mode_offsets = self.src.mode_offsets()
-        self.fiber_delay = cfg.link.delay
-        self.noise_rate_arm = 0.5 * cfg.converter.noise_rate  # beam splitter share
-        self.afc = cfg.memory.afc
-        self.inh = cfg.memory.inhomogeneous
-        self.slow = cfg.memory.slow_light_delay
-        self.hist = CoincidenceHistogram(**asdict(cfg.histogram))
-        n_cycles = int(math.ceil(cfg.duration / cfg.shutter.cycle_period))
+        self.mode_offsets = cfg.source.mode_offsets()
+        self.n_cycles = int(math.ceil(cfg.duration / cfg.shutter.cycle_period))
         per_batch = max(1, int(round(6.0 / cfg.shutter.cycle_period)))
         self.batches = [
-            (lo, min(lo + per_batch, n_cycles)) for lo in range(0, n_cycles, per_batch)
+            (lo, min(lo + per_batch, self.n_cycles)) for lo in range(0, self.n_cycles, per_batch)
         ]
-        self._setup_lock()
-
-    def _setup_lock(self):
-        lock = self.cfg.lock
-        self.lock_result = None
-        if lock.mode == "ideal":
-            self._residual = None
-            return
-        seed = int(np.random.SeedSequence(
-            entropy=self.cfg.seed, spawn_key=(_S_LOCK, 0)
-        ).generate_state(1)[0])
-        self.lock_result = simulate_lock_run(lock.config, self.cfg.duration, lock.dt, seed)
-        self._residual = (self.lock_result.residual, lock.dt)
-
-    def residual_at(self, t: np.ndarray) -> np.ndarray:
-        if self._residual is None:
-            return np.zeros(len(t))
-        series, dt = self._residual
-        idx = np.clip((np.asarray(t) / dt).astype(np.int64), 0, len(series) - 1)
-        return series[idx]
+        lock = cfg.lock
+        self.lock_result = None if lock.mode == "ideal" else simulate_lock_run(
+            lock.config, cfg.duration, lock.dt, _derived_seed(cfg.seed, _S_LOCK, 0)
+        )
 
     # -- one batch ---------------------------------------------------------
 
-    def run_batch(self, batch_idx: int, counters: dict):
+    def run_batch(self, b: int, hist: CoincidenceHistogram, vec: np.ndarray) -> None:
         cfg = self.cfg
-        lo, hi = self.batches[batch_idx]
+        lo, hi = self.batches[b]
         windows = cfg.shutter.transmission_windows(lo, hi, cfg.duration)
         if len(windows) == 0:
             return
 
         # source: pair creation shifted so arrivals land on the windows
-        rng = _stream(cfg.seed, _S_SOURCE, batch_idx)
-        t_pairs, mode_idx = sample_pairs(self.src, windows - self.fiber_delay, rng)
-        n_pairs = len(t_pairs)
-        counters["pairs_generated"] += n_pairs
-
-        rng = _stream(cfg.seed, _S_CORRELATION, batch_idx)
-        herald_t = t_pairs + self.fiber_delay
-        signal_t = herald_t + pair_delays(self.src, n_pairs, rng)
-
-        # herald arm: fiber, conversion, detection (plus noise share and darks)
-        keep_h = fiber_passes(cfg.link, n_pairs, _stream(cfg.seed, _S_FIBER_H, batch_idx))
-        rng = _stream(cfg.seed, _S_CONVERT_H, batch_idx)
-        keep_h &= conversion_passes(cfg.converter, self.mode_offsets, mode_idx, rng)
-
-        # herald-arm noise is drawn directly at its detected rate (exact
-        # thinning of the beam-splitter share by the detector efficiency)
-        rng = _stream(cfg.seed, _S_HERALD_NOISE, batch_idx)
-        noise_h = iv.sample_poisson(windows, self.noise_rate_arm * cfg.detectors.herald.efficiency, rng)
-        rng_det = _stream(cfg.seed, _S_HERALD_DETECT, batch_idx)
-        pair_h = herald_t[keep_h]
-        pair_h = pair_h[rng_det.random(len(pair_h)) < cfg.detectors.herald.efficiency]
-        cand_t = np.concatenate([pair_h, noise_h])
-        cand_org = np.concatenate([
-            np.full(len(pair_h), ORIGIN_PAIR, dtype=np.uint8),
-            np.full(len(noise_h), ORIGIN_CONVERSION_NOISE, dtype=np.uint8),
-        ])
-        # pairs, noise and darks arrive as sorted runs (up to jitter), which
-        # the stable sort in detect merges in near-linear time
-        h_times, h_org = detect(cand_t, 1.0, cfg.detectors.herald, windows, rng_det, cand_org)
-        counters["heralds_detected"] += len(h_times)
-        _tally(counters["heralds_by_origin"], _ORIGIN_KEYS, h_org)
-
-        # gate geometry commanded by the detected heralds, and the
-        # herald-relative intervals inside which signal-arm events can still
-        # reach the histogram after any memory delay
-        closed = as_closures(h_times, cfg.shutter)
-        rel = iv.as_interval_set(
-            h_times + self.hist.tau_min - cfg.memory.max_delay, h_times + self.hist.tau_max
+        t_pairs, mode_idx = sample_pairs(
+            cfg.source, windows - cfg.link.delay, _stream(cfg.seed, _S_SOURCE, b)
         )
+        vec[_PAIRS] += len(t_pairs)
+        herald_t = t_pairs + cfg.link.delay
+        rng = _stream(cfg.seed, _S_CORRELATION, b)
+        signal_t = herald_t + pair_delays(cfg.source, len(t_pairs), rng)
 
-        # signal arm: pair photons through fiber, converter, gate
-        keep_s = fiber_passes(cfg.link, n_pairs, _stream(cfg.seed, _S_FIBER_S, batch_idx))
-        rng = _stream(cfg.seed, _S_CONVERT_S, batch_idx)
-        keep_s &= conversion_passes(cfg.converter, self.mode_offsets, mode_idx, rng)
-        s_t = signal_t[keep_s]
-        s_off = self.mode_offsets[mode_idx[keep_s]]
-        rng = _stream(cfg.seed, _S_GATE_LEAK, batch_idx)
-        passes = gate_passes(s_t, windows, closed, cfg.shutter.extinction, rng)
-        s_t, s_off = s_t[passes], s_off[passes]
-
-        # signal-arm converter noise at full rate, thinned by the same gate
-        rng = _stream(cfg.seed, _S_SIGNAL_NOISE, batch_idx)
-        t_n = iv.sample_poisson(iv.intersect(windows, rel), self.noise_rate_arm, rng)
-        rng_gate = _stream(cfg.seed, _S_NOISE_GATE, batch_idx)
-        t_n = t_n[gate_passes(t_n, windows, closed, cfg.shutter.extinction, rng_gate)]
-        off_n = cfg.converter.noise_offsets(len(t_n), rng)
-
-        entry_t = np.concatenate([s_t, t_n])
-        entry_off = np.concatenate([s_off, off_n])
-        entry_org = np.concatenate([
-            np.full(len(s_t), ORIGIN_PAIR, dtype=np.uint8),
-            np.full(len(t_n), ORIGIN_CONVERSION_NOISE, dtype=np.uint8),
-        ])
-
-        # lock-chain residual shifts every photon against the comb
-        entry_off = entry_off + self.residual_at(entry_t)
-
-        rng = _stream(cfg.seed, _S_MEMORY, batch_idx)
-        kinds = storage_branches(entry_off, self.afc, self.inh, rng)
-        exits = exit_times(entry_t, kinds, self.afc, self.slow)
-        alive = kinds != KIND_LOST
-        _tally(counters["memory_outcomes"], _KIND_KEYS, kinds[entry_org == ORIGIN_PAIR])
-
-        rng_det = _stream(cfg.seed, _S_SIGNAL_DETECT, batch_idx)
-        det_t, det_org, det_kind = detect(
-            exits[alive],
-            cfg.detectors.signal.efficiency,
-            cfg.detectors.signal,
-            windows,
-            rng_det,
-            entry_org[alive],
-            kinds[alive],
-        )
-        in_win = iv.contains(windows, det_t)
-        # still sorted by time, as accumulate_histogram requires
-        det_t, det_org, det_kind = det_t[in_win], det_org[in_win], det_kind[in_win]
-
-        counters["signal_detected"] += len(det_t)
-        _tally(counters["signal_by_origin"], _ORIGIN_KEYS, det_org)
-        _tally(counters["detected_outcomes"], _KIND_KEYS, det_kind[det_org == ORIGIN_PAIR])
+        h_times = self.herald_arm(b, windows, herald_t, mode_idx, vec)
+        det_t, det_org = self.signal_arm(b, windows, h_times, signal_t, mode_idx, vec)
 
         # histogram and the per-herald noise flux into the echo window
-        accumulate_histogram(self.hist, h_times, det_t)
+        accumulate_histogram(hist, h_times, det_t)
         w0, w1 = cfg.shutter.echo_window
         noise_t = det_t[det_org == ORIGIN_CONVERSION_NOISE]
         if len(noise_t) and len(h_times):
             lo_i = np.searchsorted(h_times, noise_t - w1, side="right")
             hi_i = np.searchsorted(h_times, noise_t - w0, side="right")
-            counters["noise_in_echo_window"] += int(np.sum(hi_i - lo_i))
+            vec[_NOISE_IN_ECHO] += int(np.sum(hi_i - lo_i))
 
-    def run_range(self, b_lo: int, b_hi: int):
-        counters = _fresh_counters()
-        for b in range(b_lo, b_hi):
-            self.run_batch(b, counters)
-        return self.hist.counts, counters
+    def herald_arm(self, b, windows, herald_t, mode_idx, vec) -> np.ndarray:
+        """Fiber, conversion, herald-arm noise and detection; the sorted
+        detected herald times."""
+        cfg = self.cfg
+        det = cfg.detectors.herald
+        keep = fiber_passes(cfg.link, len(herald_t), _stream(cfg.seed, _S_FIBER_H, b))
+        rng = _stream(cfg.seed, _S_CONVERT_H, b)
+        keep &= conversion_passes(cfg.converter, self.mode_offsets, mode_idx, rng)
+
+        # herald-arm noise is drawn directly at its detected rate (exact
+        # thinning of the beam-splitter share by the detector efficiency)
+        rate = 0.5 * cfg.converter.noise_rate * det.efficiency
+        noise = iv.sample_poisson(windows, rate, _stream(cfg.seed, _S_HERALD_NOISE, b))
+        rng = _stream(cfg.seed, _S_HERALD_DETECT, b)
+        pair = herald_t[keep]
+        pair = pair[rng.random(len(pair)) < det.efficiency]
+        # pairs, noise and darks arrive as sorted runs (up to jitter), which
+        # the stable sort in detect merges in near-linear time
+        h_times, h_org = detect(
+            np.concatenate([pair, noise]), 1.0, det, windows, rng, _origins(pair, noise)
+        )
+        _tally(vec, _HERALD_ORIGIN, _N_ORIGIN, h_org)
+        return h_times
+
+    def signal_arm(self, b, windows, h_times, signal_t, mode_idx, vec):
+        """Gate, fiber, conversion, signal-arm noise, lock residual, memory and
+        detection; the in-window detection times (sorted) and origins."""
+        cfg = self.cfg
+        # gate geometry commanded by the detected heralds, and the
+        # herald-relative intervals inside which signal-arm events can still
+        # reach the histogram after any memory delay
+        closed = as_closures(h_times, cfg.shutter)
+        rel = iv.as_interval_set(
+            h_times + cfg.histogram.tau_min - cfg.memory.max_delay, h_times + cfg.histogram.tau_max
+        )
+
+        # pair photons through fiber, converter, gate
+        keep = fiber_passes(cfg.link, len(signal_t), _stream(cfg.seed, _S_FIBER_S, b))
+        rng = _stream(cfg.seed, _S_CONVERT_S, b)
+        keep &= conversion_passes(cfg.converter, self.mode_offsets, mode_idx, rng)
+        s_t, s_off = signal_t[keep], self.mode_offsets[mode_idx[keep]]
+        rng = _stream(cfg.seed, _S_GATE_LEAK, b)
+        passes = gate_passes(s_t, windows, closed, cfg.shutter.extinction, rng)
+        s_t, s_off = s_t[passes], s_off[passes]
+
+        # converter noise (beam-splitter share) at full rate, thinned by the same gate
+        rng = _stream(cfg.seed, _S_SIGNAL_NOISE, b)
+        n_t = iv.sample_poisson(iv.intersect(windows, rel), 0.5 * cfg.converter.noise_rate, rng)
+        rng_gate = _stream(cfg.seed, _S_NOISE_GATE, b)
+        n_t = n_t[gate_passes(n_t, windows, closed, cfg.shutter.extinction, rng_gate)]
+        n_off = cfg.converter.noise_offsets(len(n_t), rng)
+
+        entry_t = np.concatenate([s_t, n_t])
+        entry_off = np.concatenate([s_off, n_off])
+        entry_org = _origins(s_t, n_t)
+        if self.lock_result is not None:
+            # the lock-chain residual shifts every photon against the comb
+            entry_off = entry_off + self.lock_result.residual_at(entry_t)
+
+        mem = cfg.memory
+        kinds = storage_branches(entry_off, mem.afc, mem.inhomogeneous, _stream(cfg.seed, _S_MEMORY, b))
+        exits = exit_times(entry_t, kinds, mem.afc, mem.slow_light_delay)
+        _tally(vec, _MEMORY_KIND, _N_KIND, kinds[entry_org == ORIGIN_PAIR])
+        alive = kinds != KIND_LOST
+        det = cfg.detectors.signal
+        det_t, det_org, det_kind = detect(
+            exits[alive], det.efficiency, det, windows,
+            _stream(cfg.seed, _S_SIGNAL_DETECT, b), entry_org[alive], kinds[alive],
+        )
+        in_win = iv.contains(windows, det_t)
+        # still sorted by time, as accumulate_histogram requires
+        det_t, det_org, det_kind = det_t[in_win], det_org[in_win], det_kind[in_win]
+        _tally(vec, _SIGNAL_ORIGIN, _N_ORIGIN, det_org)
+        _tally(vec, _DETECTED_KIND, _N_KIND, det_kind[det_org == ORIGIN_PAIR])
+        return det_t, det_org
+
+    # -- a run -------------------------------------------------------------
+
+    def run_range(self, chunk: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+        """Histogram counts and count vector of batches ``chunk[0] .. chunk[1] - 1``."""
+        hist = CoincidenceHistogram(**asdict(self.cfg.histogram))
+        vec = np.zeros(_N_SLOTS, dtype=np.int64)
+        for b in range(*chunk):
+            self.run_batch(b, hist, vec)
+        return hist.counts, vec
 
     def run(self, workers: int | None = None) -> RawRunResult:
-        transmission = sum(
-            iv.total_length(self.cfg.shutter.transmission_windows(lo, hi, self.cfg.duration))
-            for lo, hi in self.batches
-        )
-        n_workers = _effective_workers(workers, len(self.batches))
-        if n_workers <= 1:
-            counts, counters = self.run_range(0, len(self.batches))
-        else:
-            counts, counters = _run_parallel(self, n_workers)
-            self.hist.counts[:] = counts
+        """Run every batch, in one chunk per worker.
+
+        Every batch draws from its own counter-based streams and the parts
+        are summed as integers, so the result is bit-identical for every
+        worker count.
+        """
+        cfg = self.cfg
+        n = len(self.batches)
+        edges = np.linspace(0, n, _effective_workers(workers, n) + 1).astype(int)
+        parts = _map_chunks(self, [(int(lo), int(hi)) for lo, hi in zip(edges[:-1], edges[1:])])
+        windows = cfg.shutter.transmission_windows(0, self.n_cycles, cfg.duration)
         return RawRunResult(
-            histogram=self.hist,
-            counters=counters,
-            transmission_time=transmission,
+            histogram=CoincidenceHistogram(**asdict(cfg.histogram), counts=sum(p[0] for p in parts)),
+            counters=_counters(sum(p[1] for p in parts)),
+            transmission_time=iv.total_length(windows),
             lock_result=self.lock_result,
         )
-
-
-def _fresh_counters() -> dict:
-    return {
-        "pairs_generated": 0,
-        "heralds_detected": 0,
-        "heralds_by_origin": {"pair": 0, "conversion_noise": 0, "dark_count": 0},
-        "signal_detected": 0,
-        "signal_by_origin": {"pair": 0, "conversion_noise": 0, "dark_count": 0},
-        "memory_outcomes": {"echo": 0, "prompt": 0, "out_of_band": 0},
-        "detected_outcomes": {"echo": 0, "prompt": 0, "out_of_band": 0},
-        "noise_in_echo_window": 0,
-    }
-
-
-def _merge_counters(dst: dict, src: dict) -> None:
-    for k, v in src.items():
-        if isinstance(v, dict):
-            _merge_counters(dst[k], v)
-        else:
-            dst[k] += v
 
 
 def _effective_workers(workers: int | None, n_batches: int) -> int:
@@ -311,35 +313,23 @@ _FORK_ENGINE: "_Engine | None" = None
 
 
 def _run_chunk(chunk: tuple[int, int]):
-    return _FORK_ENGINE.run_range(chunk[0], chunk[1])
+    return _FORK_ENGINE.run_range(chunk)
 
 
-def _run_parallel(engine: "_Engine", n_workers: int):
-    """Fan batches out over forked workers.
-
-    Every batch draws from its own counter-based stream and histogram and
-    counter merging are associative integer additions, so the result is
-    bit-identical to the sequential run regardless of scheduling.
-    """
+def _map_chunks(engine: _Engine, chunks: list[tuple[int, int]]) -> list:
+    """``engine.run_range`` over the chunks: in this process for one chunk,
+    else on a fork pool with one worker per chunk."""
+    if len(chunks) == 1:
+        return list(map(engine.run_range, chunks))
     import multiprocessing
 
     global _FORK_ENGINE
-    n = len(engine.batches)
-    edges = np.linspace(0, n, n_workers + 1).astype(int)
-    chunks = [(int(edges[i]), int(edges[i + 1])) for i in range(n_workers)]
     _FORK_ENGINE = engine
     try:
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(n_workers) as pool:
-            parts = pool.map(_run_chunk, chunks)
+        with multiprocessing.get_context("fork").Pool(len(chunks)) as pool:
+            return pool.map(_run_chunk, chunks)
     finally:
         _FORK_ENGINE = None
-    counts = np.zeros_like(engine.hist.counts)
-    counters = _fresh_counters()
-    for part_counts, part_counters in parts:
-        counts += part_counts
-        _merge_counters(counters, part_counters)
-    return counts, counters
 
 
 def run_raw(cfg: ScenarioConfig, workers: int | None = None) -> RawRunResult:

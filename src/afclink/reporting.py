@@ -116,7 +116,7 @@ def peak_above_floor(hist: CoincidenceHistogram, smoothed: np.ndarray, echo_dela
 
 def analyze(cfg: ScenarioConfig, raw: RawRunResult) -> RunReport:
     hist = raw.histogram
-    smoothed = moving_average(hist, SMOOTHING_BINS)
+    smoothed = moving_average(hist.counts, SMOOTHING_BINS)
     s = hist.window_counts(hist.signal_window)
     n_raw = hist.window_counts(hist.noise_window)
 

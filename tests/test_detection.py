@@ -203,7 +203,7 @@ def test_histogram_merge_elementwise():
 
 def test_moving_average_identity_and_constant():
     h = CoincidenceHistogram(counts=np.random.default_rng(0).integers(0, 5, CoincidenceHistogram().n_bins))
-    assert np.array_equal(moving_average(h, 1), h.counts.astype(float))
+    assert np.array_equal(moving_average(h.counts, 1), h.counts.astype(float))
     const = np.full(100, 7.0)
     assert np.allclose(moving_average(const, 10), 7.0)
 

@@ -436,13 +436,13 @@ def test_calibrate_converges_and_is_linear():
     target1 = 25.0
     cal1 = calibrate_rate(cfg, target1, workers=2)
     cal4 = calibrate_rate(cfg, 4 * target1, workers=2)
-    ratio = cal4.source.total_pair_rate / cal1.source.total_pair_rate
-    assert ratio == pytest.approx(4.0, rel=0.15)
-    # converged rate reproduces the target on an independent seed
+    # each converged rate reproduces its target on an independent seed
     from afclink.calibrate import measure_echo_peak
 
     peak = measure_echo_peak(cal1, seed=987654, workers=2)
     assert peak == pytest.approx(target1, rel=0.2)
+    peak4 = measure_echo_peak(cal4, seed=987654, workers=2)
+    assert peak4 == pytest.approx(4 * target1, rel=0.2)
 
 
 # -- CLI -----------------------------------------------------------------------

@@ -8,6 +8,7 @@ from afclink.lockchain import (
     LaserId,
     LaserNetworkState,
     LockChainConfig,
+    LockRunResult,
     RfOffsets,
     ServoModel,
     _exact_step_operators,
@@ -218,3 +219,23 @@ def test_csv_format():
     lines = res.to_csv().strip().split("\n")
     assert lines[0] == "t_s,residual_hz"
     assert len(lines) == 12  # header + 11 samples (t = 0..10)
+
+
+def test_residual_at_holds_last_sample_and_clips():
+    residual = np.array([5.0, -3.0, 8.0, 1.0, 7.0])
+    res = LockRunResult(
+        dt=0.5, t=0.5 * np.arange(5), residual=residual, laser_errors={},
+        max_abs_residual=8.0, rms_residual=0.0,
+    )
+    # sample floor(t / dt): 0.9 and 1.3 lie past the midpoint of their step
+    assert np.array_equal(res.residual_at(np.array([0.2, 0.9, 1.3])), [5.0, -3.0, 8.0])
+    # on a grid point the new sample already holds
+    assert np.array_equal(res.residual_at(res.t), residual)
+    # before 0 the first sample, past the end the last
+    assert np.array_equal(res.residual_at(np.array([-1.0, -0.2, 2.0, 10.0])), [5.0, 5.0, 7.0, 7.0])
+
+
+def test_simulated_run_carries_its_step():
+    res = simulate_lock_run(LockChainConfig(), 10, 0.5, seed=1)
+    assert res.dt == 0.5
+    assert np.array_equal(res.residual_at(res.t), res.residual)

@@ -40,7 +40,7 @@ def test_gate_thinned_signal_noise_matches_gate_strata(monkeypatch):
         engine = pipeline._Engine(cfg)
         heralds.clear()
         entries.clear()
-        engine.run_range(0, len(engine.batches))
+        engine.run_range((0, len(engine.batches)))
         assert len(heralds) == len(entries) == len(engine.batches)
 
         counts = np.zeros((2, 2))
