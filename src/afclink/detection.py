@@ -12,7 +12,6 @@ addition, so shards can be accumulated in any order.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 
@@ -46,12 +45,26 @@ class SPDConfig:
 
 
 def dead_time_filter(times: np.ndarray, dead_time: float) -> np.ndarray:
-    """Boolean keep-mask implementing a non-paralyzable dead time on sorted times."""
+    """Boolean keep-mask implementing a non-paralyzable dead time on sorted times.
+
+    A click at least one dead time after its predecessor is always kept, so
+    the runs of clicks joined by sub-dead-time gaps cannot interact.  When no
+    gap is below the dead time every click is kept after one pass over the
+    gaps; otherwise only the clicks of those runs go through the multi-pass
+    loop, which drops, in each pass, every click whose predecessor survives.
+    """
     n = len(times)
     keep = np.ones(n, dtype=bool)
     if dead_time <= 0 or n < 2:
         return keep
-    idx = np.arange(n)
+    close = np.diff(times) < dead_time
+    if not close.any():
+        return keep
+    member = np.zeros(n, dtype=bool)
+    member[1:] = close
+    member[:-1] |= close
+    idx = np.flatnonzero(member)
+    keep[idx] = False
     while True:
         t = times[idx]
         gaps = np.diff(t)
@@ -61,7 +74,6 @@ def dead_time_filter(times: np.ndarray, dead_time: float) -> np.ndarray:
         # drop only clicks whose predecessor survives this pass; iterate for runs
         drop = bad & ~np.concatenate([[False], bad[:-1]])
         idx = idx[~drop]
-    keep[:] = False
     keep[idx] = True
     return keep
 
@@ -170,11 +182,12 @@ class CoincidenceHistogram(HistogramLayout):
         return int(self.counts[self._window_slice(window)].sum())
 
     def to_csv(self, smoothed: np.ndarray) -> str:
-        buf = io.StringIO()
-        buf.write("tau_ns,counts,smoothed\n")
-        for c, n, s in zip(self.bin_centers() * 1e9, self.counts, smoothed):
-            buf.write(f"{c:.4f},{n},{s:.6f}\n")
-        return buf.getvalue()
+        n = self.n_bins
+        flat = [None] * (3 * n)
+        flat[0::3] = (self.bin_centers() * 1e9).tolist()
+        flat[1::3] = self.counts.tolist()
+        flat[2::3] = np.asarray(smoothed).tolist()
+        return "tau_ns,counts,smoothed\n" + ("%.4f,%d,%.6f\n" * n) % tuple(flat)
 
 
 def accumulate_histogram(

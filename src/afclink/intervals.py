@@ -20,25 +20,36 @@ import numpy as np
 
 
 def as_interval_set(starts, ends) -> np.ndarray:
-    """Merge possibly overlapping intervals into a canonical disjoint set."""
+    """Merge possibly overlapping intervals into a canonical disjoint set.
+
+    When every row has positive length and both the starts and the ends are
+    non-decreasing, as for the constant-width sets built on a sorted herald
+    stream, each end is already the running maximum of the ends, and the
+    merge is one linear pass with no copy and no sort.  Any other input has
+    its empty rows dropped, is sorted by start if needed, and is swept with
+    the running maximum of the ends.
+    """
     starts = np.asarray(starts, dtype=np.float64)
     ends = np.asarray(ends, dtype=np.float64)
-    keep = ends > starts
-    starts, ends = starts[keep], ends[keep]
     if starts.size == 0:
         return np.empty((0, 2))
-    if np.any(np.diff(starts) < 0):  # herald-derived sets arrive pre-sorted
-        order = np.argsort(starts, kind="stable")
-        starts, ends = starts[order], ends[order]
-    run_end = np.maximum.accumulate(ends)
-    # a new merged interval starts where the start exceeds every prior end
-    new_run = np.empty(starts.size, dtype=bool)
-    new_run[0] = True
-    new_run[1:] = starts[1:] > run_end[:-1]
-    idx = np.flatnonzero(new_run)
-    merged = np.empty((idx.size, 2))
-    merged[:, 0] = starts[idx]
-    merged[:, 1] = run_end[np.append(idx[1:], starts.size) - 1]
+    keep = ends > starts
+    if not (keep.all() and (starts[1:] >= starts[:-1]).all() and (ends[1:] >= ends[:-1]).all()):
+        starts, ends = starts[keep], ends[keep]
+        if starts.size == 0:
+            return np.empty((0, 2))
+        if np.any(np.diff(starts) < 0):
+            order = np.argsort(starts, kind="stable")
+            starts, ends = starts[order], ends[order]
+        ends = np.maximum.accumulate(ends)
+    # brk[i] marks a break before row i: row i starts a merged interval and
+    # row i - 1 ends one (the first and the last row always do)
+    brk = np.empty(starts.size + 1, dtype=bool)
+    brk[0] = brk[-1] = True
+    np.greater(starts[1:], ends[:-1], out=brk[1:-1])
+    merged = np.empty((np.count_nonzero(brk) - 1, 2))
+    merged[:, 0] = starts[brk[:-1]]
+    merged[:, 1] = ends[brk[1:]]
     return merged
 
 

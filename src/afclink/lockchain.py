@@ -41,7 +41,6 @@ drift is the same run with every servo disabled.
 from __future__ import annotations
 
 import enum
-import io
 import math
 from dataclasses import dataclass, field, replace
 from typing import Literal, Mapping
@@ -228,11 +227,10 @@ class LockRunResult:
         return self.residual[idx]
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("t_s,residual_hz\n")
-        for ti, ri in zip(self.t, self.residual):
-            buf.write(f"{ti:.6f},{ri:.9e}\n")
-        return buf.getvalue()
+        flat = [None] * (2 * len(self.t))
+        flat[0::2] = self.t.tolist()
+        flat[1::2] = self.residual.tolist()
+        return "t_s,residual_hz\n" + ("%.6f,%.9e\n" * len(self.t)) % tuple(flat)
 
 
 def _system_matrices(config: LockChainConfig):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from afclink.detection import (
@@ -63,6 +63,12 @@ def test_dead_time_filter_runs():
     ticks=st.lists(st.integers(0, 400), max_size=60),
     dead=st.integers(0, 40),
 )
+# sparse clusters separated by long gaps
+@example(ticks=[0, 3, 6, 9, 200, 204, 207, 400], dead=5)
+# gaps exactly equal to the dead time
+@example(ticks=[10, 20, 25, 30, 40], dead=10)
+# an isolated click between two clusters
+@example(ticks=[0, 2, 4, 100, 200, 201, 203], dead=5)
 def test_dead_time_filter_matches_sequential_scan(ticks, dead):
     # integer ticks keep every gap comparison exact; duplicates and runs
     # longer than the dead time exercise the multi-pass path

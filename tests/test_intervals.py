@@ -132,6 +132,37 @@ def test_as_interval_set_and_contains_match_naive_membership(rows):
     assert np.array_equal(iv.contains(s, _probes), want)
 
 
+@st.composite
+def _herald_rows(draw):
+    """Sorted points plus constant offsets, as the closures and the
+    herald-relative set are built on the sorted herald stream, on a grid of
+    1/8; gaps below the width merge rows.  Optionally one row is nested in
+    its predecessor with a lower end, so the starts stay sorted and the ends
+    do not."""
+    width = draw(st.integers(1, 40))
+    starts = np.cumsum(draw(st.lists(st.integers(0, 60), min_size=1, max_size=40)))
+    starts += draw(st.integers(-50, 50))
+    ends = starts + width
+    # row k can end strictly between its own start and its predecessor's end
+    nestable = np.flatnonzero(ends[:-1] - starts[1:] >= 2) + 1
+    if nestable.size and draw(st.booleans()):
+        k = draw(st.sampled_from(nestable.tolist()))
+        ends[k] = draw(st.integers(int(starts[k]) + 1, int(ends[k - 1]) - 1))
+    return np.stack([starts, ends], axis=1) / 8
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=_herald_rows())
+@example(rows=np.array([[0.0, 10.0], [1.0, 2.0], [5.0, 6.0]]))  # nested row, lower end
+def test_as_interval_set_sorted_rows_match_reversed_copy(rows):
+    # the reversed copy takes the sorting path; the canonical form is unique,
+    # so the two results agree element for element
+    got = iv.as_interval_set(rows[:, 0], rows[:, 1])
+    _assert_canonical(got)
+    want = iv.as_interval_set(rows[::-1, 0], rows[::-1, 1])
+    assert np.array_equal(got, want)
+
+
 @settings(max_examples=200, deadline=None)
 @given(a=_raw_rows, b=_raw_rows)
 def test_intersect_matches_naive_membership(a, b):
