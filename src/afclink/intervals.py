@@ -87,20 +87,33 @@ def intersect(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """
     if len(a) == 0 or len(b) == 0:
         return np.empty((0, 2))
-    # for every pair of a-row and overlapping b-row, clip; bound the pairing
-    # with searchsorted so the cost is O(n + m + overlaps)
-    starts_b, ends_b = b[:, 0], b[:, 1]
-    lo_idx = np.searchsorted(ends_b, a[:, 0], side="right")
-    hi_idx = np.searchsorted(starts_b, a[:, 1], side="left")
-    counts = np.maximum(hi_idx - lo_idx, 0)
-    if counts.sum() == 0:
+    # a-row i overlaps b rows lo[i] .. hi[i] - 1, found by searchsorted so the
+    # cost is O(n + m + overlaps).  b being disjoint and sorted, the b rows
+    # strictly between the first and the last of them lie inside a-row i, so
+    # only those two are clipped against it.  Rows come out empty only from
+    # zero-length input rows.
+    lo = np.searchsorted(b[:, 1], a[:, 0], side="right")
+    hi = np.searchsorted(b[:, 0], a[:, 1], side="left")
+    counts = np.maximum(hi - lo, 0)
+    total = int(counts.sum())
+    if total == 0:
         return np.empty((0, 2))
-    a_idx = np.repeat(np.arange(len(a)), counts)
-    b_idx = np.repeat(lo_idx, counts) + ragged_offsets(counts)
-    s = np.maximum(a[a_idx, 0], starts_b[b_idx])
-    e = np.minimum(a[a_idx, 1], ends_b[b_idx])
-    keep = e > s
-    return np.stack([s[keep], e[keep]], axis=1)
+    last = np.cumsum(counts)
+    first = last - counts
+    b_idx = np.repeat(lo - first, counts)
+    b_idx += np.arange(total)
+    out = b.take(b_idx, axis=0)
+    hit = counts > 0
+    f, l = first[hit], last[hit] - 1
+    out[f, 0] = np.maximum(out[f, 0], a[hit, 0])
+    out[l, 1] = np.minimum(out[l, 1], a[hit, 1])
+    keep = out[:, 1] > out[:, 0]
+    if keep.all():
+        return out
+    kept = np.empty((np.count_nonzero(keep), 2))
+    kept[:, 0] = out[keep, 0]
+    kept[:, 1] = out[keep, 1]
+    return kept
 
 
 def contains(intervals: np.ndarray, t: np.ndarray) -> np.ndarray:
