@@ -85,6 +85,7 @@ def detect(
     windows: np.ndarray,
     rng: np.random.Generator,
     *cols: np.ndarray,
+    noise: np.ndarray | None = None,
 ) -> tuple[np.ndarray, ...]:
     """Detection records of one detector whose dark counts fall on the
     interval set ``windows``.
@@ -94,6 +95,20 @@ def detect(
     ``cols`` stay aligned with the times; dark counts get ORIGIN_DARK_COUNT
     in the first column (which must be the origin column) and NO_OUTCOME in
     the others.  Returns ``(times, *cols)``, sorted by time.
+
+    ``noise`` is an optional sorted run of converter-noise clicks that are
+    already thinned and take no jitter.  The herald arm passes its noise
+    this way: a jittered Poisson process on the windows is again Poisson,
+    with the window indicator convolved with the jitter kernel
+    (displacement theorem), so skipping the jitter changes only the clicks
+    within a few jitter widths of a window edge, about 1e-10 of them at the
+    flagship working point (see the ``pipeline`` docstring).  The noise run
+    draws nothing, so the draw order stays thinning, jitter, darks of
+    ``times``.  The sorted run of jittered photons and darks is merged into
+    it in linear time before the dead time (``intervals.merge_sorted``; on
+    equal times the jittered run comes first), and its clicks get
+    ORIGIN_CONVERSION_NOISE in the origin column and NO_OUTCOME in the
+    others.  The signal arm passes none: its photons all keep their jitter.
     """
     if efficiency < 1.0:
         keep = rng.random(len(times)) < efficiency
@@ -116,6 +131,14 @@ def detect(
     order = np.argsort(t, kind="stable")
     t = t[order]
     cols = [c[order] for c in cols]
+    if noise is not None:
+        t, from_t = iv.merge_sorted(t, noise)
+        filled = []
+        for i, c in enumerate(cols):
+            out = np.full(len(t), ORIGIN_CONVERSION_NOISE if i == 0 else NO_OUTCOME, dtype=c.dtype)
+            out[from_t] = c
+            filled.append(out)
+        cols = filled
     alive = dead_time_filter(t, spd.dead_time)
     return (t[alive], *[c[alive] for c in cols])
 

@@ -1,5 +1,6 @@
 """Small vectorized toolkit for disjoint time-interval sets, plus the sorted
-lookup kernel the pair side shares.
+lookup kernel the pair side shares and the sorted-run merge of the herald
+detector.
 
 An interval set is an (n, 2) float array of [start, end) rows, sorted by
 start and non-overlapping.  Used by the shutter gate (transmission windows
@@ -154,6 +155,34 @@ def sample_poisson(intervals: np.ndarray, rate: float, rng: np.random.Generator)
     first[-1] = n
     per = first[1:] - first[:-1]
     return np.repeat(intervals[:, 0], per) + (u - np.repeat(cum[:-1], per))
+
+
+def merge_sorted(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Merge two sorted runs in linear time: ``(merged, from_a)``, with
+    ``merged[from_a]`` equal to ``a`` and ``merged[~from_a]`` equal to ``b``.
+
+    Among equal values the elements of ``a`` come first, so the merge orders
+    the elements exactly as a stable argsort of ``np.concatenate([a, b])``
+    would.  The shorter run is searched in the longer one (``side="left"``
+    for ``a``, ``"right"`` for ``b``, which is what puts ``a`` first on a
+    tie), its elements are scattered to their output positions, and the
+    mask of those positions places the longer run.
+    """
+    n, m = len(a), len(b)
+    merged = np.empty(n + m, dtype=np.result_type(a, b))
+    if n <= m:
+        pos = np.searchsorted(b, a, side="left") + np.arange(n)
+        from_a = np.zeros(n + m, dtype=bool)
+        from_a[pos] = True
+        merged[pos] = a
+        merged[~from_a] = b
+    else:
+        pos = np.searchsorted(a, b, side="right") + np.arange(m)
+        from_a = np.ones(n + m, dtype=bool)
+        from_a[pos] = False
+        merged[pos] = b
+        merged[from_a] = a
+    return merged, from_a
 
 
 def table_lookup(table: np.ndarray, x: np.ndarray, side: str = "left") -> np.ndarray:

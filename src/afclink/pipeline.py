@@ -15,16 +15,31 @@ detections with heralds inside the configured delay range.  The engine
 therefore materializes noise exactly where it can matter:
 
 - herald-arm noise is generated directly at its detected rate (thinning a
-  Poisson stream is exact),
+  Poisson stream is exact), sorted as ``sample_poisson`` returns it and
+  without timing jitter.  Jitter is an i.i.d. displacement, and a displaced
+  Poisson process is again Poisson, with the window indicator convolved with
+  the jitter kernel (displacement theorem; Kingman, *Poisson Processes*,
+  1993, sec. 5.5).  That differs from the undisplaced process only within a
+  few jitter widths (sigma = 42 ps at 100 ps FWHM) of a window edge.  Jitter
+  carries rate * sigma / sqrt(2 pi) points across each edge on average;
+  with about 20 edges per 6 s batch against 3 s of windows that is a
+  relative effect near 20 * 0.4 * 42 ps / 3 s = 1e-10.  ``detect``
+  therefore jitters and sorts only the pair heralds and the darks and
+  merges them into the noise run in linear time.  The draws on the
+  herald-detection stream are, in order, pair thinning, pair jitter, darks.
+  Signal-arm noise keeps its jitter: there the intensity has edges every
+  microsecond (``rel`` and the gate), aligned with the histogram's.
 - signal-arm noise is generated at full rate on ``windows ∩ rel``, the
   transmission windows restricted to the union of herald-relative windows
   wide enough to cover every memory delay, and then thinned by the same
   gate test the pair photons get (pass where the gate is open, else with
   probability ``extinction``).
 
-The only approximation this leaves is dead-time shadowing by detections that
-could never reach the histogram; at the configured rates that is a relative
-bias below 1e-3, far inside every statistical tolerance.  Detection is
+Besides the window-edge effect above, the only approximation this leaves is
+dead-time shadowing by detections that could never reach the histogram; at
+the configured rates that is a relative bias below 1e-3, far inside every
+statistical tolerance.  ``tests/test_reference.py`` checks these shortcuts
+against a brute-force run that materializes every noise photon.  Detection is
 active only during transmission phases (the preparation light makes the
 detectors unusable during pit burning), so preparation-phase photons are
 dropped at source.
@@ -203,17 +218,16 @@ class _Engine:
         keep &= conversion_passes(cfg.converter, self.mode_offsets, mode_idx, rng)
 
         # herald-arm noise is drawn directly at its detected rate (exact
-        # thinning of the beam-splitter share by the detector efficiency)
+        # thinning of the beam-splitter share by the detector efficiency),
+        # sorted and without jitter (see the module docstring)
         rate = 0.5 * cfg.converter.noise_rate * det.efficiency
         noise = iv.sample_poisson(windows, rate, _stream(cfg.seed, _S_HERALD_NOISE, b))
+        # the pair heralds are thinned here, on the detector's stream, so that
+        # detect builds their origin column only for the survivors
         rng = _stream(cfg.seed, _S_HERALD_DETECT, b)
         pair = herald_t[keep]
         pair = pair[rng.random(len(pair)) < det.efficiency]
-        # pairs, noise and darks arrive as sorted runs (up to jitter), which
-        # the stable sort in detect merges in near-linear time
-        h_times, h_org = detect(
-            np.concatenate([pair, noise]), 1.0, det, windows, rng, _origins(pair, noise)
-        )
+        h_times, h_org = detect(pair, 1.0, det, windows, rng, _origins(pair), noise=noise)
         _tally(vec, _HERALD_ORIGIN, _N_ORIGIN, h_org)
         return h_times
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from afclink.detection import (
     NO_OUTCOME,
+    ORIGIN_CONVERSION_NOISE,
     ORIGIN_DARK_COUNT,
     ORIGIN_PAIR,
     CoincidenceHistogram,
@@ -107,6 +108,30 @@ def test_detect_keeps_companion_columns_aligned():
     pair = org == ORIGIN_PAIR
     assert np.array_equal(out_t[pair], t[lab[pair]])
     assert np.all(lab[~pair] == NO_OUTCOME)
+
+
+def test_detect_merges_unjittered_noise_run():
+    # a noise run enters unthinned and unjittered and draws nothing; with no
+    # jitter the records equal those of one concatenated stream whose pair
+    # part was thinned by the same uniforms beforehand
+    spd = SPDConfig(efficiency=0.6, dark_rate=2000.0, dead_time=50e-9, jitter_fwhm=0.0)
+    gen = np.random.default_rng(15)
+    t = np.sort(gen.uniform(0, 1, 3000))
+    noise = np.sort(gen.uniform(0, 1, 20000))
+    label = np.arange(len(t), dtype=np.int64)
+    got = detect(
+        t, spd.efficiency, spd, _span(0.0, 1.0), np.random.default_rng(16),
+        np.full(len(t), ORIGIN_PAIR, np.uint8), label, noise=noise,
+    )
+    rng = np.random.default_rng(16)
+    keep = rng.random(len(t)) < spd.efficiency
+    want = detect(
+        np.concatenate([t[keep], noise]), 1.0, spd, _span(0.0, 1.0), rng,
+        np.repeat(np.array([ORIGIN_PAIR, ORIGIN_CONVERSION_NOISE], np.uint8), [keep.sum(), len(noise)]),
+        np.concatenate([label[keep], np.full(len(noise), NO_OUTCOME)]),
+    )
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    assert np.count_nonzero(got[1] == ORIGIN_CONVERSION_NOISE) > 19000
 
 
 def test_jitter_broadens_timing():

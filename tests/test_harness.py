@@ -188,14 +188,14 @@ def test_run_deterministic_byte_identical():
 # report format) updates the constants and says so in CHANGES.md.
 _PINNED_PAYLOADS = {
     "smoke": {
-        "report.json": "6a63909a8ced516ce583d1fc9142e58570b5dc11aad724d68ca449c022cfd79c",
-        "histogram.csv": "517242cba16547cc4a91a4e3c6cee7ecb2ff95bb91ea400983dcd3f3cfcead5b",
-        "summary.csv": "2d2575c1f8c60fad5cd5b0ca0235177330f2fba196d964f3ad0bf9140693149b",
+        "report.json": "ea2752e0e202685612778818e36f7049c76fb9fd86c8a1b7f3c3268ed07f6439",
+        "histogram.csv": "5da84717bcb447d6de0c9f4278907e19c7da1c788995c77cd306d3ec73957b16",
+        "summary.csv": "c3602cacba68b317b13f5cbffe12eee7263bc7b2524ff2e69188447d9fd8e6df",
     },
     "pair_rich_30s": {
-        "report.json": "ab21f341234fd161b792202429a9012448c72cd9048e5a44fa15b4f8890cf566",
-        "histogram.csv": "e83f4eae79c0542fa075ccb84e985f20262051ebe637f6565e5efd6de6c580d3",
-        "summary.csv": "b1adb1544ba7ac39a67ad2d668743f80e4e53c416280ed0a57b52a8887d96e9f",
+        "report.json": "7b836c332263a96f1d82e5a1cb555f21fa1761b5183704258eaf73c8e966c498",
+        "histogram.csv": "d427558f9541887c8c4680557366500f7087bfa9a7c1eaed726c9084917b7d70",
+        "summary.csv": "f63d4257c0c29a3cbcf1b92fcc591b4daf839d9d5a839eed64a0bbe4e71a06fc",
     },
 }
 
