@@ -60,7 +60,8 @@ def reference_config(seed: int):
 
 def reference_run(cfg, rng: np.random.Generator) -> tuple[np.ndarray, dict]:
     """Histogram counts and the compared counters of one unbatched span."""
-    windows = cfg.shutter.transmission_windows(0, math.ceil(cfg.duration / cfg.shutter.cycle_period), cfg.duration)
+    n_cycles = math.ceil(cfg.duration / cfg.shutter.cycle_period)
+    windows = cfg.shutter.transmission_windows(0, n_cycles, cfg.duration)
     offsets = cfg.source.mode_offsets()
     arm_rate = 0.5 * cfg.converter.noise_rate
 
@@ -74,9 +75,10 @@ def reference_run(cfg, rng: np.random.Generator) -> tuple[np.ndarray, dict]:
     keep &= conversion_passes(cfg.converter, offsets, mode_idx, rng)
     pair = herald_t[keep]
     noise = iv.sample_poisson(windows, arm_rate, rng)
-    origin = np.repeat(np.array([ORIGIN_PAIR, ORIGIN_CONVERSION_NOISE], np.uint8), [len(pair), len(noise)])
     det = cfg.detectors.herald
-    h_t, h_org = detect(np.concatenate([pair, noise]), det.efficiency, det, windows, rng, origin)
+    h_t, h_org = detect(
+        np.concatenate([pair, noise]), det.efficiency, det, windows, rng, _origins(pair, noise)
+    )
 
     # signal arm: pair photons and every noise photon through one gate test
     closed = as_closures(h_t, cfg.shutter)
@@ -85,7 +87,7 @@ def reference_run(cfg, rng: np.random.Generator) -> tuple[np.ndarray, dict]:
     n_t = iv.sample_poisson(windows, arm_rate, rng)
     entry_t = np.concatenate([signal_t[keep], n_t])
     entry_off = np.concatenate([offsets[mode_idx[keep]], cfg.converter.noise_offsets(len(n_t), rng)])
-    entry_org = np.repeat(np.array([ORIGIN_PAIR, ORIGIN_CONVERSION_NOISE], np.uint8), [keep.sum(), len(n_t)])
+    entry_org = _origins(signal_t[keep], n_t)
     passes = gate_passes(entry_t, windows, closed, cfg.shutter.extinction, rng)
     entry_t, entry_off, entry_org = entry_t[passes], entry_off[passes], entry_org[passes]
 
@@ -117,6 +119,10 @@ def reference_run(cfg, rng: np.random.Generator) -> tuple[np.ndarray, dict]:
         "noise_in_echo_window": np.sum(tau_hi - tau_lo),
     }
     return hist.counts, {k: int(v) for k, v in counters.items()}
+
+
+def _origins(pair: np.ndarray, noise: np.ndarray) -> np.ndarray:
+    return np.repeat(np.array([ORIGIN_PAIR, ORIGIN_CONVERSION_NOISE], np.uint8), [len(pair), len(noise)])
 
 
 def engine_counters(c: dict) -> dict:
