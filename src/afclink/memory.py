@@ -131,9 +131,6 @@ class AbsorptionSpectrum:
     def frequencies(self) -> np.ndarray:
         return self.grid.frequencies()
 
-    def depth_at(self, f) -> np.ndarray:
-        return np.interp(np.asarray(f, dtype=np.float64), self.frequencies(), self.optical_depth)
-
     def to_csv(self) -> str:
         buf = io.StringIO()
         buf.write("offset_hz,optical_depth\n")
@@ -206,32 +203,23 @@ def comb_spectrum(
     F: float,
     spacing: float = 1.15e6,
     n_teeth: int = 61,
-    d0: float = 0.0,
     points_per_tooth: int = 16,
-    span_factor: float = 2.0,
-    normalization: str = "mean",
 ) -> AbsorptionSpectrum:
     """Standalone periodic Gaussian-tooth comb for oracle studies.
 
-    ``normalization='mean'`` scales the tooth peak so the per-period average
-    depth equals d/F, matching the depth convention of ``afc_efficiency``;
-    ``'peak'`` uses peak depth d directly (the preparation convention, whose
-    average depth is ~6% higher, sqrt(pi/(4 ln 2)) ~= 1.064).
+    The tooth peak is scaled so the per-period average depth equals d/F,
+    matching the depth convention of ``afc_efficiency``.  The grid spans
+    twice the teeth's extent, with no background depth.
     """
     fwhm = spacing / F
-    if normalization == "mean":
-        peak = d / (F * _GAUSS_AREA_PER_FWHM * fwhm / spacing)
-    elif normalization == "peak":
-        peak = d
-    else:
-        raise ValueError("normalization must be 'mean' or 'peak'")
+    peak = d / (F * _GAUSS_AREA_PER_FWHM * fwhm / spacing)
     half = (n_teeth - 1) // 2
-    span = span_factor * half * spacing
+    span = 2.0 * half * spacing
     step = fwhm / points_per_tooth
     grid = SpectralGrid(-span, span, step)
     f = grid.frequencies()
     sigma2 = fwhm**2 / _FOUR_LN2
-    depth = np.full(f.shape, d0)
+    depth = np.zeros(f.shape)
     for k in range(-half, half + 1):
         x = f - k * spacing
         near = np.abs(x) <= 8 * fwhm
@@ -260,19 +248,14 @@ def _minimum_phase(attenuation: np.ndarray) -> np.ndarray:
     return np.imag(log_h)
 
 
-def afc_efficiency_oracle(
-    spectrum: AbsorptionSpectrum,
-    mode: float,
-    spacing: float,
-    input_fwhm: float | None = None,
-) -> float:
+def afc_efficiency_oracle(spectrum: AbsorptionSpectrum, mode: float, spacing: float) -> float:
     """Numerically propagate a weak probe through the comb and return the
     fraction of input energy re-emitted in the first-echo window.
 
     The comb (optical depth around ``mode``) acts as the amplitude filter
     exp(-depth/2) with its causal dispersion phase; the probe is a Gaussian
-    pulse of spectral FWHM ``input_fwhm`` (default 6x the tooth spacing:
-    wide against the comb period, narrow against the pit).  The echo energy
+    pulse of spectral FWHM 6x the tooth spacing (wide against the comb
+    period, narrow against the pit).  The echo energy
     is integrated over a window of width 1/(2*spacing) centered at delay
     1/spacing and normalized to the input energy.
     """
@@ -280,8 +263,7 @@ def afc_efficiency_oracle(
         raise ValueError("spacing must be > 0")
     if spectrum.grid.step > spacing / 8.0:
         raise ValueError("grid too coarse for the echo oracle (need step <= spacing/8)")
-    if input_fwhm is None:
-        input_fwhm = 6.0 * spacing
+    input_fwhm = 6.0 * spacing
 
     f = spectrum.frequencies() - mode
     depth = spectrum.optical_depth

@@ -44,10 +44,10 @@ active only during transmission phases (the preparation light makes the
 detectors unusable during pit burning), so preparation-phase photons are
 dropped at source.
 
-Randomness is split into one counter-based stream per (stage, batch), so
-toggling one stage never perturbs another stage's draws, the order in which
-the arms run does not matter, and batched execution is reproducible event
-for event.
+Randomness is split into one stream per (stage, batch): an SFC64 generator
+seeded from its own ``SeedSequence`` spawn key ``(stage, batch)``.  Toggling
+one stage never perturbs another stage's draws, the order in which the arms
+run does not matter, and batched execution is reproducible event for event.
 """
 
 from __future__ import annotations
@@ -80,7 +80,7 @@ from .memory import (
 )
 from .source import pair_delays, sample_pairs
 
-# stage ids for the counter-based stream split
+# stage ids: the first entry of each stream's SeedSequence spawn key
 _S_LOCK = 0
 _S_SOURCE = 1
 _S_CORRELATION = 2
@@ -144,7 +144,7 @@ def _derived_seed(base_seed: int, tag: int, index: int) -> int:
 
 def _stream(seed: int, stage: int, batch: int) -> np.random.Generator:
     return np.random.Generator(
-        np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(stage, batch)))
+        np.random.SFC64(np.random.SeedSequence(entropy=seed, spawn_key=(stage, batch)))
     )
 
 
@@ -296,9 +296,9 @@ class _Engine:
     def run(self, workers: int | None = None) -> RawRunResult:
         """Run every batch, in one chunk per worker.
 
-        Every batch draws from its own counter-based streams and the parts
-        are summed as integers, so the result is bit-identical for every
-        worker count.
+        Every batch draws from its own streams, one SFC64 generator per
+        (stage, batch) ``SeedSequence`` spawn key, and the parts are summed
+        as integers, so the result is bit-identical for every worker count.
         """
         cfg = self.cfg
         n = len(self.batches)

@@ -91,5 +91,12 @@ def sample_pairs(
 
 def pair_delays(cfg: SourceConfig, n: int, rng: np.random.Generator) -> np.ndarray:
     """Signal-minus-herald emission delays of ``n`` pairs: two-sided
-    exponential draws with decay constant ``cfg.coherence_time``."""
-    return rng.laplace(0.0, cfg.coherence_time, size=n)
+    exponential (Laplace) draws with decay constant ``cfg.coherence_time``.
+
+    The difference of two independent standard exponentials is exactly
+    standard Laplace (Devroye, *Non-Uniform Random Variate Generation*, 1986,
+    ch. IX); it is cheaper than ``rng.laplace`` and needs no branch."""
+    d = rng.standard_exponential(n)
+    d -= rng.standard_exponential(n)
+    d *= cfg.coherence_time
+    return d

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from afclink import calibrate, cli
+from afclink import calibrate, cli, pipeline
 from afclink.calibrate import CalibrationError, calibrate_rate, sweep, sweep_csv
 from afclink.cli import main as cli_main
 from afclink.config import (
@@ -188,14 +188,14 @@ def test_run_deterministic_byte_identical():
 # report format) updates the constants and says so in CHANGES.md.
 _PINNED_PAYLOADS = {
     "smoke": {
-        "report.json": "ea2752e0e202685612778818e36f7049c76fb9fd86c8a1b7f3c3268ed07f6439",
-        "histogram.csv": "5da84717bcb447d6de0c9f4278907e19c7da1c788995c77cd306d3ec73957b16",
-        "summary.csv": "c3602cacba68b317b13f5cbffe12eee7263bc7b2524ff2e69188447d9fd8e6df",
+        "report.json": "3004a3a62764ace6ef825a105dec41001a3c2dae9bf4453a85fc1d3785c8c488",
+        "histogram.csv": "bdb3b30388f62a6ed6f55e7e389a0acb09b370ebf6775e95a263d5b8ce5c899e",
+        "summary.csv": "ef4abffb11e102ba7ab90fda3fceb8b3127cdd519485d38d556588c39ad65452",
     },
     "pair_rich_30s": {
-        "report.json": "7b836c332263a96f1d82e5a1cb555f21fa1761b5183704258eaf73c8e966c498",
-        "histogram.csv": "d427558f9541887c8c4680557366500f7087bfa9a7c1eaed726c9084917b7d70",
-        "summary.csv": "f63d4257c0c29a3cbcf1b92fcc591b4daf839d9d5a839eed64a0bbe4e71a06fc",
+        "report.json": "bd6916dc14f316534d47ad890045fb8b3eb4dadbdd0f9fa696dbcf57845df8cd",
+        "histogram.csv": "b2fe9667bc4a56fe55640f3e7bfe1614e7b18d7d4f65098deeeddbfe46ffaae6",
+        "summary.csv": "0ed24632abd8bd946a17aa9f9164ae51e83e1ebb5451f8f4b1e181e513dc52f7",
     },
 }
 
@@ -218,6 +218,9 @@ def test_seeded_payload_is_pinned(tmp_path):
 
 def test_parallel_matches_serial():
     cfg = small_cfg(duration=90.0)
+    if hasattr(os, "fork"):
+        # the run below must reach the fork pool, not fall back to serial
+        assert pipeline._effective_workers(2, len(pipeline._Engine(cfg).batches)) == 2
     a = run_scenario(cfg, workers=1)
     b = run_scenario(cfg, workers=2)
     assert np.array_equal(a.histogram.counts, b.histogram.counts)

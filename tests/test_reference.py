@@ -156,6 +156,8 @@ def test_engine_matches_brute_force_reference():
     eng, ref = {}, {}
     for seed in SEEDS:
         cfg = reference_config(seed)
+        # the slice must cross a batch edge, or batch independence goes unchecked
+        assert len(pipeline._Engine(cfg).batches) >= 2
         raw = pipeline.run_raw(cfg, workers=1)
         e = pooled(raw.histogram.counts, engine_counters(raw.counters), cfg.histogram)
         r = pooled(*reference_run(cfg, np.random.default_rng([seed, 0x5EF])), cfg.histogram)

@@ -43,7 +43,7 @@ def test_mode_histogram_matches_weights():
         (6, (0.0, 0.5, 0.0, 0.0, 0.25, 0.25)),  # zero weights repeat cdf entries
     ],
 )
-@pytest.mark.parametrize("bitgen", [np.random.PCG64, np.random.Philox])
+@pytest.mark.parametrize("bitgen", [np.random.PCG64, np.random.Philox, np.random.SFC64])
 def test_mode_draw_equals_generator_choice(n_modes, weights, bitgen):
     cfg = SourceConfig(total_pair_rate=40000.0, n_modes=n_modes, mode_weights=weights)
     windows = np.array([[0.0, 0.5], [1.0, 1.25]])
@@ -89,6 +89,15 @@ def test_correlation_symmetry_ks():
     times, _ = sample_pairs(cfg, _span(0.0, 2.0), rng)
     delta = pair_delays(cfg, len(times), rng)
     res = stats.ks_2samp(delta, -delta)
+    assert res.pvalue > 0.01
+
+
+def test_correlation_is_laplace_ks():
+    # std and symmetry alone admit a Gaussian of the same width; the one-sample
+    # KS test pins the two-sided exponential shape
+    cfg = SourceConfig(total_pair_rate=30000.0)
+    delta = pair_delays(cfg, 20000, np.random.Generator(np.random.SFC64(10)))
+    res = stats.kstest(delta, stats.laplace(scale=cfg.coherence_time).cdf)
     assert res.pvalue > 0.01
 
 
