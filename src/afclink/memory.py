@@ -255,9 +255,9 @@ def afc_efficiency_oracle(spectrum: AbsorptionSpectrum, mode: float, spacing: fl
     The comb (optical depth around ``mode``) acts as the amplitude filter
     exp(-depth/2) with its causal dispersion phase; the probe is a Gaussian
     pulse of spectral FWHM 6x the tooth spacing (wide against the comb
-    period, narrow against the pit).  The echo energy
-    is integrated over a window of width 1/(2*spacing) centered at delay
-    1/spacing and normalized to the input energy.
+    period, narrow against the pit).  The echo energy is integrated over a
+    window of width 1/(2*spacing) centered at delay 1/spacing and normalized
+    to the input energy.
     """
     if spacing <= 0:
         raise ValueError("spacing must be > 0")
