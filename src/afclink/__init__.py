@@ -24,7 +24,6 @@ from .channel import (  # noqa: F401
     ConverterConfig,
     FiberLink,
     ShutterSchedule,
-    conversion_passes,
     fiber_passes,
     gate_passes,
 )

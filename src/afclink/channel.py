@@ -28,9 +28,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.constants import c as _C_VACUUM
 
 from . import intervals as iv
+
+#: speed of light in vacuum (m/s), exact by the SI definition of the metre
+_C_VACUUM = 299_792_458.0
 
 
 @dataclass(frozen=True)
@@ -88,6 +90,12 @@ class ConverterConfig:
         """Gaussian phase-matching transmission, T(0) = 1."""
         x = np.asarray(mode_offset, dtype=np.float64) / self.pm_fwhm
         return np.exp(-4.0 * math.log(2.0) * x * x)
+
+    def conversion_probability(self, mode_offset) -> np.ndarray:
+        """Chance that a photon at ``mode_offset`` is converted:
+        efficiency * T_pm(offset).  Evaluate it once per mode, not once per
+        photon."""
+        return self.efficiency * self.window_transmission(mode_offset)
 
     def noise_offsets(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """Frequency offsets of ``n`` pump-induced noise photons: white
@@ -153,15 +161,3 @@ def fiber_passes(link: FiberLink, n: int, rng: np.random.Generator) -> np.ndarra
     """Fiber survival mask of ``n`` photons at the link's loss budget."""
     return rng.random(n) < link.survival_probability
 
-
-def conversion_passes(
-    cfg: ConverterConfig,
-    mode_offsets: np.ndarray,
-    mode_idx: np.ndarray,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Conversion survival mask, probability efficiency * T_pm(offset), for
-    photons on the modes ``mode_offsets[mode_idx]``.  The window is evaluated
-    once per mode, not once per photon."""
-    p_mode = cfg.efficiency * cfg.window_transmission(mode_offsets)
-    return rng.random(len(mode_idx)) < p_mode[mode_idx]

@@ -9,8 +9,23 @@ histogram.  Both arms tally into one integer count vector per chunk.
 
 Event budget
 ------------
-A long run at realistic rates carries ~1e9 converter-noise photons; almost
-none of them can ever enter the histogram, which only pairs signal
+Most pairs lose both photons before either detector: at 10 km and a
+conversion efficiency of 0.558 the signal photon reaches the gate with
+p_s = 0.35 per mode and the herald photon is detected (before dead time)
+with p_h = p_s * eta_herald = 0.18.  The source therefore draws only the
+pairs with at least one surviving photon, at ``rate * sum(w * p_any)`` with
+modes weighted by ``w * p_any``, where p_any = 1 - (1 - p_h)(1 - p_s).
+That is exact: thinning a Poisson process by a per-mode probability leaves
+a Poisson process, and the discarded pairs form an independent one.  One
+uniform per drawn pair picks both photons, the herald only or the signal
+only, with the conditional chances p_h p_s, p_h (1 - p_s) and
+p_s (1 - p_h) over p_any, and only the pairs whose signal photon survives
+draw a correlation delay.  ``pairs_generated`` still counts every pair the
+source emitted: the discarded ones are added as one Poisson count per
+batch.
+
+A long run at realistic rates also carries ~1e9 converter-noise photons;
+almost none of them can ever enter the histogram, which only pairs signal
 detections with heralds inside the configured delay range.  The engine
 therefore materializes noise exactly where it can matter:
 
@@ -26,7 +41,7 @@ therefore materializes noise exactly where it can matter:
   relative effect near 20 * 0.4 * 42 ps / 3 s = 1e-10.  ``detect``
   therefore jitters and sorts only the pair heralds and the darks and
   merges them into the noise run in linear time.  The draws on the
-  herald-detection stream are, in order, pair thinning, pair jitter, darks.
+  herald-detection stream are, in order, pair jitter, darks.
   Signal-arm noise keeps its jitter: there the intensity has edges every
   microsecond (``rel`` and the gate), aligned with the histogram's.
 - signal-arm noise is generated at full rate on ``windows ∩ rel``, the
@@ -59,7 +74,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import intervals as iv
-from .channel import as_closures, conversion_passes, fiber_passes, gate_passes
+from .channel import as_closures, gate_passes
 from .config import ScenarioConfig
 from .detection import (
     ORIGIN_CONVERSION_NOISE,
@@ -84,17 +99,13 @@ from .source import pair_delays, sample_pairs
 _S_LOCK = 0
 _S_SOURCE = 1
 _S_CORRELATION = 2
-_S_FIBER_H = 3
-_S_CONVERT_H = 4
-_S_HERALD_NOISE = 5
-_S_HERALD_DETECT = 6
-_S_FIBER_S = 7
-_S_CONVERT_S = 8
-_S_SIGNAL_NOISE = 9
-_S_NOISE_GATE = 10
-_S_GATE_LEAK = 11
-_S_MEMORY = 12
-_S_SIGNAL_DETECT = 13
+_S_HERALD_NOISE = 3
+_S_HERALD_DETECT = 4
+_S_SIGNAL_NOISE = 5
+_S_NOISE_GATE = 6
+_S_GATE_LEAK = 7
+_S_MEMORY = 8
+_S_SIGNAL_DETECT = 9
 
 # slots of a chunk's count vector: two blocks indexed by the ORIGIN_* codes,
 # two indexed by the KIND_* codes, then two scalars
@@ -168,6 +179,15 @@ class _Engine:
     def __init__(self, cfg: ScenarioConfig):
         self.cfg = cfg
         self.mode_offsets = cfg.source.mode_offsets()
+        # per mode: the signal photon reaches the gate with p_s; the herald
+        # photon is detected (before dead time) with p_h = p_s * eta_herald;
+        # the source draws only the pairs with at least one such photon
+        p_s = cfg.link.survival_probability * cfg.converter.conversion_probability(self.mode_offsets)
+        self.p_herald = p_s * cfg.detectors.herald.efficiency
+        self.p_both = self.p_herald * p_s
+        self.p_any = self.p_herald + p_s - self.p_both
+        self.kept_source = cfg.source.thinned(self.p_any)
+        self.lost_pair_rate = max(0.0, cfg.source.total_pair_rate - self.kept_source.total_pair_rate)
         self.n_cycles = int(math.ceil(cfg.duration / cfg.shutter.cycle_period))
         per_batch = max(1, int(round(6.0 / cfg.shutter.cycle_period)))
         self.batches = [
@@ -187,17 +207,23 @@ class _Engine:
         if len(windows) == 0:
             return
 
-        # source: pair creation shifted so arrivals land on the windows
-        t_pairs, mode_idx = sample_pairs(
-            cfg.source, windows - cfg.link.delay, _stream(cfg.seed, _S_SOURCE, b)
-        )
-        vec[_PAIRS] += len(t_pairs)
+        # source: the pairs that reach an arm, created shifted so that their
+        # arrivals land on the windows, and a count of the others
+        rng = _stream(cfg.seed, _S_SOURCE, b)
+        t_pairs, mode_idx = sample_pairs(self.kept_source, windows - cfg.link.delay, rng)
+        # one uniform on [0, p_any) sorts each pair: [0, p_h p_s) both photons
+        # survive, [p_h p_s, p_h) the herald only, [p_h, p_any) the signal only
+        u = rng.random(len(t_pairs))
+        u *= self.p_any[mode_idx]
+        herald_ok = u < self.p_herald[mode_idx]
+        signal_ok = ~herald_ok | (u < self.p_both[mode_idx])
+        vec[_PAIRS] += len(t_pairs) + rng.poisson(self.lost_pair_rate * iv.total_length(windows))
         herald_t = t_pairs + cfg.link.delay
-        rng = _stream(cfg.seed, _S_CORRELATION, b)
-        signal_t = herald_t + pair_delays(cfg.source, len(t_pairs), rng)
+        signal_t = herald_t[signal_ok]
+        signal_t += pair_delays(cfg.source, len(signal_t), _stream(cfg.seed, _S_CORRELATION, b))
 
-        h_times = self.herald_arm(b, windows, herald_t, mode_idx, vec)
-        det_t, det_org = self.signal_arm(b, windows, h_times, signal_t, mode_idx, vec)
+        h_times = self.herald_arm(b, windows, herald_t[herald_ok], vec)
+        det_t, det_org = self.signal_arm(b, windows, h_times, signal_t, mode_idx[signal_ok], vec)
 
         # histogram and the per-herald noise flux into the echo window
         accumulate_histogram(hist, h_times, det_t)
@@ -208,32 +234,26 @@ class _Engine:
             hi_i = np.searchsorted(h_times, noise_t - w0, side="right")
             vec[_NOISE_IN_ECHO] += int(np.sum(hi_i - lo_i))
 
-    def herald_arm(self, b, windows, herald_t, mode_idx, vec) -> np.ndarray:
-        """Fiber, conversion, herald-arm noise and detection; the sorted
+    def herald_arm(self, b, windows, pair_t, vec) -> np.ndarray:
+        """Herald-arm noise and detection of the pair heralds that survived
+        the fiber, the converter and the detector efficiency; the sorted
         detected herald times."""
         cfg = self.cfg
         det = cfg.detectors.herald
-        keep = fiber_passes(cfg.link, len(herald_t), _stream(cfg.seed, _S_FIBER_H, b))
-        rng = _stream(cfg.seed, _S_CONVERT_H, b)
-        keep &= conversion_passes(cfg.converter, self.mode_offsets, mode_idx, rng)
-
         # herald-arm noise is drawn directly at its detected rate (exact
         # thinning of the beam-splitter share by the detector efficiency),
         # sorted and without jitter (see the module docstring)
         rate = 0.5 * cfg.converter.noise_rate * det.efficiency
         noise = iv.sample_poisson(windows, rate, _stream(cfg.seed, _S_HERALD_NOISE, b))
-        # the pair heralds are thinned here, on the detector's stream, so that
-        # detect builds their origin column only for the survivors
         rng = _stream(cfg.seed, _S_HERALD_DETECT, b)
-        pair = herald_t[keep]
-        pair = pair[rng.random(len(pair)) < det.efficiency]
-        h_times, h_org = detect(pair, 1.0, det, windows, rng, _origins(pair), noise=noise)
+        h_times, h_org = detect(pair_t, 1.0, det, windows, rng, _origins(pair_t), noise=noise)
         _tally(vec, _HERALD_ORIGIN, _N_ORIGIN, h_org)
         return h_times
 
     def signal_arm(self, b, windows, h_times, signal_t, mode_idx, vec):
-        """Gate, fiber, conversion, signal-arm noise, lock residual, memory and
-        detection; the in-window detection times (sorted) and origins."""
+        """Gate, signal-arm noise, lock residual, memory and detection of the
+        signal photons that survived the fiber and the converter; the
+        in-window detection times (sorted) and origins."""
         cfg = self.cfg
         # gate geometry commanded by the detected heralds, and the
         # herald-relative intervals inside which signal-arm events can still
@@ -243,14 +263,10 @@ class _Engine:
             h_times + cfg.histogram.tau_min - cfg.memory.max_delay, h_times + cfg.histogram.tau_max
         )
 
-        # pair photons through fiber, converter, gate
-        keep = fiber_passes(cfg.link, len(signal_t), _stream(cfg.seed, _S_FIBER_S, b))
-        rng = _stream(cfg.seed, _S_CONVERT_S, b)
-        keep &= conversion_passes(cfg.converter, self.mode_offsets, mode_idx, rng)
-        s_t, s_off = signal_t[keep], self.mode_offsets[mode_idx[keep]]
+        # pair photons through the gate
         rng = _stream(cfg.seed, _S_GATE_LEAK, b)
-        passes = gate_passes(s_t, windows, closed, cfg.shutter.extinction, rng)
-        s_t, s_off = s_t[passes], s_off[passes]
+        passes = gate_passes(signal_t, windows, closed, cfg.shutter.extinction, rng)
+        s_t, s_off = signal_t[passes], self.mode_offsets[mode_idx[passes]]
 
         # converter noise (beam-splitter share) at full rate, thinned by the same gate
         rng = _stream(cfg.seed, _S_SIGNAL_NOISE, b)

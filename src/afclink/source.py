@@ -14,6 +14,7 @@ creation time and the signal member ``pair_delays`` later.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -69,6 +70,23 @@ class SourceConfig:
 
     def mode_offsets(self) -> np.ndarray:
         return tpc_mode_offsets(self.n_modes, self.fsr)
+
+    def thinned(self, keep: np.ndarray) -> "SourceConfig":
+        """The source of the pairs that are kept, each independently with
+        probability ``keep[m]`` on its mode m.
+
+        A thinned Poisson process is again Poisson (Kingman, *Poisson
+        Processes*, 1993, sec. 5.1): the kept pairs arrive at
+        ``total_pair_rate * sum(w * keep)`` with modes weighted by
+        ``w * keep``.  When nothing can be kept the rate is 0 and the
+        weights stay as they are."""
+        w = self.weights() * np.asarray(keep, dtype=np.float64)
+        total = float(w.sum())
+        if total == 0.0:
+            return dataclasses.replace(self, total_pair_rate=0.0)
+        return dataclasses.replace(
+            self, total_pair_rate=self.total_pair_rate * total, mode_weights=tuple(w / total)
+        )
 
 
 def sample_pairs(

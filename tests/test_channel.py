@@ -9,7 +9,6 @@ from afclink.channel import (
     FiberLink,
     ShutterSchedule,
     as_closures,
-    conversion_passes,
     fiber_passes,
     gate_passes,
 )
@@ -53,16 +52,17 @@ def test_loss_composes_over_segments():
     assert via_two.sum() / n == pytest.approx(via_one.sum() / n, abs=4 * sigma)
 
 
-def _on_modes(offsets):
-    """Mode table and per-photon mode index for photons at ``offsets``."""
+def _converted(cfg, offsets, rng):
+    """Conversion survival mask of photons at ``offsets``: one uniform per
+    photon against the per-mode ``conversion_probability``."""
     modes, idx = np.unique(np.asarray(offsets, dtype=float), return_inverse=True)
-    return modes, idx
+    return rng.random(len(idx)) < cfg.conversion_probability(modes)[idx]
 
 
 def test_convert_survival_on_resonance():
     cfg = ConverterConfig()
     n = 100_000
-    keep = conversion_passes(cfg, *_on_modes(np.zeros(n)), np.random.default_rng(2))
+    keep = _converted(cfg, np.zeros(n), np.random.default_rng(2))
     sigma = math.sqrt(0.558 * 0.442 / n)
     assert keep.sum() / n == pytest.approx(0.558, abs=3 * sigma)
 
@@ -74,7 +74,7 @@ def test_convert_window_half_maximum_and_edges():
     # the outermost multiplexed mode barely notices the window
     assert cfg.window_transmission(1.4064e9) == pytest.approx(0.9966, abs=2e-4)
     n = 50_000
-    keep = conversion_passes(cfg, *_on_modes(np.full(n, 20e9)), np.random.default_rng(3))
+    keep = _converted(cfg, np.full(n, 20e9), np.random.default_rng(3))
     p = 0.558 * 0.5
     sigma = math.sqrt(p * (1 - p) / n)
     assert keep.sum() / n == pytest.approx(p, abs=3 * sigma)
@@ -83,11 +83,11 @@ def test_convert_window_half_maximum_and_edges():
 def test_convert_preserves_times_and_offsets():
     cfg = ConverterConfig()
     t = np.linspace(0, 1, 5000)
-    modes, idx = _on_modes(np.linspace(-1e9, 1e9, 5000))
-    keep = conversion_passes(cfg, modes, idx, np.random.default_rng(4))
+    offsets = np.linspace(-1e9, 1e9, 5000)
+    keep = _converted(cfg, offsets, np.random.default_rng(4))
     assert keep.shape == t.shape
     assert np.all(np.isin(t[keep], t))
-    assert np.all(np.isin(modes[idx[keep]], modes))
+    assert np.all(np.isin(offsets[keep], offsets))
 
 
 def test_noise_rate_at_reference_power():

@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import os
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ from scipy.integrate import quad
 
 from afclink import calibrate, cli, pipeline
 from afclink.calibrate import CalibrationError, calibrate_rate, sweep, sweep_csv
+from afclink.channel import ConverterConfig
 from afclink.cli import main as cli_main
 from afclink.config import (
     LockSettings,
@@ -188,14 +190,14 @@ def test_run_deterministic_byte_identical():
 # report format) updates the constants and says so in CHANGES.md.
 _PINNED_PAYLOADS = {
     "smoke": {
-        "report.json": "3004a3a62764ace6ef825a105dec41001a3c2dae9bf4453a85fc1d3785c8c488",
-        "histogram.csv": "bdb3b30388f62a6ed6f55e7e389a0acb09b370ebf6775e95a263d5b8ce5c899e",
-        "summary.csv": "ef4abffb11e102ba7ab90fda3fceb8b3127cdd519485d38d556588c39ad65452",
+        "report.json": "f2324ac970235efac76f581331a311f27e7dfe00ad001986faa68890d42a4df6",
+        "histogram.csv": "d831aaa1d3057c01f02b1d4d51c9c4fc1101b23534ba211674e7cb7d9701fa54",
+        "summary.csv": "41828001c5866cae8e60431c5f06961c7c42f3aa0a3c666b85e5a0e336494073",
     },
     "pair_rich_30s": {
-        "report.json": "bd6916dc14f316534d47ad890045fb8b3eb4dadbdd0f9fa696dbcf57845df8cd",
-        "histogram.csv": "b2fe9667bc4a56fe55640f3e7bfe1614e7b18d7d4f65098deeeddbfe46ffaae6",
-        "summary.csv": "0ed24632abd8bd946a17aa9f9164ae51e83e1ebb5451f8f4b1e181e513dc52f7",
+        "report.json": "2f1a60467496a48e71d3683015e4b748c3520d5dc1d878f3812a3375053166e0",
+        "histogram.csv": "e6e01c969aeeb68c863578c192f03281e3204fa1fa5d76aa646314def04376e0",
+        "summary.csv": "fc7ead99a66636fbea7440f27f1daf6a7595a90b5277823198369606c052490b",
     },
 }
 
@@ -245,6 +247,19 @@ def test_zero_rate_run_is_degenerate():
     assert rep.degenerate
     if rep.n_scaled is not None:
         assert abs(rep.s_counts - rep.n_scaled) < 3 * math.sqrt(rep.s_counts + rep.n_scaled) + 1
+
+
+def test_zero_conversion_still_counts_every_pair():
+    # no photon survives the converter, so the thinned source draws no pair;
+    # the discarded pairs are still counted, and nothing divides by zero
+    cfg = small_cfg(converter=ConverterConfig(efficiency=0.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = run_scenario(cfg)
+    expect = cfg.source.total_pair_rate * rep.transmission_time
+    assert rep.counts["pairs_generated"] == pytest.approx(expect, abs=5 * math.sqrt(expect))
+    assert rep.counts["heralds_by_origin"]["pair"] == 0
+    assert rep.counts["signal_by_origin"]["pair"] == 0
 
 
 def test_forced_lock_mismatch_kills_echo():

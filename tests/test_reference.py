@@ -7,12 +7,15 @@ of them, and the signal-arm noise goes through the gate, the memory and the
 detector together with the pair photons.  It composes the engine's stage
 kernels and nothing else of ``pipeline``.
 
-``pipeline.run_raw`` takes three shortcuts on the same link: herald noise
+``pipeline.run_raw`` takes four shortcuts on the same link: herald noise
 drawn at its detected rate (and sorted, without jitter), signal-arm noise
-drawn only on ``windows ∩ rel``, and independent batches.  Pooled over
-several seeds, the histogram in each delay band, the echo-window noise count
-and the origin counters of both must agree within the bound fixed below,
-which was chosen before any comparison was run.
+drawn only on ``windows ∩ rel``, independent batches, and a source thinned
+to the pairs with at least one photon past the fiber, the converter and (for
+the herald) the detector efficiency, the others only counted.  Pooled over
+several seeds, the histogram in each delay band, the echo-window noise
+count, the pair count, the pair photons' memory outcomes and the origin
+counters of both must agree within the bound fixed below, which was chosen
+before any comparison was run.
 """
 
 import dataclasses
@@ -23,7 +26,7 @@ import numpy as np
 
 from afclink import intervals as iv
 from afclink import pipeline
-from afclink.channel import as_closures, conversion_passes, fiber_passes, gate_passes
+from afclink.channel import as_closures, fiber_passes, gate_passes
 from afclink.config import LockSettings, load_bundled_scenario
 from afclink.detection import (
     ORIGIN_CONVERSION_NOISE,
@@ -33,7 +36,7 @@ from afclink.detection import (
     accumulate_histogram,
     detect,
 )
-from afclink.memory import KIND_ECHO, KIND_LOST, KIND_PROMPT, exit_times, storage_branches
+from afclink.memory import KIND_ECHO, KIND_LOST, KIND_OUT_OF_BAND, KIND_PROMPT, exit_times, storage_branches
 from afclink.source import pair_delays, sample_pairs
 
 #: pre-registered bound on |z| of every pooled comparison
@@ -63,6 +66,7 @@ def reference_run(cfg, rng: np.random.Generator) -> tuple[np.ndarray, dict]:
     n_cycles = math.ceil(cfg.duration / cfg.shutter.cycle_period)
     windows = cfg.shutter.transmission_windows(0, n_cycles, cfg.duration)
     offsets = cfg.source.mode_offsets()
+    converted = cfg.converter.conversion_probability(offsets)
     arm_rate = 0.5 * cfg.converter.noise_rate
 
     t_pairs, mode_idx = sample_pairs(cfg.source, windows - cfg.link.delay, rng)
@@ -72,7 +76,7 @@ def reference_run(cfg, rng: np.random.Generator) -> tuple[np.ndarray, dict]:
     # herald arm: pair photons and every noise photon, all thinned and jittered
     # by the detector
     keep = fiber_passes(cfg.link, len(herald_t), rng)
-    keep &= conversion_passes(cfg.converter, offsets, mode_idx, rng)
+    keep &= rng.random(len(herald_t)) < converted[mode_idx]
     pair = herald_t[keep]
     noise = iv.sample_poisson(windows, arm_rate, rng)
     det = cfg.detectors.herald
@@ -83,7 +87,7 @@ def reference_run(cfg, rng: np.random.Generator) -> tuple[np.ndarray, dict]:
     # signal arm: pair photons and every noise photon through one gate test
     closed = as_closures(h_t, cfg.shutter)
     keep = fiber_passes(cfg.link, len(signal_t), rng)
-    keep &= conversion_passes(cfg.converter, offsets, mode_idx, rng)
+    keep &= rng.random(len(signal_t)) < converted[mode_idx]
     n_t = iv.sample_poisson(windows, arm_rate, rng)
     entry_t = np.concatenate([signal_t[keep], n_t])
     entry_off = np.concatenate([offsets[mode_idx[keep]], cfg.converter.noise_offsets(len(n_t), rng)])
@@ -94,6 +98,7 @@ def reference_run(cfg, rng: np.random.Generator) -> tuple[np.ndarray, dict]:
     mem = cfg.memory
     kinds = storage_branches(entry_off, mem.afc, mem.inhomogeneous, rng)
     exits = exit_times(entry_t, kinds, mem.afc, mem.slow_light_delay)
+    stored = kinds[entry_org == ORIGIN_PAIR]
     alive = kinds != KIND_LOST
     det = cfg.detectors.signal
     s_t, s_org, s_kind = detect(
@@ -109,6 +114,10 @@ def reference_run(cfg, rng: np.random.Generator) -> tuple[np.ndarray, dict]:
     tau_hi = np.searchsorted(h_t, s_t[s_org == ORIGIN_CONVERSION_NOISE] - w0, side="right")
     pair_kind = s_kind[s_org == ORIGIN_PAIR]
     counters = {
+        "pairs_generated": len(t_pairs),
+        "memory_echo": np.sum(stored == KIND_ECHO),
+        "memory_prompt": np.sum(stored == KIND_PROMPT),
+        "memory_out_of_band": np.sum(stored == KIND_OUT_OF_BAND),
         "herald_pair": np.sum(h_org == ORIGIN_PAIR),
         "herald_noise": np.sum(h_org == ORIGIN_CONVERSION_NOISE),
         "herald_dark": np.sum(h_org == ORIGIN_DARK_COUNT),
@@ -131,6 +140,10 @@ def engine_counters(c: dict) -> dict:
     reach the histogram, so its count is not comparable; the histogram and
     the echo-window count carry what it contributes."""
     return {
+        "pairs_generated": c["pairs_generated"],
+        "memory_echo": c["memory_outcomes"]["echo"],
+        "memory_prompt": c["memory_outcomes"]["prompt"],
+        "memory_out_of_band": c["memory_outcomes"]["out_of_band"],
         "herald_pair": c["heralds_by_origin"]["pair"],
         "herald_noise": c["heralds_by_origin"]["conversion_noise"],
         "herald_dark": c["heralds_by_origin"]["dark_count"],
@@ -164,6 +177,9 @@ def test_engine_matches_brute_force_reference():
         for k in e:
             eng[k] = eng.get(k, 0) + e[k]
             ref[k] = ref.get(k, 0) + r[k]
+    # every mode of this link lies inside the memory's band, so neither side
+    # may send a pair photon out of band; the rest are compared by z-score
+    assert eng.pop("memory_out_of_band") == ref.pop("memory_out_of_band") == 0
     z = {k: (eng[k] - ref[k]) / math.sqrt(eng[k] + ref[k]) for k in eng}
     table = "\n".join(f"{k:22s} {eng[k]:9d} {ref[k]:9d} {z[k]:+6.2f}" for k in eng)
     assert all(eng[k] + ref[k] > 0 for k in eng), table
