@@ -28,6 +28,10 @@ from .memory import AFCConfig, InhomogeneousProfile
 from .source import SourceConfig
 
 
+_REACH_SIGMAS = 8  # jitter sigmas of margin on both sides of the signal reach
+_MAX_RATE_DEAD_TIME = 1e-2  # largest signal click rate x dead time the reach covers
+
+
 class ScenarioError(ValueError):
     """Invalid scenario configuration; ``field`` names the offending entry."""
 
@@ -48,9 +52,9 @@ class MemorySettings:
 
     @property
     def max_delay(self) -> float:
-        """Widest delay a photon can pick up in the memory before detection:
-        storage time plus slow-light delay, with a 100 ns margin."""
-        return self.afc.storage_time + self.slow_light_delay + 100e-9
+        """Widest delay a photon can pick up in the memory: storage time plus
+        slow-light delay (``ScenarioConfig.signal_reach`` adds the margins)."""
+        return self.afc.storage_time + self.slow_light_delay
 
 
 @dataclass(frozen=True)
@@ -105,19 +109,40 @@ class ScenarioConfig:
         object.__setattr__(self, "memory", replace(
             self.memory, afc=replace(self.memory.afc, mode_offsets=offsets)
         ))
+        # the signal reach covers one dead time of shadowing; chains of
+        # dead times are second order in click rate x dead time (Mueller,
+        # Nucl. Instrum. Methods 112, 1973, 47), so that product must stay
+        # small at the signal detector's highest click rate
+        det = self.detectors.signal
+        r_max = det.efficiency * (
+            0.5 * self.converter.noise_rate
+            + self.source.total_pair_rate * self.link.survival_probability * self.converter.efficiency
+        ) + det.dark_rate
+        if r_max * det.dead_time > _MAX_RATE_DEAD_TIME:
+            raise ScenarioError(
+                "detectors.signal.dead_time",
+                f"highest click rate {r_max:.4g}/s x dead time is {r_max * det.dead_time:.3g}, "
+                f"above {_MAX_RATE_DEAD_TIME:g}",
+            )
         # the engine runs batches of cycles independently; that drops nothing
-        # only while no coincidence or dead time reaches across the
-        # preparation phase that separates two batches
-        reach = (
-            self.histogram.tau_max - self.histogram.tau_min + self.memory.max_delay
-            + max(self.detectors.herald.dead_time, self.detectors.signal.dead_time)
-        )
+        # only while the preparation phase between two outlasts the signal
+        # reach plus a herald dead time
+        lo, hi = self.signal_reach
+        reach = hi - lo + self.detectors.herald.dead_time
         if not self.shutter.prep_duration > reach:
             raise ScenarioError(
                 "shutter.prep_duration",
-                f"must exceed the {reach:.4g} s coincidence and dead-time reach "
-                "(tau_max - tau_min + memory delay + dead time)",
+                f"must exceed the {reach:.4g} s signal reach plus herald dead time",
             )
+
+    @property
+    def signal_reach(self) -> tuple[float, float]:
+        """Herald-relative memory-entry times from which a signal-arm photon
+        can still reach the histogram: ``tau_min`` less the memory delay, one
+        signal dead time and 8 jitter sigmas, to ``tau_max`` plus 8 sigmas."""
+        det, h = self.detectors.signal, self.histogram
+        margin = _REACH_SIGMAS * det.jitter_sigma
+        return (h.tau_min - self.memory.max_delay - det.dead_time - margin, h.tau_max + margin)
 
     def with_mode_count(self, n_modes: int) -> "ScenarioConfig":
         """Same scenario with a different multiplexing count and uniform mode

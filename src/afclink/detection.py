@@ -43,6 +43,10 @@ class SPDConfig:
         if self.dark_rate < 0 or self.dead_time < 0 or self.jitter_fwhm < 0:
             raise ValueError("dark_rate, dead_time and jitter_fwhm must be >= 0")
 
+    @property
+    def jitter_sigma(self) -> float:
+        return self.jitter_fwhm / (2.0 * math.sqrt(2.0 * math.log(2.0)))
+
 
 def dead_time_filter(times: np.ndarray, dead_time: float) -> np.ndarray:
     """Boolean keep-mask implementing a non-paralyzable dead time on sorted times.
@@ -118,8 +122,7 @@ def detect(
         t = times
         cols = list(cols)
     if spd.jitter_fwhm > 0 and len(t):
-        sigma = spd.jitter_fwhm / (2.0 * math.sqrt(2.0 * math.log(2.0)))
-        t = t + sigma * rng.standard_normal(len(t))
+        t = t + spd.jitter_sigma * rng.standard_normal(len(t))
     darks = iv.sample_poisson(windows, spd.dark_rate, rng)
     if len(darks):
         t = np.concatenate([t, darks])

@@ -305,10 +305,10 @@ def _exact_step_operators(A: np.ndarray, b: np.ndarray, Q: np.ndarray, dt: float
         m = m + M @ m
         M = M @ M
 
-    # covariance can be singular (zero-noise lasers); use an eigh-based factor
+    # C can be singular (zero-noise lasers): the symmetric root, not Cholesky
     w, V = np.linalg.eigh(C)
     w = np.clip(w, 0.0, None)
-    L = V * np.sqrt(w)
+    L = (V * np.sqrt(w)) @ V.T
     return M, m, L
 
 

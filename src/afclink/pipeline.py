@@ -45,19 +45,18 @@ therefore materializes noise exactly where it can matter:
   Signal-arm noise keeps its jitter: there the intensity has edges every
   microsecond (``rel`` and the gate), aligned with the histogram's.
 - signal-arm noise is generated at full rate on ``windows ∩ rel``, the
-  transmission windows restricted to the union of herald-relative windows
-  wide enough to cover every memory delay, and then thinned by the same
-  gate test the pair photons get (pass where the gate is open, else with
-  probability ``extinction``).
+  transmission windows restricted to ``ScenarioConfig.signal_reach`` around
+  each herald, and joins the pair photons in one gate test (pass where the
+  gate is open, else with probability ``extinction``).
 
 Besides the window-edge effect above, the only approximation this leaves is
-dead-time shadowing by detections that could never reach the histogram; at
-the configured rates that is a relative bias below 1e-3, far inside every
-statistical tolerance.  ``tests/test_reference.py`` checks these shortcuts
-against a brute-force run that materializes every noise photon.  Detection is
-active only during transmission phases (the preparation light makes the
-detectors unusable during pit burning), so preparation-phase photons are
-dropped at source.
+a dead-time chain longer than the one dead time the reach covers, second
+order in click rate x dead time (Müller 1973), which ``ScenarioConfig``
+caps at 1e-2 (flagship: 5.2e-4).  ``tests/test_reference.py`` checks these
+shortcuts against a brute-force run that materializes every noise photon.
+Detection is active only during transmission phases (the preparation light
+makes the detectors unusable during pit burning), so preparation-phase
+photons are dropped at source.
 
 Randomness is split into one stream per (stage, batch): an SFC64 generator
 seeded from its own ``SeedSequence`` spawn key ``(stage, batch)``.  Toggling
@@ -102,10 +101,9 @@ _S_CORRELATION = 2
 _S_HERALD_NOISE = 3
 _S_HERALD_DETECT = 4
 _S_SIGNAL_NOISE = 5
-_S_NOISE_GATE = 6
-_S_GATE_LEAK = 7
-_S_MEMORY = 8
-_S_SIGNAL_DETECT = 9
+_S_GATE_LEAK = 6  # the one gate test of pair photons and signal-arm noise
+_S_MEMORY = 7
+_S_SIGNAL_DETECT = 8
 
 # slots of a chunk's count vector: two blocks indexed by the ORIGIN_* codes,
 # two indexed by the KIND_* codes, then two scalars
@@ -251,33 +249,23 @@ class _Engine:
         return h_times
 
     def signal_arm(self, b, windows, h_times, signal_t, mode_idx, vec):
-        """Gate, signal-arm noise, lock residual, memory and detection of the
+        """Signal-arm noise, gate, lock residual, memory and detection of the
         signal photons that survived the fiber and the converter; the
         in-window detection times (sorted) and origins."""
         cfg = self.cfg
-        # gate geometry commanded by the detected heralds, and the
-        # herald-relative intervals inside which signal-arm events can still
-        # reach the histogram after any memory delay
-        closed = as_closures(h_times, cfg.shutter)
-        rel = iv.as_interval_set(
-            h_times + cfg.histogram.tau_min - cfg.memory.max_delay, h_times + cfg.histogram.tau_max
-        )
-
-        # pair photons through the gate
-        rng = _stream(cfg.seed, _S_GATE_LEAK, b)
-        passes = gate_passes(signal_t, windows, closed, cfg.shutter.extinction, rng)
-        s_t, s_off = signal_t[passes], self.mode_offsets[mode_idx[passes]]
-
-        # converter noise (beam-splitter share) at full rate, thinned by the same gate
+        # converter noise (beam-splitter share) at full rate on the reach, and
+        # one gate test, commanded by the heralds, for it and the pair photons
+        lo, hi = cfg.signal_reach
+        rel = iv.as_interval_set(h_times + lo, h_times + hi)
         rng = _stream(cfg.seed, _S_SIGNAL_NOISE, b)
         n_t = iv.sample_poisson(iv.intersect(windows, rel), 0.5 * cfg.converter.noise_rate, rng)
-        rng_gate = _stream(cfg.seed, _S_NOISE_GATE, b)
-        n_t = n_t[gate_passes(n_t, windows, closed, cfg.shutter.extinction, rng_gate)]
-        n_off = cfg.converter.noise_offsets(len(n_t), rng)
-
-        entry_t = np.concatenate([s_t, n_t])
-        entry_off = np.concatenate([s_off, n_off])
-        entry_org = _origins(s_t, n_t)
+        entry_off = np.concatenate([self.mode_offsets[mode_idx], cfg.converter.noise_offsets(len(n_t), rng)])
+        entry_t = np.concatenate([signal_t, n_t])
+        entry_org = _origins(signal_t, n_t)
+        closed = as_closures(h_times, cfg.shutter)
+        rng = _stream(cfg.seed, _S_GATE_LEAK, b)
+        passes = gate_passes(entry_t, windows, closed, cfg.shutter.extinction, rng)
+        entry_t, entry_off, entry_org = entry_t[passes], entry_off[passes], entry_org[passes]
         if self.lock_result is not None:
             # the lock-chain residual shifts every photon against the comb
             entry_off = entry_off + self.lock_result.residual_at(entry_t)

@@ -132,8 +132,9 @@ def test_malformed_document_rejected_with_path(path, value, field):
 
 def test_prep_phase_shorter_than_batch_edge_reach_rejected():
     # batches run independently, which is exact only while the preparation
-    # phase between them outlasts every coincidence and dead-time reach
-    # (tau_max - tau_min + memory delay + dead time, about 2.8 us here)
+    # phase between them outlasts the signal reach (tau_max - tau_min +
+    # memory delay + signal dead time + 16 jitter sigmas) plus the herald
+    # dead time, about 2.72 us here
     d = scenario_to_dict(load_bundled_scenario("multiplexed_25mode_10km"))
     d["shutter"]["prep_duration"] = 2e-6
     with pytest.raises(ScenarioError) as err:
@@ -141,6 +142,22 @@ def test_prep_phase_shorter_than_batch_edge_reach_rejected():
     assert err.value.field == "shutter.prep_duration"
     d["shutter"]["prep_duration"] = 4e-6
     assert scenario_from_dict(d).shutter.prep_duration == 4e-6
+
+
+@pytest.mark.parametrize("dead_time", [1e-6, 5e-6])
+def test_signal_dead_time_beyond_the_reach_rejected(dead_time):
+    # the signal reach covers one dead time of shadowing, which holds while
+    # the signal detector's highest click rate r_max keeps r_max x dead time
+    # <= 1e-2; at the reference slice's rates (5x converter noise, 2e4
+    # pairs/s) that product is 2.7e-3 at 50 ns, 0.054 at 1 us, 0.27 at 5 us
+    d = scenario_to_dict(load_bundled_scenario("multiplexed_25mode_10km"))
+    d["converter"]["noise_rate_ref"] *= 5
+    d["source"]["total_pair_rate"] = 2e4
+    assert scenario_from_dict(d).detectors.signal.dead_time == 50e-9
+    d["detectors"]["signal"]["dead_time"] = dead_time
+    with pytest.raises(ScenarioError) as err:
+        scenario_from_dict(d)
+    assert err.value.field == "detectors.signal.dead_time"
 
 
 def test_bundled_scenarios_load():
@@ -190,14 +207,14 @@ def test_run_deterministic_byte_identical():
 # report format) updates the constants and says so in CHANGES.md.
 _PINNED_PAYLOADS = {
     "smoke": {
-        "report.json": "f2324ac970235efac76f581331a311f27e7dfe00ad001986faa68890d42a4df6",
-        "histogram.csv": "d831aaa1d3057c01f02b1d4d51c9c4fc1101b23534ba211674e7cb7d9701fa54",
-        "summary.csv": "41828001c5866cae8e60431c5f06961c7c42f3aa0a3c666b85e5a0e336494073",
+        "report.json": "2e1f60f86f66bc6b64c6a0dd1f8816141f9dbae6577bce96de6c25768b99e8e9",
+        "histogram.csv": "8712fdb39273fc40184c148a1c8b587f6d6f4a58e9ba18b794b26a2ebafd91f8",
+        "summary.csv": "c63dddbde2c977eb25fbd9babfbfb5578a5a7e6a61c694a42608bc766f0cea7b",
     },
     "pair_rich_30s": {
-        "report.json": "2f1a60467496a48e71d3683015e4b748c3520d5dc1d878f3812a3375053166e0",
-        "histogram.csv": "e6e01c969aeeb68c863578c192f03281e3204fa1fa5d76aa646314def04376e0",
-        "summary.csv": "fc7ead99a66636fbea7440f27f1daf6a7595a90b5277823198369606c052490b",
+        "report.json": "3eddfb231c516c74f6268b15f99713e5fa4a7541c4d20ec2c7de6f07f3222fbf",
+        "histogram.csv": "a34dd95c96c51db473a5452c0002db66b56bbd4f202a8bbb331311b53f7a179a",
+        "summary.csv": "96b714d0395053fca3f8ba5d4329c78af949129708ee8977e9b692c28f1c2898",
     },
 }
 
@@ -462,12 +479,24 @@ def test_calibrate_quadruples_on_nonpositive_peaks(monkeypatch):
 
 
 def test_calibrate_error_lists_every_evaluation(monkeypatch):
-    calls = _fake_peaks(monkeypatch, lambda r: 10.0)
+    # a peak stuck above the target: the rate keeps falling and never lands
+    calls = _fake_peaks(monkeypatch, lambda r: 200.0)
     with pytest.raises(CalibrationError) as err:
         calibrate_rate(small_cfg(), 74.0)
     assert len(calls) == 12
     assert str(err.value).count("rate=") == 12
-    assert all(f"rate={c[0]:.3g} -> peak=10" in str(err.value) for c in calls)
+    assert all(f"rate={c[0]:.3g} -> peak=200" in str(err.value) for c in calls)
+
+
+def test_calibrate_stops_at_a_rate_the_signal_reach_cannot_cover(monkeypatch):
+    # a peak stuck below the target: the rate climbs about 6.5x per step until
+    # the signal detector's click rate x dead time passes 1e-2 (above about
+    # 1.08e6 pairs/s here), and the scenario at that rate is refused, not run
+    calls = _fake_peaks(monkeypatch, lambda r: 10.0)
+    with pytest.raises(ScenarioError) as err:
+        calibrate_rate(small_cfg(), 74.0)
+    assert err.value.field == "detectors.signal.dead_time"
+    assert 1 < len(calls) < 12 and max(c[0] for c in calls) < 1.08e6
 
 
 def test_calibrate_converges_and_is_linear():

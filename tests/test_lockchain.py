@@ -12,6 +12,7 @@ from afclink.lockchain import (
     RfOffsets,
     ServoModel,
     _exact_step_operators,
+    _system_matrices,
     comb_lock,
     matching_residual,
     simulate_lock_run,
@@ -173,6 +174,20 @@ def test_exact_step_operators_analytic_cases():
     assert np.allclose(np.diag(M), np.exp(-lam * 0.7))
     want = np.diag(Q) * (1 - np.exp(-2 * lam * 0.7)) / (2 * lam)
     assert np.allclose(np.diag(L @ L.T), want, rtol=1e-8)
+
+
+@pytest.mark.parametrize("servos", ["locked", "off"])
+def test_noise_factor_moves_only_by_rounding(servos):
+    # a few ulps in A and Q move the step covariance only by rounding; the
+    # factor must follow it, whatever signs eigh gives the eigenvectors
+    cfg = LockChainConfig() if servos == "locked" else LockChainConfig().with_servos_disabled()
+    A, b, Q = _system_matrices(cfg)
+    L = _exact_step_operators(A, b, Q, dt=1.0)[2]
+    rng = np.random.default_rng(12)
+    for _ in range(20):
+        A2, Q2 = (x * (1.0 + 4 * np.finfo(float).eps * rng.uniform(-1, 1, x.shape)) for x in (A, Q))
+        L2 = _exact_step_operators(A2, b, Q2, dt=1.0)[2]
+        assert np.linalg.norm(L2 - L) < 1e-12 * np.linalg.norm(L)
 
 
 def test_simulate_zero_noise_residual_identically_zero():

@@ -1,5 +1,8 @@
 """Engine-level checks of the noise shortcuts in ``pipeline._Engine``."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 
 from afclink import intervals as iv
@@ -48,9 +51,8 @@ def test_gate_thinned_signal_noise_matches_gate_strata(monkeypatch):
             windows = cfg.shutter.transmission_windows(lo, hi, cfg.duration)
             span = (float(windows[0, 0]), float(windows[-1, 1]))
             closed = iv.intersect(windows, as_closures(h, cfg.shutter))
-            rel = iv.as_interval_set(
-                h + cfg.histogram.tau_min - cfg.memory.max_delay, h + cfg.histogram.tau_max
-            )
+            lo, hi = cfg.signal_reach
+            rel = iv.as_interval_set(h + lo, h + hi)
             open_rel = iv.intersect(iv.intersect(windows, rel), iv.complement(closed, span))
             in_open, in_closed = iv.contains(open_rel, t), iv.contains(closed, t)
             assert np.all(in_open ^ in_closed)
@@ -65,3 +67,22 @@ def test_gate_thinned_signal_noise_matches_gate_strata(monkeypatch):
     z = (totals[:, 0] - totals[:, 1]) / np.sqrt(totals[:, 1])
     assert np.all(np.abs(z) < 4), (totals, z)
     assert totals[1, 1] > 1000  # the closed stratum is resolved
+
+
+def test_every_stage_draws_from_its_own_stream():
+    # two stages that share a stage id would share draws without any error:
+    # every _S_* id must be distinct and name the stage of exactly one
+    # _stream or _derived_seed call, and every such call must name one
+    tree = ast.parse(Path(pipeline.__file__).read_text(encoding="utf-8"))
+    ids = {
+        target.id: node.value.value
+        for node in tree.body if isinstance(node, ast.Assign)
+        for target in node.targets if isinstance(target, ast.Name) and target.id.startswith("_S_")
+    }
+    assert len(ids) >= 2 and len(set(ids.values())) == len(ids), ids
+    stages = [
+        node.args[1] for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("_stream", "_derived_seed")
+    ]
+    assert all(isinstance(s, ast.Name) for s in stages), [ast.dump(s) for s in stages]
+    assert sorted(s.id for s in stages) == sorted(ids)
