@@ -42,6 +42,10 @@ def measure_echo_peak(
 _MAX_EVALUATIONS = 12
 
 
+def _listing(evals: list[tuple[float, float]]) -> str:
+    return "evaluations: " + ", ".join(f"rate={r:.3g} -> peak={m:.3g}" for r, m in evals)
+
+
 def calibrate_rate(
     cfg: ScenarioConfig,
     target_peak_counts: float,
@@ -59,7 +63,8 @@ def calibrate_rate(
     the peak statistic is linear in the rate (see ``measure_echo_peak``), so
     pooling the runs averages their scatter out of the step.  While that
     slope is not positive the rate quadruples instead.  Raises
-    CalibrationError listing every evaluation after 12 misses.
+    CalibrationError listing every evaluation after 12 misses, or when the
+    scenario refuses a proposed rate (naming the refused field).
     """
     if target_peak_counts <= 0:
         raise CalibrationError("target_peak_counts must be > 0")
@@ -69,19 +74,24 @@ def calibrate_rate(
 
     evals: list[tuple[float, float]] = []
     for k in range(_MAX_EVALUATIONS):
+        try:
+            run_cfg = cfg.with_rate(rate)
+        except ScenarioError as exc:
+            raise CalibrationError(
+                f"the scenario refuses the proposed rate {rate:.3g} ({exc}); {_listing(evals)}"
+            ) from exc
         peak = measure_echo_peak(
-            cfg.with_rate(rate), seed=_derived_seed(cfg.seed, 7001, k),
+            run_cfg, seed=_derived_seed(cfg.seed, 7001, k),
             duration=calibration_duration, workers=workers,
         )
         evals.append((rate, peak))
         if abs(peak - target_peak_counts) <= rel_tol * target_peak_counts:
-            return cfg.with_rate(rate)
+            return run_cfg
         slope = sum(r * m for r, m in evals) / sum(r * r for r, _ in evals)
         rate = target_peak_counts / slope if slope > 0 else 4.0 * rate
     raise CalibrationError(
         f"no evaluation landed within +/-{rel_tol:.0%} of {target_peak_counts} "
-        f"in {_MAX_EVALUATIONS} evaluations; evaluations: "
-        + ", ".join(f"rate={r:.3g} -> peak={m:.3g}" for r, m in evals)
+        f"in {_MAX_EVALUATIONS} evaluations; {_listing(evals)}"
     )
 
 

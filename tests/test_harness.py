@@ -5,6 +5,8 @@ import hashlib
 import json
 import math
 import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -207,12 +209,12 @@ def test_run_deterministic_byte_identical():
 # report format) updates the constants and says so in CHANGES.md.
 _PINNED_PAYLOADS = {
     "smoke": {
-        "report.json": "2e1f60f86f66bc6b64c6a0dd1f8816141f9dbae6577bce96de6c25768b99e8e9",
+        "report.json": "0599a74c814df17a24309954bf1feac20c89aeec622e85e79f0eb1a100e5f214",
         "histogram.csv": "8712fdb39273fc40184c148a1c8b587f6d6f4a58e9ba18b794b26a2ebafd91f8",
         "summary.csv": "c63dddbde2c977eb25fbd9babfbfb5578a5a7e6a61c694a42608bc766f0cea7b",
     },
     "pair_rich_30s": {
-        "report.json": "3eddfb231c516c74f6268b15f99713e5fa4a7541c4d20ec2c7de6f07f3222fbf",
+        "report.json": "1db570633c305763652c337d89c104c5c4bb855be5b61ee81c76787e539a5464",
         "histogram.csv": "a34dd95c96c51db473a5452c0002db66b56bbd4f202a8bbb331311b53f7a179a",
         "summary.csv": "96b714d0395053fca3f8ba5d4329c78af949129708ee8977e9b692c28f1c2898",
     },
@@ -491,12 +493,25 @@ def test_calibrate_error_lists_every_evaluation(monkeypatch):
 def test_calibrate_stops_at_a_rate_the_signal_reach_cannot_cover(monkeypatch):
     # a peak stuck below the target: the rate climbs about 6.5x per step until
     # the signal detector's click rate x dead time passes 1e-2 (above about
-    # 1.08e6 pairs/s here), and the scenario at that rate is refused, not run
+    # 1.08e6 pairs/s here), and the scenario at that rate is refused, not run;
+    # the calibration says so, names the field and lists what it evaluated
     calls = _fake_peaks(monkeypatch, lambda r: 10.0)
-    with pytest.raises(ScenarioError) as err:
+    with pytest.raises(CalibrationError) as err:
         calibrate_rate(small_cfg(), 74.0)
-    assert err.value.field == "detectors.signal.dead_time"
+    assert isinstance(err.value.__cause__, ScenarioError)
+    assert "detectors.signal.dead_time" in str(err.value)
     assert 1 < len(calls) < 12 and max(c[0] for c in calls) < 1.08e6
+    assert str(err.value).count("rate=") == len(calls)
+    assert all(f"rate={c[0]:.3g} -> peak=10" in str(err.value) for c in calls)
+
+
+def test_cli_calibrate_refused_rate_is_calibration_error(tmp_path, capsys, monkeypatch):
+    _fake_peaks(monkeypatch, lambda r: 10.0)
+    code = cli_main(["calibrate", "--config", "multiplexed_25mode_10km_smoke", "--target-peak", "74",
+                     "--out", str(tmp_path)])
+    assert code == 3
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err["kind"] == "calibration" and "detectors.signal.dead_time" in err["message"]
 
 
 def test_calibrate_converges_and_is_linear():
@@ -622,6 +637,25 @@ def test_every_export_is_used_outside_tests():
                 names.discard(top.name)
             used |= names
     assert sorted(exported - used) == []
+
+
+def test_runtime_needs_numpy_alone():
+    # the package imports the standard library and numpy, nothing else, and
+    # loading it with its CLI pulls in no scipy; scipy is a test dependency
+    src = Path(__file__).resolve().parent.parent / "src"
+    imported = set()
+    for path in (src / "afclink").rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported |= {a.name.split(".")[0] for a in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    assert sorted(imported - set(sys.stdlib_module_names)) == ["numpy"]
+    probe = "import sys, afclink, afclink.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    pythonpath = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": pythonpath}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 # a place the benchmark's tracer names but the package no longer binds: the

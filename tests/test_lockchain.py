@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from afclink.lockchain import (
     BEAT,
@@ -174,6 +175,47 @@ def test_exact_step_operators_analytic_cases():
     assert np.allclose(np.diag(M), np.exp(-lam * 0.7))
     want = np.diag(Q) * (1 - np.exp(-2 * lam * 0.7)) / (2 * lam)
     assert np.allclose(np.diag(L @ L.T), want, rtol=1e-8)
+    # forced OU channels: the forcing column relaxes to b / lambda
+    b = np.array([30.0, -5.0, 100.0])
+    M, m, L = _exact_step_operators(A, b, Q, dt=0.7)
+    np.testing.assert_allclose(np.diag(M), np.exp(-lam * 0.7), rtol=1e-12, atol=0)
+    np.testing.assert_allclose(m, b * (1 - np.exp(-lam * 0.7)) / lam, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(np.diag(L @ L.T), want, rtol=1e-12, atol=0)
+
+
+def _scipy_step_operators(A, b, Q, dt):
+    """(M, m, C) built with two scipy exponentials: the forcing block
+    [[-A, b], [0, 0]] and the Van Loan block [[A, Q], [0, -A']], on the
+    same scaled step and doublings as ``_exact_step_operators``."""
+    scale = np.linalg.norm(A, ord=np.inf) * dt
+    k = max(0, int(np.ceil(np.log2(scale / 0.01)))) if scale > 0.01 else 0
+    h = dt / 2**k
+    aug = np.zeros((4, 4))
+    aug[:3, :3], aug[:3, 3] = -A, b
+    Maug = expm(aug * h)
+    M, m = Maug[:3, :3], Maug[:3, 3]
+    G = np.zeros((6, 6))
+    G[:3, :3], G[:3, 3:], G[3:, 3:] = A, Q, -A.T
+    F = expm(G * h)
+    C = F[3:, 3:].T @ F[:3, 3:]
+    for _ in range(k):
+        C = C + M @ C @ M.T
+        m = m + M @ m
+        M = M @ M
+    return M, m, 0.5 * (C + C.T)
+
+
+@pytest.mark.parametrize(
+    "servos, dt", [("locked", 1e-3), ("locked", 1.0), ("off", 1.0)], ids=["locked-1ms", "locked-1s", "off-1s"]
+)
+def test_step_operators_match_scipy_reference(servos, dt):
+    # the coupled servos, with the non-normal monitor row; at 1 ms the
+    # closed-loop M has not underflowed to 0
+    cfg = LockChainConfig() if servos == "locked" else LockChainConfig().with_servos_disabled()
+    A, b, Q = _system_matrices(cfg)
+    M, m, L = _exact_step_operators(A, b, Q, dt)
+    for got, want in zip((M, m, L @ L.T), _scipy_step_operators(A, b, Q, dt)):
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
 @pytest.mark.parametrize("servos", ["locked", "off"])
