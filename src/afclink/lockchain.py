@@ -26,6 +26,11 @@ monitor servo row, ``matching_residual`` and the telemetry of
 ``simulate_lock_run`` are all built from it.  The comb reference itself is
 treated as perfect.
 
+Every lock drives its beat error to zero: a comb lock holds its laser's
+error at 0 and the monitor lock holds the beat at ``rf.f_beat``, so the
+dynamics carry no forcing.  A lock point off its design value is an RF
+setting: it shows up through ``RfOffsets.mismatch`` in the residual.
+
 Long runs
 ---------
 ``simulate_lock_run`` samples the closed-loop network at the telemetry step
@@ -33,9 +38,9 @@ Long runs
 above 1 Hz, so an explicit Euler step at the telemetry rate cannot represent
 the loop (it is unstable for gain*dt > 2).  Instead each step applies the
 exact solution of the joint linear stochastic differential equation (one
-Van Loan block exponential for the mean, its forcing and the noise
-covariance), which is both faster and exact for any gain.  Free-running drift
-is the same run with every servo disabled.
+Van Loan block exponential for the transition and the noise covariance),
+which is both faster and exact for any gain.  Free-running drift is the same
+run with every servo gain at 0.
 """
 
 from __future__ import annotations
@@ -43,7 +48,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field, replace
-from typing import Literal, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -85,20 +90,18 @@ class RfOffsets:
 
 @dataclass(frozen=True)
 class DriftModel:
-    """Free-running frequency drift: random walk or Ornstein-Uhlenbeck.
+    """Free-running frequency drift: an Ornstein-Uhlenbeck process, which is
+    a random walk at ``reversion_rate`` 0.
 
-    ``sigma`` is the white-noise strength in Hz/sqrt(s); for the OU kind,
-    ``reversion_rate`` (1/s) pulls the error back toward zero and the
-    stationary standard deviation is sigma / sqrt(2 * reversion_rate).
+    ``sigma`` is the white-noise strength in Hz/sqrt(s); ``reversion_rate``
+    (1/s) pulls the error back toward zero, and above 0 the stationary
+    standard deviation is sigma / sqrt(2 * reversion_rate).
     """
 
-    kind: Literal["random_walk", "ou_process"] = "random_walk"
     sigma: float = 0.0
     reversion_rate: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in ("random_walk", "ou_process"):
-            raise ValueError(f"unknown drift kind {self.kind!r}")
         if self.sigma < 0:
             raise ValueError("sigma must be >= 0")
         if self.reversion_rate < 0:
@@ -107,16 +110,15 @@ class DriftModel:
 
 @dataclass(frozen=True)
 class ServoModel:
-    """First-order offset-lock loop holding a beat note at ``setpoint``."""
+    """First-order offset-lock loop pulling its beat error to zero at rate
+    ``gain`` (1/s); gain 0 leaves the loop open."""
 
-    setpoint: float
     gain: float
     residual_noise_rms: float = 0.0
-    enabled: bool = True
 
     def __post_init__(self):
-        if self.enabled and self.gain <= 0:
-            raise ValueError("enabled servo requires gain > 0")
+        if self.gain < 0:
+            raise ValueError("gain must be >= 0")
         if self.residual_noise_rms < 0:
             raise ValueError("residual_noise_rms must be >= 0")
 
@@ -155,57 +157,41 @@ def matching_residual(state: LaserNetworkState, rf: RfOffsets) -> float:
     return _residual(rf, [state.error(laser) for laser in DRIVEN_LASERS])
 
 
-def comb_lock(gain: float, residual_noise_rms: float = 0.0, enabled: bool = True) -> ServoModel:
-    """Offset lock of a laser to the frequency comb: in error coordinates the
-    measured beat is the laser error itself, so the setpoint is zero."""
-    return ServoModel(setpoint=0.0, gain=gain, residual_noise_rms=residual_noise_rms, enabled=enabled)
-
-
 def _default_drifts() -> dict[LaserId, DriftModel]:
     # Calibration, not a claim: free-running random walk sized so an unlocked
     # 12 h excursion is a few MHz (typical external-cavity diode laser scale).
-    return {laser: DriftModel("random_walk", sigma=15e3) for laser in DRIVEN_LASERS}
+    return {laser: DriftModel(sigma=15e3) for laser in DRIVEN_LASERS}
+
+
+def _default_lock() -> ServoModel:
+    return ServoModel(gain=2000.0, residual_noise_rms=200.0)
 
 
 def _default_comb_locks() -> dict[LaserId, ServoModel]:
-    return {
-        LaserId.TPC_PUMP_1514: comb_lock(gain=2000.0, residual_noise_rms=200.0),
-        LaserId.QM_MASTER_1212: comb_lock(gain=2000.0, residual_noise_rms=200.0),
-    }
+    return {laser: _default_lock() for laser in DRIVEN_LASERS[:2]}
 
 
 @dataclass(frozen=True)
 class LockChainConfig:
     """Complete description of the stabilization network for a long run.
 
-    The monitor lock's setpoint defaults to the configured beat frequency,
-    so changing ``rf.f_beat`` moves the lock point with it (as retuning the
-    offset-lock synthesizer would).
+    The monitor lock holds the beat at ``rf.f_beat``, so changing it moves
+    the lock point with it (as retuning the offset-lock synthesizer would).
     """
 
     rf: RfOffsets = field(default_factory=RfOffsets)
     drift: Mapping[LaserId, DriftModel] = field(default_factory=_default_drifts)
     comb_locks: Mapping[LaserId, ServoModel] = field(default_factory=_default_comb_locks)
-    monitor_lock: ServoModel | None = None
+    monitor_lock: ServoModel = field(default_factory=_default_lock)
 
     def __post_init__(self):
-        if self.monitor_lock is None:
-            object.__setattr__(
-                self,
-                "monitor_lock",
-                ServoModel(setpoint=self.rf.f_beat, gain=2000.0, residual_noise_rms=200.0),
-            )
         for laser in self.comb_locks:
             if laser not in (LaserId.TPC_PUMP_1514, LaserId.QM_MASTER_1212):
                 raise ValueError("comb locks act on the 1514 and 1212 nm lasers")
 
     def with_servos_disabled(self) -> "LockChainConfig":
-        locks = {k: replace(v, enabled=False) for k, v in self.comb_locks.items()}
-        return replace(
-            self,
-            comb_locks=locks,
-            monitor_lock=replace(self.monitor_lock, enabled=False),
-        )
+        locks = {k: replace(v, gain=0.0) for k, v in self.comb_locks.items()}
+        return replace(self, comb_locks=locks, monitor_lock=replace(self.monitor_lock, gain=0.0))
 
 
 @dataclass(frozen=True)
@@ -233,48 +219,36 @@ class LockRunResult:
 
 
 def _system_matrices(config: LockChainConfig):
-    """Drift matrix A, forcing b and noise covariance density Q of
-    dX = (-A X + b) dt + Sigma dW for X = (e_photon, e_qm_master, e_wc)."""
-    A = np.zeros((3, 3))
-    b = np.zeros(3)
-    q = np.zeros(3)
+    """Drift matrix A and noise covariance density Q of
+    dX = -A X dt + Sigma dW for X = (e_photon, e_qm_master, e_wc)."""
+    drifts = [config.drift.get(laser, DriftModel()) for laser in DRIVEN_LASERS]
+    A = np.diag(np.array([d.reversion_rate for d in drifts], float))
+    q = np.array([d.sigma**2 for d in drifts], float)
 
-    for i, laser in enumerate(DRIVEN_LASERS):
-        drift = config.drift.get(laser, DriftModel("random_walk", 0.0))
-        q[i] += drift.sigma**2
-        if drift.kind == "ou_process":
-            A[i, i] += drift.reversion_rate
+    # each servo pushes its laser against the beat error it measures: the
+    # laser's own error for a comb lock (none is an open loop), BEAT . X for
+    # the monitor lock
+    open_loop = ServoModel(gain=0.0)
+    locks = [config.comb_locks.get(laser, open_loop) for laser in DRIVEN_LASERS[:2]] + [config.monitor_lock]
+    for i, (servo, beat) in enumerate(zip(locks, (*np.eye(3)[:2], np.array(BEAT)))):
+        A[i] += servo.gain * beat
+        q[i] += 2.0 * servo.gain * servo.residual_noise_rms**2
 
-    for i, laser in enumerate(DRIVEN_LASERS[:2]):
-        servo = config.comb_locks.get(laser)
-        if servo is not None and servo.enabled:
-            A[i, i] += servo.gain
-            b[i] += servo.gain * servo.setpoint  # setpoint 0 for a comb lock
-            q[i] += 2.0 * servo.gain * servo.residual_noise_rms**2
-
-    mon = config.monitor_lock
-    if mon.enabled:
-        # beat error = BEAT . (e_photon, e_qm, e_wc) + (f_beat - setpoint)
-        A[2] += mon.gain * np.array(BEAT)
-        b[2] += -mon.gain * (config.rf.f_beat - mon.setpoint)
-        q[2] += 2.0 * mon.gain * mon.residual_noise_rms**2
-
-    return A, b, np.diag(q)
+    return A, np.diag(q)
 
 
-def _exact_step_operators(A: np.ndarray, b: np.ndarray, Q: np.ndarray, dt: float):
-    """Exact one-step transition (M, m) and noise factor L for the linear SDE.
+def _exact_step_operators(A: np.ndarray, Q: np.ndarray, dt: float):
+    """Exact one-step transition M and noise factor L for the linear SDE.
 
-    Mean update: x' = M x + m.  Noise: x' += L z with z standard normal.
-    The transition and the noise covariance C = int_0^dt e^(-As) Q e^(-A's) ds
-    are built by scaling and doubling.  On a step h with ||A h|| <= 0.01 one
-    Van Loan block exponential F = exp([[-A, Q, b], [0, A', 0], [0, 0, 0]] h)
-    gives M = F11, m = F13 and C = F12 M'; at that norm its Taylor sum of
-    degree 12 is exact to rounding, and Q and b, outside the diagonal of the
-    triangular block, do not slow it.  The steps are composed with
+    Update: x' = M x + L z with z standard normal.  The transition and the
+    noise covariance C = int_0^dt e^(-As) Q e^(-A's) ds are built by scaling
+    and doubling.  On a step h with ||A h|| <= 0.01 one Van Loan block
+    exponential F = exp([[-A, Q], [0, A']] h) gives M = F11 and C = F12 M';
+    at that norm its Taylor sum of degree 12 is exact to rounding, and Q,
+    outside the diagonal of the triangular block, does not slow it.  The
+    steps are composed with
 
-        M(2t) = M(t)^2,  m(2t) = (I + M(t)) m(t),
-        C(2t) = C(t) + M(t) C(t) M(t)'
+        M(2t) = M(t)^2,  C(2t) = C(t) + M(t) C(t) M(t)'
 
     which stays contractive for arbitrarily stiff servo gains.  Zero or
     singular A (servos disabled) needs no special casing.
@@ -283,27 +257,26 @@ def _exact_step_operators(A: np.ndarray, b: np.ndarray, Q: np.ndarray, dt: float
     k = max(0, int(math.ceil(math.log2(scale / 0.01)))) if scale > 0.01 else 0
     h = dt / 2**k
 
-    K = np.zeros((7, 7))
-    K[:3, :3], K[:3, 3:6], K[:3, 6], K[3:6, 3:6] = -A * h, Q * h, b * h, A.T * h
-    F = term = np.eye(7)
+    K = np.zeros((6, 6))
+    K[:3, :3], K[:3, 3:], K[3:, 3:] = -A * h, Q * h, A.T * h
+    F = term = np.eye(6)
     for j in range(1, 13):
         term = term @ K / j
         F = F + term
-    M, m = F[:3, :3], F[:3, 6]
-    C = F[:3, 3:6] @ M.T
+    M = F[:3, :3]
+    C = F[:3, 3:] @ M.T
     C = 0.5 * (C + C.T)
 
     for _ in range(k):
         C = C + M @ C @ M.T
         C = 0.5 * (C + C.T)
-        m = m + M @ m
         M = M @ M
 
     # C can be singular (zero-noise lasers): the symmetric root, not Cholesky
     w, V = np.linalg.eigh(C)
     w = np.clip(w, 0.0, None)
     L = (V * np.sqrt(w)) @ V.T
-    return M, m, L
+    return M, L
 
 
 def simulate_lock_run(
@@ -321,8 +294,7 @@ def simulate_lock_run(
     if duration <= 0 or dt <= 0:
         raise ValueError("duration and dt must be > 0")
     n_steps = int(round(duration / dt))
-    A, b, Q = _system_matrices(config)
-    M, m, L = _exact_step_operators(A, b, Q, dt)
+    M, L = _exact_step_operators(*_system_matrices(config), dt)
 
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     z = rng.standard_normal((n_steps, 3))
@@ -331,7 +303,7 @@ def simulate_lock_run(
     x = np.zeros(3)
     traj[0] = x
     for k in range(n_steps):
-        x = M @ x + m + L @ z[k]
+        x = M @ x + L @ z[k]
         traj[k + 1] = x
 
     t = dt * np.arange(n_steps + 1)

@@ -244,7 +244,7 @@ class _Engine:
         rate = 0.5 * cfg.converter.noise_rate * det.efficiency
         noise = iv.sample_poisson(windows, rate, _stream(cfg.seed, _S_HERALD_NOISE, b))
         rng = _stream(cfg.seed, _S_HERALD_DETECT, b)
-        h_times, h_org = detect(pair_t, 1.0, det, windows, rng, _origins(pair_t), noise=noise)
+        h_times, h_org = detect(pair_t, det, windows, rng, _origins(pair_t), noise=noise)
         _tally(vec, _HERALD_ORIGIN, _N_ORIGIN, h_org)
         return h_times
 
@@ -274,12 +274,12 @@ class _Engine:
         kinds = storage_branches(entry_off, mem.afc, mem.inhomogeneous, _stream(cfg.seed, _S_MEMORY, b))
         exits = exit_times(entry_t, kinds, mem.afc, mem.slow_light_delay)
         _tally(vec, _MEMORY_KIND, _N_KIND, kinds[entry_org == ORIGIN_PAIR])
-        alive = kinds != KIND_LOST
         det = cfg.detectors.signal
-        det_t, det_org, det_kind = detect(
-            exits[alive], det.efficiency, det, windows,
-            _stream(cfg.seed, _S_SIGNAL_DETECT, b), entry_org[alive], kinds[alive],
-        )
+        rng = _stream(cfg.seed, _S_SIGNAL_DETECT, b)
+        # the detector efficiency thins the photons that leave the memory
+        clicks = kinds != KIND_LOST
+        clicks[clicks] = rng.random(np.count_nonzero(clicks)) < det.efficiency
+        det_t, det_org, det_kind = detect(exits[clicks], det, windows, rng, entry_org[clicks], kinds[clicks])
         in_win = iv.contains(windows, det_t)
         # still sorted by time, as accumulate_histogram requires
         det_t, det_org, det_kind = det_t[in_win], det_org[in_win], det_kind[in_win]

@@ -25,9 +25,11 @@ def _span(t0, t1):
 
 
 def _detect(times, spd, window, rng):
-    """Detected times of a pair-photon stream on one window."""
+    """Detected times of a pair-photon stream on one window, thinned by the
+    detector efficiency first on the same stream, as the signal arm does."""
     t = np.asarray(times, dtype=float)
-    return detect(t, spd.efficiency, spd, _span(*window), rng)[0]
+    t = t[rng.random(len(t)) < spd.efficiency]
+    return detect(t, spd, _span(*window), rng)[0]
 
 
 def test_ideal_detector_is_identity():
@@ -87,10 +89,10 @@ def test_dark_counts_poisson():
     spd = SPDConfig(efficiency=1.0, dark_rate=5000.0, dead_time=0.0, jitter_fwhm=0.0)
     rng = np.random.default_rng(4)
     empty = np.empty(0)
-    counts = [len(detect(empty, 1.0, spd, _span(0.0, 1.0), rng)[0]) for _ in range(40)]
+    counts = [len(detect(empty, spd, _span(0.0, 1.0), rng)[0]) for _ in range(40)]
     assert np.mean(counts) == pytest.approx(5000, abs=3 * math.sqrt(5000 / 40))
     t, origin, kind = detect(
-        empty, 1.0, spd, _span(0.0, 1.0), rng, np.empty(0, np.uint8), np.empty(0, np.uint8)
+        empty, spd, _span(0.0, 1.0), rng, np.empty(0, np.uint8), np.empty(0, np.uint8)
     )
     assert np.all(origin == ORIGIN_DARK_COUNT)
     assert np.all(kind == NO_OUTCOME)
@@ -101,7 +103,7 @@ def test_detect_keeps_companion_columns_aligned():
     t = np.sort(np.random.default_rng(13).uniform(0, 1, 3000))
     label = np.arange(len(t), dtype=np.int64)
     out_t, org, lab = detect(
-        t, spd.efficiency, spd, _span(0.0, 1.0), np.random.default_rng(14),
+        t, spd, _span(0.0, 1.0), np.random.default_rng(14),
         np.full(len(t), ORIGIN_PAIR, np.uint8), label,
     )
     assert np.all(np.diff(out_t) >= 0)
@@ -111,24 +113,21 @@ def test_detect_keeps_companion_columns_aligned():
 
 
 def test_detect_merges_unjittered_noise_run():
-    # a noise run enters unthinned and unjittered and draws nothing; with no
-    # jitter the records equal those of one concatenated stream whose pair
-    # part was thinned by the same uniforms beforehand
+    # a noise run enters unjittered and draws nothing; with no jitter the
+    # records equal those of one concatenated stream
     spd = SPDConfig(efficiency=0.6, dark_rate=2000.0, dead_time=50e-9, jitter_fwhm=0.0)
     gen = np.random.default_rng(15)
     t = np.sort(gen.uniform(0, 1, 3000))
     noise = np.sort(gen.uniform(0, 1, 20000))
     label = np.arange(len(t), dtype=np.int64)
     got = detect(
-        t, spd.efficiency, spd, _span(0.0, 1.0), np.random.default_rng(16),
+        t, spd, _span(0.0, 1.0), np.random.default_rng(16),
         np.full(len(t), ORIGIN_PAIR, np.uint8), label, noise=noise,
     )
-    rng = np.random.default_rng(16)
-    keep = rng.random(len(t)) < spd.efficiency
     want = detect(
-        np.concatenate([t[keep], noise]), 1.0, spd, _span(0.0, 1.0), rng,
-        np.repeat(np.array([ORIGIN_PAIR, ORIGIN_CONVERSION_NOISE], np.uint8), [keep.sum(), len(noise)]),
-        np.concatenate([label[keep], np.full(len(noise), NO_OUTCOME)]),
+        np.concatenate([t, noise]), spd, _span(0.0, 1.0), np.random.default_rng(16),
+        np.repeat(np.array([ORIGIN_PAIR, ORIGIN_CONVERSION_NOISE], np.uint8), [len(t), len(noise)]),
+        np.concatenate([label, np.full(len(noise), NO_OUTCOME)]),
     )
     assert all(np.array_equal(g, w) for g, w in zip(got, want))
     assert np.count_nonzero(got[1] == ORIGIN_CONVERSION_NOISE) > 19000

@@ -50,11 +50,11 @@ def small_cfg(duration=60.0, rate=500.0, seed=777, **kw):
 # config_hash of each bundled scenario: decoding must keep every value as the
 # document gives it (an int stays an int), or the provenance hash moves
 _BUNDLED_HASHES = {
-    "lock_12h": "16fbb7a0bb0e8c85600e5ff4ca5af2f907a0007ce4696324686ae90678d2f51b",
-    "multiplexed_25mode_10km": "c672c7c4121c461af4c2eb0a3fd5d886bbaf1a9e9593466b92201145c6315b75",
-    "multiplexed_25mode_10km_smoke": "bf33eccaf80f1d91762824247b71d384d2eff7622beccd800151fd143b7cc308",
-    "multiplexed_5mode_5m": "f541ecc480a54dfcfce76e5fd9750bb061db8003c06be2aff18c50532c25637b",
-    "single_mode_5m": "93278bd45c251f67f0d80125708399f5d221fa98ac9acfbf05f3e9888e74bc92",
+    "lock_12h": "57a41dbcff78f651057fb808633c835aa53d5449cf9c52110002d7f99f9389bc",
+    "multiplexed_25mode_10km": "a86e099fa752b3c174409c21456623c04f0b6de6e43b78c9f1e979d7d2db7937",
+    "multiplexed_25mode_10km_smoke": "7022480d10fb624bb050b14e66db8c83feea599f67f2d41d96bdfd49b15660da",
+    "multiplexed_5mode_5m": "5083da924e50502520a5a3e4aac707029906c39da774ee90108ec7920064b98a",
+    "single_mode_5m": "6ed065f846e9ce69f4fb13c73f21416b7db4fc324818e11bf9d5b803a5c8bcff",
 }
 
 
@@ -107,7 +107,12 @@ _MALFORMED = [
     ("histogram.tau_min", 2e-6, "histogram"),
     ("histogram.bin_width", 0, "histogram"),
     ("histogram.noise_window", [1.1e-6, 1.2e-6], "histogram"),
+    # keys of older documents: one field says each setting, so these are unknown
     (f"{_LOCK}.enabled", "no", f"{_LOCK}.enabled"),
+    (f"{_LOCK}.setpoint", 0.0, f"{_LOCK}.setpoint"),
+    ("lock.config.monitor_lock.enabled", True, "lock.config.monitor_lock.enabled"),
+    ("lock.config.drift.tpc_pump_1514.kind", "random_walk", "lock.config.drift.tpc_pump_1514.kind"),
+    (f"{_LOCK}.gain", -1.0, _LOCK),
     ("lock.config.drift.tpc_pump_1515", {}, "lock.config.drift.tpc_pump_1515"),
     ("lock.config.drift.monitor_606", {}, "lock.config.drift.monitor_606"),
     ("memory.afc.mode_offsets", [0.0], "memory.afc.mode_offsets"),
@@ -209,12 +214,12 @@ def test_run_deterministic_byte_identical():
 # report format) updates the constants and says so in CHANGES.md.
 _PINNED_PAYLOADS = {
     "smoke": {
-        "report.json": "0599a74c814df17a24309954bf1feac20c89aeec622e85e79f0eb1a100e5f214",
+        "report.json": "0391b260dcad1043d4f43399ee500f409e868885ad486daa071fc6f797128fba",
         "histogram.csv": "8712fdb39273fc40184c148a1c8b587f6d6f4a58e9ba18b794b26a2ebafd91f8",
         "summary.csv": "c63dddbde2c977eb25fbd9babfbfb5578a5a7e6a61c694a42608bc766f0cea7b",
     },
     "pair_rich_30s": {
-        "report.json": "1db570633c305763652c337d89c104c5c4bb855be5b61ee81c76787e539a5464",
+        "report.json": "fa09402af6ffa4d3ebcdeb9964c190cfe378d3fe64d4e471d8b390293d6b78e6",
         "histogram.csv": "a34dd95c96c51db473a5452c0002db66b56bbd4f202a8bbb331311b53f7a179a",
         "summary.csv": "96b714d0395053fca3f8ba5d4329c78af949129708ee8977e9b692c28f1c2898",
     },
@@ -291,7 +296,7 @@ def test_forced_lock_mismatch_kills_echo():
 
     quiet = LockChainConfig(
         rf=detuned_rf,
-        drift={laser: DriftModel("random_walk", 0.0) for laser in DRIVEN_LASERS},
+        drift={laser: DriftModel() for laser in DRIVEN_LASERS},
     )
     cfg = dataclasses.replace(base, lock=LockSettings(mode="simulated", config=quiet))
     rep = run_scenario(cfg)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -14,13 +16,13 @@ from afclink.lockchain import (
     ServoModel,
     _exact_step_operators,
     _system_matrices,
-    comb_lock,
     matching_residual,
     simulate_lock_run,
 )
 
 RF = RfOffsets()
-STILL = DriftModel("random_walk", 0.0)
+STILL = DriftModel()
+OPEN = ServoModel(gain=0.0)
 
 
 def _state(e_photon=0.0, e_qm=0.0, e_wc=0.0):
@@ -77,19 +79,17 @@ def test_matching_theorem_independent_of_common_errors():
 
 def _chain(drift=None, monitor_lock=None):
     """Lock chain whose lasers hold still except those in ``drift``, with no
-    comb locks and only the given monitor lock."""
+    comb locks and only the given monitor lock (open by default)."""
     drifts = {laser: STILL for laser in DRIVEN_LASERS}
     drifts.update(drift or {})
-    if monitor_lock is None:
-        monitor_lock = ServoModel(setpoint=RF.f_beat, gain=1.0, enabled=False)
-    return LockChainConfig(drift=drifts, comb_locks={}, monitor_lock=monitor_lock)
+    return LockChainConfig(drift=drifts, comb_locks={}, monitor_lock=monitor_lock or OPEN)
 
 
 def test_monitor_lock_holds_residual_under_master_drift():
     # the monitor lock alone tracks a drifting master through the beat, so
     # the residual stays at the servo's lag while 2 e_qm wanders widely
-    drift = DriftModel("random_walk", 1e4)
-    servo = ServoModel(setpoint=RF.f_beat, gain=2000.0)
+    drift = DriftModel(1e4)
+    servo = ServoModel(gain=2000.0)
     res = simulate_lock_run(_chain({LaserId.QM_MASTER_1212: drift}, servo), 600.0, 1.0, seed=4)
     comb_excursion = np.max(np.abs(2.0 * res.laser_errors[LaserId.QM_MASTER_1212]))
     assert comb_excursion > 1e5
@@ -107,7 +107,7 @@ def test_random_walk_variance():
     # Monte Carlo vs Var[e(T)] = sigma^2 T, over disjoint T-long blocks of one
     # free-running trajectory
     sigma, dt, n_steps, n_trials = 100.0, 0.5, 16, 3000
-    drift = DriftModel("random_walk", sigma)
+    drift = DriftModel(sigma)
     res = simulate_lock_run(_chain({LaserId.WC_PUMP_1010: drift}), n_trials * n_steps * dt, dt, seed=21)
     e = res.laser_errors[LaserId.WC_PUMP_1010]
     finals = e[n_steps::n_steps] - e[:-n_steps:n_steps]
@@ -118,7 +118,7 @@ def test_random_walk_variance():
 
 def test_ou_stationary_std():
     sigma, lam = 500.0, 4.0
-    drift = DriftModel("ou_process", sigma, reversion_rate=lam)
+    drift = DriftModel(sigma, reversion_rate=lam)
     res = simulate_lock_run(_chain({LaserId.TPC_PUMP_1514: drift}), 6000 * 0.125, 0.125, seed=8)
     vals = res.laser_errors[LaserId.TPC_PUMP_1514][502:]
     want = sigma / np.sqrt(2 * lam)
@@ -126,18 +126,28 @@ def test_ou_stationary_std():
 
 
 def test_servo_no_error_signal_no_motion():
-    servo = ServoModel(setpoint=RF.f_beat, gain=50.0, residual_noise_rms=0.0)
+    servo = ServoModel(gain=50.0, residual_noise_rms=0.0)
     res = simulate_lock_run(_chain(monitor_lock=servo), 1.0, 0.01, seed=0)
     assert np.all(res.laser_errors[LaserId.WC_PUMP_1010] == 0.0)
 
 
+def _beat_errors(gain, dt, d, n_steps):
+    """Monitor beat error after 0..n_steps noiseless steps of the monitor
+    lock alone, from an initial beat error d (on the 1010 nm pump)."""
+    A, Q = _system_matrices(_chain(monitor_lock=ServoModel(gain=gain)))
+    M = _exact_step_operators(A, Q, dt)[0]
+    x = np.array([0.0, 0.0, d])
+    errors = [np.dot(BEAT, x)]
+    for _ in range(n_steps):
+        x = M @ x
+        errors.append(np.dot(BEAT, x))
+    return np.array(errors)
+
+
 def test_servo_step_response_decay():
-    # constant disturbance d on the beat (setpoint d below the nominal beat):
-    # the beat error decays like exp(-gain t)
+    # an initial beat error d decays like exp(-gain t)
     gain, dt, d = 10.0, 1e-3, 1000.0
-    servo = ServoModel(setpoint=RF.f_beat - d, gain=gain, residual_noise_rms=0.0)
-    res = simulate_lock_run(_chain(monitor_lock=servo), 10.0 / gain, dt, seed=0)
-    beat_error = d + res.laser_errors[LaserId.WC_PUMP_1010]
+    beat_error = _beat_errors(gain, dt, d, int(round(10.0 / gain / dt)))
     for t_chk, decay in {1.0: np.exp(-1.0), 2.0: np.exp(-2.0)}.items():
         k = int(round(t_chk / gain / dt))
         assert beat_error[k] == pytest.approx(d * decay, rel=0.02)
@@ -147,15 +157,12 @@ def test_servo_step_response_decay():
 def test_servo_high_gain_converges_in_few_steps():
     # gain*dt = 3 lies beyond the stability limit (2) of an explicit update
     gain, dt, d = 3000.0, 1e-3, 5e5
-    servo = ServoModel(setpoint=RF.f_beat - d, gain=gain, residual_noise_rms=0.0)
-    res = simulate_lock_run(_chain(monitor_lock=servo), 5 * dt, dt, seed=0)
-    st = LaserNetworkState(errors={laser: e[-1] for laser, e in res.laser_errors.items()})
-    assert abs(_beat(st, RF) - servo.setpoint) < 1.0
+    assert abs(_beat_errors(gain, dt, d, 5)[-1]) < 1.0
 
 
 def test_servo_noise_stationary_rms():
     gain, dt, rms = 50.0, 1e-3, 30.0
-    servo = ServoModel(setpoint=RF.f_beat, gain=gain, residual_noise_rms=rms)
+    servo = ServoModel(gain=gain, residual_noise_rms=rms)
     res = simulate_lock_run(_chain(monitor_lock=servo), 30000 * dt, dt, seed=77)
     vals = res.laser_errors[LaserId.WC_PUMP_1010][2002:]
     assert np.std(vals) == pytest.approx(rms, rel=0.10)
@@ -164,45 +171,33 @@ def test_servo_noise_stationary_rms():
 def test_exact_step_operators_analytic_cases():
     # servos off: pure diffusion, covariance Q dt
     Q = np.diag([4.0, 9.0, 1.0])
-    M, m, L = _exact_step_operators(np.zeros((3, 3)), np.zeros(3), Q, dt=2.0)
+    M, L = _exact_step_operators(np.zeros((3, 3)), Q, dt=2.0)
     assert np.allclose(M, np.eye(3))
-    assert np.allclose(m, 0.0)
     assert np.allclose(L @ L.T, Q * 2.0, rtol=1e-9, atol=1e-12)
     # independent OU channels: exact transition and variance
     lam = np.array([3.0, 0.5, 10.0])
-    A = np.diag(lam)
-    M, m, L = _exact_step_operators(A, np.zeros(3), Q, dt=0.7)
-    assert np.allclose(np.diag(M), np.exp(-lam * 0.7))
+    M, L = _exact_step_operators(np.diag(lam), Q, dt=0.7)
     want = np.diag(Q) * (1 - np.exp(-2 * lam * 0.7)) / (2 * lam)
-    assert np.allclose(np.diag(L @ L.T), want, rtol=1e-8)
-    # forced OU channels: the forcing column relaxes to b / lambda
-    b = np.array([30.0, -5.0, 100.0])
-    M, m, L = _exact_step_operators(A, b, Q, dt=0.7)
     np.testing.assert_allclose(np.diag(M), np.exp(-lam * 0.7), rtol=1e-12, atol=0)
-    np.testing.assert_allclose(m, b * (1 - np.exp(-lam * 0.7)) / lam, rtol=1e-12, atol=0)
     np.testing.assert_allclose(np.diag(L @ L.T), want, rtol=1e-12, atol=0)
 
 
-def _scipy_step_operators(A, b, Q, dt):
-    """(M, m, C) built with two scipy exponentials: the forcing block
-    [[-A, b], [0, 0]] and the Van Loan block [[A, Q], [0, -A']], on the
-    same scaled step and doublings as ``_exact_step_operators``."""
+def _scipy_step_operators(A, Q, dt):
+    """(M, C) built with one scipy exponential of the Van Loan block
+    [[A, Q], [0, -A']], on the same scaled step and doublings as
+    ``_exact_step_operators``."""
     scale = np.linalg.norm(A, ord=np.inf) * dt
     k = max(0, int(np.ceil(np.log2(scale / 0.01)))) if scale > 0.01 else 0
     h = dt / 2**k
-    aug = np.zeros((4, 4))
-    aug[:3, :3], aug[:3, 3] = -A, b
-    Maug = expm(aug * h)
-    M, m = Maug[:3, :3], Maug[:3, 3]
     G = np.zeros((6, 6))
     G[:3, :3], G[:3, 3:], G[3:, 3:] = A, Q, -A.T
     F = expm(G * h)
-    C = F[3:, 3:].T @ F[:3, 3:]
+    M = F[3:, 3:].T
+    C = M @ F[:3, 3:]
     for _ in range(k):
         C = C + M @ C @ M.T
-        m = m + M @ m
         M = M @ M
-    return M, m, 0.5 * (C + C.T)
+    return M, 0.5 * (C + C.T)
 
 
 @pytest.mark.parametrize(
@@ -212,9 +207,9 @@ def test_step_operators_match_scipy_reference(servos, dt):
     # the coupled servos, with the non-normal monitor row; at 1 ms the
     # closed-loop M has not underflowed to 0
     cfg = LockChainConfig() if servos == "locked" else LockChainConfig().with_servos_disabled()
-    A, b, Q = _system_matrices(cfg)
-    M, m, L = _exact_step_operators(A, b, Q, dt)
-    for got, want in zip((M, m, L @ L.T), _scipy_step_operators(A, b, Q, dt)):
+    A, Q = _system_matrices(cfg)
+    M, L = _exact_step_operators(A, Q, dt)
+    for got, want in zip((M, L @ L.T), _scipy_step_operators(A, Q, dt)):
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
@@ -223,26 +218,41 @@ def test_noise_factor_moves_only_by_rounding(servos):
     # a few ulps in A and Q move the step covariance only by rounding; the
     # factor must follow it, whatever signs eigh gives the eigenvectors
     cfg = LockChainConfig() if servos == "locked" else LockChainConfig().with_servos_disabled()
-    A, b, Q = _system_matrices(cfg)
-    L = _exact_step_operators(A, b, Q, dt=1.0)[2]
+    A, Q = _system_matrices(cfg)
+    L = _exact_step_operators(A, Q, dt=1.0)[1]
     rng = np.random.default_rng(12)
     for _ in range(20):
         A2, Q2 = (x * (1.0 + 4 * np.finfo(float).eps * rng.uniform(-1, 1, x.shape)) for x in (A, Q))
-        L2 = _exact_step_operators(A2, b, Q2, dt=1.0)[2]
+        L2 = _exact_step_operators(A2, Q2, dt=1.0)[1]
         assert np.linalg.norm(L2 - L) < 1e-12 * np.linalg.norm(L)
 
 
 def test_simulate_zero_noise_residual_identically_zero():
     cfg = LockChainConfig(
-        drift={laser: DriftModel("random_walk", 0.0) for laser in DRIVEN_LASERS},
+        drift={laser: STILL for laser in DRIVEN_LASERS},
         comb_locks={
-            LaserId.TPC_PUMP_1514: comb_lock(2000.0),
-            LaserId.QM_MASTER_1212: comb_lock(2000.0),
+            LaserId.TPC_PUMP_1514: ServoModel(2000.0),
+            LaserId.QM_MASTER_1212: ServoModel(2000.0),
         },
-        monitor_lock=ServoModel(setpoint=RF.f_beat, gain=2000.0),
+        monitor_lock=ServoModel(2000.0),
     )
     res = simulate_lock_run(cfg, duration=600, dt=1.0, seed=3)
     assert np.all(res.residual == 0.0)
+
+
+@pytest.mark.parametrize("part", ["drift", "comb_locks", "monitor_lock"])
+def test_every_lock_field_reaches_the_dynamics(part):
+    # a field that a document can set but the dynamics ignore would run
+    # silently with the wrong numbers; each is moved on one laser's models
+    laser = LaserId.TPC_PUMP_1514
+    cfg = LockChainConfig()
+    value = getattr(cfg, part)
+    model = value if part == "monitor_lock" else value[laser]
+    base = _system_matrices(cfg)
+    for f in dataclasses.fields(model):
+        moved = dataclasses.replace(model, **{f.name: getattr(model, f.name) + 1.0})
+        edited = dataclasses.replace(cfg, **{part: moved if part == "monitor_lock" else {**value, laser: moved}})
+        assert any(not np.array_equal(g, b) for g, b in zip(_system_matrices(edited), base)), f.name
 
 
 def test_simulate_deterministic():

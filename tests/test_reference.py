@@ -97,9 +97,8 @@ def reference_run(cfg, rng: np.random.Generator) -> tuple[np.ndarray, dict]:
     pair = herald_t[keep]
     noise = iv.sample_poisson(windows, arm_rate, rng)
     det = cfg.detectors.herald
-    h_t, h_org = detect(
-        np.concatenate([pair, noise]), det.efficiency, det, windows, rng, _origins(pair, noise)
-    )
+    keep = rng.random(len(pair) + len(noise)) < det.efficiency
+    h_t, h_org = detect(np.concatenate([pair, noise])[keep], det, windows, rng, _origins(pair, noise)[keep])
 
     # signal arm: pair photons and every noise photon through one gate test
     closed = as_closures(h_t, cfg.shutter)
@@ -118,9 +117,8 @@ def reference_run(cfg, rng: np.random.Generator) -> tuple[np.ndarray, dict]:
     stored = kinds[entry_org == ORIGIN_PAIR]
     alive = kinds != KIND_LOST
     det = cfg.detectors.signal
-    s_t, s_org, s_kind = detect(
-        exits[alive], det.efficiency, det, windows, rng, entry_org[alive], kinds[alive]
-    )
+    alive[alive] = rng.random(np.count_nonzero(alive)) < det.efficiency
+    s_t, s_org, s_kind = detect(exits[alive], det, windows, rng, entry_org[alive], kinds[alive])
     in_win = iv.contains(windows, s_t)
     s_t, s_org, s_kind = s_t[in_win], s_org[in_win], s_kind[in_win]
 
