@@ -31,33 +31,25 @@ import numpy as np
 
 from . import intervals as iv
 
-#: speed of light in vacuum (m/s), exact by the SI definition of the metre
-_C_VACUUM = 299_792_458.0
-
 
 @dataclass(frozen=True)
 class FiberLink:
-    """Passive fiber span: loss per km and group delay."""
+    """Passive fiber span: loss per km.  Photon times are taken at the far
+    end; the span's group delay is common to both arms, cancels in every
+    coincidence and is not modelled."""
 
     length: float = 10.0  # km
     loss: float = 0.2  # dB/km
-    group_index: float = 1.468
 
     def __post_init__(self):
         if self.length < 0:
             raise ValueError("length must be >= 0")
         if self.loss < 0:
             raise ValueError("loss must be >= 0")
-        if self.group_index < 1:
-            raise ValueError("group_index must be >= 1")
 
     @property
     def survival_probability(self) -> float:
         return 10.0 ** (-self.loss * self.length / 10.0)
-
-    @property
-    def delay(self) -> float:
-        return self.length * 1e3 * self.group_index / _C_VACUUM
 
 
 @dataclass(frozen=True)

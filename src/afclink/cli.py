@@ -68,15 +68,13 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_lockcheck(args) -> int:
     cfg = _load_config(args.config)
-    lock_cfg = cfg.lock.config
-    if lock_cfg is None:
-        from .lockchain import LockChainConfig
-
-        lock_cfg = LockChainConfig()
-    result = simulate_lock_run(lock_cfg, duration=args.hours * 3600.0, dt=args.dt, seed=cfg.seed)
+    lock = cfg.lock
+    if lock.config is None:
+        raise ScenarioError("lock.mode", "lockcheck runs lock.config, and an ideal lock has none")
+    result = simulate_lock_run(lock.config, duration=args.hours * 3600.0, dt=lock.dt, seed=cfg.seed)
     summary = {
         "hours": args.hours,
-        "dt": args.dt,
+        "dt": lock.dt,
         "seed": cfg.seed,
         "max_abs_residual_hz": result.max_abs_residual,
         "rms_residual_hz": result.rms_residual,
@@ -138,10 +136,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--values", required=True, help="comma-separated JSON values, e.g. 1,5,25")
     p.set_defaults(func=_cmd_sweep)
 
-    p = sub.add_parser("lockcheck", help="simulate the lock chain alone")
+    p = sub.add_parser("lockcheck", help="simulate the document's lock chain alone, at its lock.dt")
     common(p)
     p.add_argument("--hours", type=float, required=True)
-    p.add_argument("--dt", type=float, default=1.0)
     p.set_defaults(func=_cmd_lockcheck)
 
     p = sub.add_parser("afc-plot", help="export the prepared comb spectrum as CSV")

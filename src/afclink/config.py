@@ -51,9 +51,9 @@ class MemorySettings:
             raise ValueError("slow_light_delay must be >= 0")
 
     @property
-    def max_delay(self) -> float:
-        """Widest delay a photon can pick up in the memory: storage time plus
-        slow-light delay (``ScenarioConfig.signal_reach`` adds the margins)."""
+    def echo_delay(self) -> float:
+        """Herald-to-echo delay: storage time plus slow-light delay, the
+        longest a photon stays in the memory."""
         return self.afc.storage_time + self.slow_light_delay
 
 
@@ -65,9 +65,11 @@ class DetectorSettings:
 
 @dataclass(frozen=True)
 class LockSettings:
-    """Lock chain treatment: 'ideal' pins the matching residual at zero;
-    'simulated' runs the closed-loop network and feeds its residual into
-    every photon's mode offset before the memory."""
+    """Lock chain treatment: 'ideal' pins the matching residual at zero and
+    takes no ``config``; 'simulated' runs the closed-loop network ``config``
+    (the default chain when null) at telemetry step ``dt`` and feeds its
+    residual into every photon's mode offset before the memory.
+    ``afclink lockcheck`` runs the same ``config`` at the same ``dt``."""
 
     mode: Literal["ideal", "simulated"] = "ideal"
     config: Optional[LockChainConfig] = None
@@ -76,6 +78,8 @@ class LockSettings:
     def __post_init__(self):
         if self.mode not in ("ideal", "simulated"):
             raise ValueError("lock mode must be 'ideal' or 'simulated'")
+        if self.mode == "ideal" and self.config is not None:
+            raise ScenarioError("lock.config", "must be null for an ideal lock, which runs no chain")
         if self.mode == "simulated" and self.config is None:
             object.__setattr__(self, "config", LockChainConfig())
         if self.dt <= 0:
@@ -124,6 +128,13 @@ class ScenarioConfig:
                 f"highest click rate {r_max:.4g}/s x dead time is {r_max * det.dead_time:.3g}, "
                 f"above {_MAX_RATE_DEAD_TIME:g}",
             )
+        # the echo must land where the histogram counts it and the gate holds
+        echo = self.memory.echo_delay
+        for path, (a, b) in (("histogram.signal_window", self.histogram.signal_window),
+                             ("shutter.echo_window", self.shutter.echo_window)):
+            if not a <= echo <= b:
+                raise ScenarioError(path, f"[{a:.4g}, {b:.4g}] s misses the {echo:.4g} s echo delay "
+                                          "(storage time plus slow-light delay)")
         # the engine runs batches of cycles independently; that drops nothing
         # only while the preparation phase between two outlasts the signal
         # reach plus a herald dead time
@@ -138,11 +149,11 @@ class ScenarioConfig:
     @property
     def signal_reach(self) -> tuple[float, float]:
         """Herald-relative memory-entry times from which a signal-arm photon
-        can still reach the histogram: ``tau_min`` less the memory delay, one
+        can still reach the histogram: ``tau_min`` less the echo delay, one
         signal dead time and 8 jitter sigmas, to ``tau_max`` plus 8 sigmas."""
         det, h = self.detectors.signal, self.histogram
         margin = _REACH_SIGMAS * det.jitter_sigma
-        return (h.tau_min - self.memory.max_delay - det.dead_time - margin, h.tau_max + margin)
+        return (h.tau_min - self.memory.echo_delay - det.dead_time - margin, h.tau_max + margin)
 
     def with_mode_count(self, n_modes: int) -> "ScenarioConfig":
         """Same scenario with a different multiplexing count and uniform mode

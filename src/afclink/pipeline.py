@@ -205,10 +205,10 @@ class _Engine:
         if len(windows) == 0:
             return
 
-        # source: the pairs that reach an arm, created shifted so that their
-        # arrivals land on the windows, and a count of the others
+        # source: the pairs that reach an arm, timed at their arrival, and a
+        # count of the others
         rng = _stream(cfg.seed, _S_SOURCE, b)
-        t_pairs, mode_idx = sample_pairs(self.kept_source, windows - cfg.link.delay, rng)
+        t_pairs, mode_idx = sample_pairs(self.kept_source, windows, rng)
         # one uniform on [0, p_any) sorts each pair: [0, p_h p_s) both photons
         # survive, [p_h p_s, p_h) the herald only, [p_h, p_any) the signal only
         u = rng.random(len(t_pairs))
@@ -216,11 +216,10 @@ class _Engine:
         herald_ok = u < self.p_herald[mode_idx]
         signal_ok = ~herald_ok | (u < self.p_both[mode_idx])
         vec[_PAIRS] += len(t_pairs) + rng.poisson(self.lost_pair_rate * iv.total_length(windows))
-        herald_t = t_pairs + cfg.link.delay
-        signal_t = herald_t[signal_ok]
+        signal_t = t_pairs[signal_ok]
         signal_t += pair_delays(cfg.source, len(signal_t), _stream(cfg.seed, _S_CORRELATION, b))
 
-        h_times = self.herald_arm(b, windows, herald_t[herald_ok], vec)
+        h_times = self.herald_arm(b, windows, t_pairs[herald_ok], vec)
         det_t, det_org = self.signal_arm(b, windows, h_times, signal_t, mode_idx[signal_ok], vec)
 
         # histogram and the per-herald noise flux into the echo window

@@ -141,7 +141,6 @@ def analyze(cfg: ScenarioConfig, raw: RawRunResult) -> RunReport:
             "rms_residual_hz": raw.lock_result.rms_residual,
         }
 
-    echo_delay = cfg.memory.slow_light_delay + cfg.memory.afc.storage_time
     return RunReport(
         scenario=cfg.name,
         seed=cfg.seed,
@@ -157,7 +156,7 @@ def analyze(cfg: ScenarioConfig, raw: RawRunResult) -> RunReport:
         snr=snr,
         snr_error=snr_error,
         degenerate=degenerate,
-        peak=peak_above_floor(hist, smoothed, echo_delay),
+        peak=peak_above_floor(hist, smoothed, cfg.memory.echo_delay),
         counts=raw.counters,
         lock=lock,
         lock_result=raw.lock_result,

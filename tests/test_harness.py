@@ -50,11 +50,11 @@ def small_cfg(duration=60.0, rate=500.0, seed=777, **kw):
 # config_hash of each bundled scenario: decoding must keep every value as the
 # document gives it (an int stays an int), or the provenance hash moves
 _BUNDLED_HASHES = {
-    "lock_12h": "57a41dbcff78f651057fb808633c835aa53d5449cf9c52110002d7f99f9389bc",
-    "multiplexed_25mode_10km": "a86e099fa752b3c174409c21456623c04f0b6de6e43b78c9f1e979d7d2db7937",
-    "multiplexed_25mode_10km_smoke": "7022480d10fb624bb050b14e66db8c83feea599f67f2d41d96bdfd49b15660da",
-    "multiplexed_5mode_5m": "5083da924e50502520a5a3e4aac707029906c39da774ee90108ec7920064b98a",
-    "single_mode_5m": "6ed065f846e9ce69f4fb13c73f21416b7db4fc324818e11bf9d5b803a5c8bcff",
+    "lock_12h": "068d4c9cf1e7d142123e69e7525597b334de9b15a99585c3edf99903adb94253",
+    "multiplexed_25mode_10km": "0e3edf4acd1a58b9c21b854952f02a1a4f22f751379876b4c2debe0e7330b59a",
+    "multiplexed_25mode_10km_smoke": "40db728e02a3dd2dd3c8a3da2e9e7979b8aa0c415abab236088e0af3849fc44a",
+    "multiplexed_5mode_5m": "1a88eb38e30379fac02037513de9a51d9eb5468605081bc3d041e7d32eb3e715",
+    "single_mode_5m": "af3ab0f6c725b24fba4201315ab4ba7964e2ef757aed1b4c17e3d37befa07a62",
 }
 
 
@@ -116,6 +116,13 @@ _MALFORMED = [
     ("lock.config.drift.tpc_pump_1515", {}, "lock.config.drift.tpc_pump_1515"),
     ("lock.config.drift.monitor_606", {}, "lock.config.drift.monitor_606"),
     ("memory.afc.mode_offsets", [0.0], "memory.afc.mode_offsets"),
+    # the fiber delay is common to both arms and cancels, so the link has none
+    ("link.group_index", 1.468, "link.group_index"),
+    # an ideal lock runs no chain, so a chain it would ignore is refused
+    ("lock.mode", "ideal", "lock.config"),
+    # the echo (at 650 ns with 2 MHz teeth) must land in both windows
+    ("memory.afc.tooth_spacing", 2e6, "histogram.signal_window"),
+    ("shutter.echo_window", [9e-7, 1e-6], "shutter.echo_window"),
 ]
 
 
@@ -135,6 +142,65 @@ def test_malformed_document_rejected_with_path(path, value, field):
     with pytest.raises(ScenarioError) as err:
         scenario_from_dict(d)
     assert err.value.field == field
+
+
+# steps for the leaves that x1.1 would not move or not keep valid in
+# test_every_setting_reaches_the_run: a mode count stays odd, the signal
+# window's end and the noise window's start sit 5 ns apart, and a 10 % wider
+# pit takes in too few photons in 6 s
+_LEAF_STEPS = {
+    "source.n_modes": lambda v: v + 2,
+    "histogram.signal_window.1": lambda v: 0.99 * v,
+    "histogram.noise_window.0": lambda v: 1.01 * v,
+    "memory.afc.pit_halfwidth": lambda v: 3 * v,
+}
+
+
+def _leaf_paths(obj, path=()):
+    """Key paths of the numbers in a scenario document (a boolean is none)."""
+    if isinstance(obj, (dict, list)):
+        for k, v in obj.items() if isinstance(obj, dict) else enumerate(obj):
+            yield from _leaf_paths(v, path + (k,))
+    elif isinstance(obj, (int, float)) and not isinstance(obj, bool):
+        yield path
+
+
+def _reported(doc: dict) -> tuple[str, bytes]:
+    """What a run of ``doc`` reports: its summary less the config hash, and
+    its histogram counts."""
+    rep = run_scenario(scenario_from_dict(doc), workers=1)
+    summary = rep.summary_dict()
+    del summary["config_sha256"]
+    return json.dumps(summary, sort_keys=True), rep.histogram.counts.tobytes()
+
+
+def test_every_setting_reaches_the_run():
+    # each numeric setting of a 6 s smoke slice at 2e4 pairs/s and extinction
+    # 0.05, stepped alone, must move the report: a setting no output reads
+    # is a dead field
+    doc = scenario_to_dict(load_bundled_scenario("multiplexed_25mode_10km_smoke"))
+    doc["duration"] = 6.0
+    doc["source"]["total_pair_rate"] = 2e4
+    doc["shutter"]["extinction"] = 0.05
+    base = _reported(doc)
+    paths = list(_leaf_paths(doc))
+    dead = []
+    for path in paths:
+        stepped = json.loads(json.dumps(doc))
+        obj = stepped
+        for k in path[:-1]:
+            obj = obj[k]
+        name, v = ".".join(map(str, path)), obj[path[-1]]
+        if name in _LEAF_STEPS:
+            obj[path[-1]] = _LEAF_STEPS[name](v)
+        elif isinstance(v, int):
+            obj[path[-1]] = v + 1
+        else:
+            obj[path[-1]] = v * 1.1 if v else 0.1
+        if _reported(stepped) == base:
+            dead.append(name)
+    assert any(p[0] == "lock" for p in paths)  # the simulated chain is scanned too
+    assert dead == [], f"of {len(paths)} settings, these reach no output: {dead}"
 
 
 def test_prep_phase_shorter_than_batch_edge_reach_rejected():
@@ -214,12 +280,12 @@ def test_run_deterministic_byte_identical():
 # report format) updates the constants and says so in CHANGES.md.
 _PINNED_PAYLOADS = {
     "smoke": {
-        "report.json": "0391b260dcad1043d4f43399ee500f409e868885ad486daa071fc6f797128fba",
+        "report.json": "e76dcca4325b3cc5879bd59eac700f280c7cf14b868ad73266db3985d6ff1fb5",
         "histogram.csv": "8712fdb39273fc40184c148a1c8b587f6d6f4a58e9ba18b794b26a2ebafd91f8",
         "summary.csv": "c63dddbde2c977eb25fbd9babfbfb5578a5a7e6a61c694a42608bc766f0cea7b",
     },
     "pair_rich_30s": {
-        "report.json": "fa09402af6ffa4d3ebcdeb9964c190cfe378d3fe64d4e471d8b390293d6b78e6",
+        "report.json": "c567096ba34178cfd5f73955248849cef1126dee2a85bea4615b05384b70decd",
         "histogram.csv": "a34dd95c96c51db473a5452c0002db66b56bbd4f202a8bbb331311b53f7a179a",
         "summary.csv": "96b714d0395053fca3f8ba5d4329c78af949129708ee8977e9b692c28f1c2898",
     },
@@ -566,8 +632,9 @@ _SWEEP = ["sweep", "--config", "multiplexed_25mode_10km_smoke", "--param"]
     (_SWEEP + ["source.n_modes", "--values", "1,3.5"], "source.n_modes"),
     (_SWEEP + ["source.n_modes", "--values", "1,4"], "source.n_modes"),
     (_SWEEP + ["link.loss", "--values", "0.2,x"], "--values"),
+    (_SWEEP + ["memory.afc.tooth_spacing", "--values", "1.15e6,2e6"], "histogram.signal_window"),
 ], ids=["source_not_an_object", "negative_seed", "unknown_sweep_path", "refused_sweep_value",
-        "fractional_mode_count", "even_mode_count", "unparsed_sweep_values"])
+        "fractional_mode_count", "even_mode_count", "unparsed_sweep_values", "echo_off_the_window"])
 def test_cli_config_error_names_field(tmp_path, capsys, monkeypatch, argv, field):
     _refuse_runs(monkeypatch)
     bad = tmp_path / "bad.json"
@@ -590,6 +657,21 @@ def test_cli_lockcheck(tmp_path, capsys):
     assert payload["max_abs_residual_hz"] < 5e3
     text = open(os.path.join(out, "lock_telemetry.csv")).read()
     assert text.startswith("t_s,residual_hz\n")
+    assert len(text.splitlines()) == 1 + 1801  # header, t = 0 and 1800 steps of 1 s
+    # the step is the document's lock.dt
+    d = scenario_to_dict(load_bundled_scenario("lock_12h"))
+    d["lock"]["dt"] = 2.0
+    doc = tmp_path / "coarse.json"
+    doc.write_text(json.dumps(d))
+    assert cli_main(["lockcheck", "--config", str(doc), "--hours", "0.5", "--out", out]) == 0
+    assert json.loads(capsys.readouterr().out)["dt"] == 2.0
+    text = open(os.path.join(out, "lock_telemetry.csv")).read()
+    assert len(text.splitlines()) == 1 + 901
+    # an ideal lock has no chain to check
+    d["lock"] = {"mode": "ideal", "config": None}
+    doc.write_text(json.dumps(d))
+    assert cli_main(["lockcheck", "--config", str(doc), "--hours", "0.5"]) == 2
+    assert json.loads(capsys.readouterr().out)["error"]["field"] == "lock.mode"
 
 
 def test_cli_afc_plot(tmp_path, capsys):

@@ -86,9 +86,8 @@ def reference_run(cfg, rng: np.random.Generator) -> tuple[np.ndarray, dict]:
     converted = cfg.converter.conversion_probability(offsets)
     arm_rate = 0.5 * cfg.converter.noise_rate
 
-    t_pairs, mode_idx = sample_pairs(cfg.source, windows - cfg.link.delay, rng)
-    herald_t = t_pairs + cfg.link.delay
-    signal_t = herald_t + pair_delays(cfg.source, len(t_pairs), rng)
+    herald_t, mode_idx = sample_pairs(cfg.source, windows, rng)
+    signal_t = herald_t + pair_delays(cfg.source, len(herald_t), rng)
 
     # herald arm: pair photons and every noise photon, all thinned and jittered
     # by the detector
@@ -129,7 +128,7 @@ def reference_run(cfg, rng: np.random.Generator) -> tuple[np.ndarray, dict]:
     tau_hi = np.searchsorted(h_t, s_t[s_org == ORIGIN_CONVERSION_NOISE] - w0, side="right")
     pair_kind = s_kind[s_org == ORIGIN_PAIR]
     counters = {
-        "pairs_generated": len(t_pairs),
+        "pairs_generated": len(herald_t),
         "memory_echo": np.sum(stored == KIND_ECHO),
         "memory_prompt": np.sum(stored == KIND_PROMPT),
         "memory_out_of_band": np.sum(stored == KIND_OUT_OF_BAND),
