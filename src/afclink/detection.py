@@ -101,41 +101,32 @@ def detect(
     in the first column (which must be the origin column) and NO_OUTCOME in
     the others.  Returns ``(times, *cols)``, sorted by time.
 
-    ``noise`` is an optional sorted run of converter-noise clicks that are
-    already thinned and take no jitter.  The herald arm passes its noise
-    this way: a jittered Poisson process on the windows is again Poisson,
-    with the window indicator convolved with the jitter kernel
-    (displacement theorem), so skipping the jitter changes only the clicks
-    within a few jitter widths of a window edge, about 1e-10 of them at the
-    flagship working point (see the ``pipeline`` docstring).  The noise run
-    draws nothing, so the draw order stays jitter, darks of ``times``.  The
-    sorted run of jittered photons and darks is merged into it in linear
-    time before the dead time (``intervals.merge_sorted``; on equal times
-    the jittered run comes first), and its clicks get ORIGIN_CONVERSION_NOISE
-    in the origin column and NO_OUTCOME in the others.  The signal arm passes none: its photons all keep their jitter.
+    ``noise`` is an optional run of converter-noise clicks that are already
+    thinned and take no jitter.  The herald arm passes its noise this way: a
+    jittered Poisson process on the windows is again Poisson, with the
+    window indicator convolved with the jitter kernel (displacement
+    theorem), so skipping the jitter changes only the clicks within a few
+    jitter widths of a window edge, about 1e-10 of them at the flagship
+    working point (see the ``pipeline`` docstring).  The noise run draws
+    nothing; its clicks follow the darks, with ORIGIN_CONVERSION_NOISE in
+    the origin column and NO_OUTCOME in the others.  One stable sort orders
+    the stream: on equal times a photon, then a dark, then a noise click.
     """
     t = times
     if spd.jitter_fwhm > 0 and len(t):
         t = t + spd.jitter_sigma * rng.standard_normal(len(t))
     darks = iv.sample_poisson(windows, spd.dark_rate, rng)
-    if len(darks):
-        t = np.concatenate([t, darks])
-        filled = []
-        for i, c in enumerate(cols):
-            pad_value = ORIGIN_DARK_COUNT if i == 0 else NO_OUTCOME
-            filled.append(np.concatenate([c, np.full(len(darks), pad_value, dtype=c.dtype)]))
-        cols = filled
+    if noise is None:
+        noise = np.empty(0)
+    origin = np.repeat([ORIGIN_DARK_COUNT, ORIGIN_CONVERSION_NOISE], [len(darks), len(noise)])
+    t = np.concatenate([t, darks, noise])
+    cols = [
+        np.concatenate([c, (origin if i == 0 else np.full(len(origin), NO_OUTCOME)).astype(c.dtype)])
+        for i, c in enumerate(cols)
+    ]
     order = np.argsort(t, kind="stable")
     t = t[order]
     cols = [c[order] for c in cols]
-    if noise is not None:
-        t, from_t = iv.merge_sorted(t, noise)
-        filled = []
-        for i, c in enumerate(cols):
-            out = np.full(len(t), ORIGIN_CONVERSION_NOISE if i == 0 else NO_OUTCOME, dtype=c.dtype)
-            out[from_t] = c
-            filled.append(out)
-        cols = filled
     alive = dead_time_filter(t, spd.dead_time)
     return (t[alive], *[c[alive] for c in cols])
 

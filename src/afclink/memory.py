@@ -112,6 +112,14 @@ class AFCConfig:
             self.tooth_peak_depth * self.tooth_fwhm * _GAUSS_AREA_PER_FWHM / self.tooth_spacing
         )
 
+    @property
+    def echo_efficiency(self) -> float:
+        """Echo probability of a photon on a tooth: ``afc_efficiency`` with
+        ``tooth_peak_depth`` as its depth parameter.  That formula reads d/F
+        as the period-averaged depth, which the tooth peak is not; ROADMAP
+        item 13 will feed it the prepared mean depth instead."""
+        return afc_efficiency(self.tooth_peak_depth, self.finesse, self.background_depth)
+
 
 @dataclass(frozen=True)
 class AbsorptionSpectrum:
@@ -331,7 +339,7 @@ def storage_branches(
     tooth_miss = np.abs(detune - cfg.tooth_spacing * np.round(detune / cfg.tooth_spacing))
     on_tooth = in_pit & (tooth_miss <= 0.5 * cfg.tooth_fwhm)
 
-    eta = afc_efficiency(cfg.tooth_peak_depth, cfg.finesse, cfg.background_depth)
+    eta = cfg.echo_efficiency
     p_prompt_pit = math.exp(-cfg.mean_comb_depth)
     if eta + p_prompt_pit > 1.0:
         raise ValueError("comb parameters give echo + transmit probability > 1")

@@ -39,8 +39,8 @@ therefore materializes noise exactly where it can matter:
   carries rate * sigma / sqrt(2 pi) points across each edge on average;
   with about 20 edges per 6 s batch against 3 s of windows that is a
   relative effect near 20 * 0.4 * 42 ps / 3 s = 1e-10.  ``detect``
-  therefore jitters and sorts only the pair heralds and the darks and
-  merges them into the noise run in linear time.  The draws on the
+  therefore jitters only the pair heralds, appends the darks and the noise
+  run to them and sorts the stream once.  The draws on the
   herald-detection stream are, in order, pair jitter, darks.
   Signal-arm noise keeps its jitter: there the intensity has edges every
   microsecond (``rel`` and the gate), aligned with the histogram's.

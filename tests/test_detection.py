@@ -133,6 +133,33 @@ def test_detect_merges_unjittered_noise_run():
     assert np.count_nonzero(got[1] == ORIGIN_CONVERSION_NOISE) > 19000
 
 
+def test_detect_photon_wins_a_tie_with_noise():
+    # on equal times the photon sorts before the noise click, so the dead
+    # time keeps the photon
+    spd = SPDConfig(efficiency=1.0, dark_rate=0.0, dead_time=50e-9, jitter_fwhm=0.0)
+    t, org = detect(
+        np.array([0.5]), spd, _span(0.0, 1.0), np.random.default_rng(17),
+        np.array([ORIGIN_PAIR], np.uint8), noise=np.array([0.5]),
+    )
+    assert t.tolist() == [0.5]
+    assert org.tolist() == [ORIGIN_PAIR]
+
+
+def test_detect_jitters_photons_but_not_noise():
+    spd = SPDConfig(efficiency=1.0, dark_rate=0.0, dead_time=0.0, jitter_fwhm=100e-12)
+    gen = np.random.default_rng(18)
+    t = np.sort(gen.uniform(0, 1, 2000))
+    noise = np.sort(gen.uniform(0, 1, 5000))
+    out_t, org = detect(
+        t, spd, _span(0.0, 1.0), np.random.default_rng(19),
+        np.full(len(t), ORIGIN_PAIR, np.uint8), noise=noise,
+    )
+    assert np.array_equal(out_t[org == ORIGIN_CONVERSION_NOISE], noise)
+    pair = out_t[org == ORIGIN_PAIR]
+    assert len(pair) == len(t)
+    assert not np.array_equal(np.sort(pair), t)
+
+
 def test_jitter_broadens_timing():
     spd = SPDConfig(efficiency=1.0, dark_rate=0.0, dead_time=0.0, jitter_fwhm=100e-12)
     t = np.full(20000, 0.5)

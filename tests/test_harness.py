@@ -32,7 +32,6 @@ from afclink.config import (
 )
 from afclink.detection import CoincidenceHistogram
 from afclink.lockchain import LockRunResult, RfOffsets
-from afclink.memory import afc_efficiency
 from afclink.reporting import run_scenario
 from afclink.source import SourceConfig
 
@@ -423,8 +422,7 @@ def test_noise_floor_matches_analytic_expectation():
         modes = np.asarray(afc.mode_offsets)
         if np.min(np.abs(f - modes)) <= afc.pit_halfwidth:
             # echo also reaches the detector, just delayed
-            eta = afc_efficiency(afc.tooth_peak_depth, afc.finesse, afc.background_depth)
-            return math.exp(-afc.mean_comb_depth) + eta
+            return math.exp(-afc.mean_comb_depth) + afc.echo_efficiency
         return math.exp(-float(inh.depth_at(f)))
 
     mem_pass, _ = quad(transmit, -half_span, half_span, limit=400, points=[-inh.fwhm, inh.fwhm])
@@ -697,19 +695,25 @@ def test_cli_sweep(tmp_path, capsys):
 # -- package -------------------------------------------------------------------
 
 def test_every_export_is_used_outside_tests():
-    # each name the package exports is referenced by the package itself, a
-    # demo, the benchmark or the acceptance gate, outside its own definition;
-    # an export only unit tests call is test-only API
+    # each public top-level function, class and constant of the package is
+    # referenced by the package itself, a demo, the benchmark or the
+    # acceptance gate, outside its own definition; a name only unit tests
+    # use is test-only API, and a re-export in ``__init__`` is no use
     root = Path(__file__).resolve().parent.parent
-    init = root / "src" / "afclink" / "__init__.py"
-    exported = {
-        alias.asname or alias.name
-        for node in ast.parse(init.read_text(encoding="utf-8")).body
-        if isinstance(node, ast.ImportFrom)
-        for alias in node.names
-    }
+    package = root / "src" / "afclink"
+    init = package / "__init__.py"
+    modules = [p for p in package.glob("*.py") if p != init]
+    public = set()
+    for path in modules:
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+                public.add(top.name)
+            elif isinstance(top, (ast.Assign, ast.AnnAssign)):
+                targets = top.targets if isinstance(top, ast.Assign) else [top.target]
+                public |= {t.id for t in targets if isinstance(t, ast.Name)}
+    public = {name for name in public if not name.startswith("_")}
     users = [
-        *(p for p in (root / "src" / "afclink").glob("*.py") if p != init),
+        *modules,
         *(root / "demos").glob("*.py"),
         *(root / "perfbench").glob("*.py"),
         root / "tests" / "test_acceptance.py",
@@ -717,13 +721,13 @@ def test_every_export_is_used_outside_tests():
     used = set()
     for path in users:
         for top in ast.parse(path.read_text(encoding="utf-8")).body:
-            names = {n.id for n in ast.walk(top) if isinstance(n, ast.Name)}
+            names = {n.id for n in ast.walk(top) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
             names |= {n.attr for n in ast.walk(top) if isinstance(n, ast.Attribute)}
             names |= {a.name for n in ast.walk(top) if isinstance(n, ast.ImportFrom) for a in n.names}
             if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
                 names.discard(top.name)
             used |= names
-    assert sorted(exported - used) == []
+    assert sorted(public - used) == []
 
 
 def test_runtime_needs_numpy_alone():

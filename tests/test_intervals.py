@@ -295,28 +295,3 @@ def test_table_lookup_uniform_keys_and_shapes():
         assert np.array_equal(iv.table_lookup(cdf, u, side), np.searchsorted(cdf, u, side))
     assert iv.table_lookup(np.empty(0), np.array([1.0, 2.0])).tolist() == [0, 0]
     assert iv.table_lookup(cdf, np.empty(0)).shape == (0,)
-
-
-# sorted runs on a coarse grid, so equal values across and within the runs
-# are common; one side can be far longer than the other
-_sorted_runs = st.lists(st.integers(-50, 50), max_size=400).map(lambda v: np.sort(np.array(v, float)))
-
-
-@settings(max_examples=300, deadline=None)
-@given(a=_sorted_runs, b=_sorted_runs)
-@example(a=np.empty(0), b=np.empty(0))
-@example(a=np.empty(0), b=np.array([1.0, 2.0]))
-@example(a=np.array([1.0, 2.0]), b=np.empty(0))
-@example(a=np.array([3.0]), b=np.arange(300.0))  # a short run in a long one
-@example(a=np.arange(300.0), b=np.array([3.0]))  # and the other way round
-@example(a=np.full(5, 2.0), b=np.full(7, 2.0))  # every time equal
-def test_merge_sorted_matches_stable_argsort(a, b):
-    # the merge orders its sources as a stable argsort of the concatenation:
-    # on equal values a's elements come first, in their own order
-    merged, from_a = iv.merge_sorted(a, b)
-    joint = np.concatenate([a, b])
-    assert np.array_equal(merged, np.sort(joint))
-    source = np.empty(len(joint), dtype=np.intp)
-    source[from_a] = np.arange(len(a))
-    source[~from_a] = len(a) + np.arange(len(b))
-    assert np.array_equal(source, np.argsort(joint, kind="stable"))

@@ -191,7 +191,7 @@ def test_echo_probability_matches_formula():
     rng = np.random.default_rng(2)
     n = 100_000
     kinds = storage_branches(np.zeros(n), CFG, INH, rng)
-    eta = afc_efficiency(CFG.tooth_peak_depth, CFG.finesse, CFG.background_depth)
+    eta = CFG.echo_efficiency
     p_hat = np.mean(kinds == KIND_ECHO)
     sigma = math.sqrt(eta * (1 - eta) / n)
     assert p_hat == pytest.approx(eta, abs=3 * sigma)
@@ -235,7 +235,7 @@ def test_in_band_off_pit_absorption():
 def _storage_branch_per_photon(offsets, cfg, inh, u):
     """Per-photon reference of ``storage_branches`` given its uniforms, one
     per in-band photon in order."""
-    eta = afc_efficiency(cfg.tooth_peak_depth, cfg.finesse, cfg.background_depth)
+    eta = cfg.echo_efficiency
     p_prompt_pit = math.exp(-cfg.mean_comb_depth)
     p_pass = np.exp(-inh.depth_at(offsets))
     u = iter(u)
