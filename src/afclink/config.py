@@ -147,13 +147,25 @@ class ScenarioConfig:
             )
 
     @property
+    def jitter_margin(self) -> float:
+        """8 signal-detector jitter sigmas: the farthest the engine takes a
+        signal click's jitter to move it."""
+        return _REACH_SIGMAS * self.detectors.signal.jitter_sigma
+
+    @property
     def signal_reach(self) -> tuple[float, float]:
         """Herald-relative memory-entry times from which a signal-arm photon
-        can still reach the histogram: ``tau_min`` less the echo delay, one
-        signal dead time and 8 jitter sigmas, to ``tau_max`` plus 8 sigmas."""
-        det, h = self.detectors.signal, self.histogram
-        margin = _REACH_SIGMAS * det.jitter_sigma
-        return (h.tau_min - self.memory.echo_delay - det.dead_time - margin, h.tau_max + margin)
+        can still reach the histogram or meet a closed gate: ``tau_min`` less
+        the echo delay, one signal dead time and the jitter margin, to the
+        later of ``tau_max`` and the gate's reopening plus the margin.  The
+        closures start at ``herald_close_delay`` >= 0, and the lower end is
+        negative (the signal window holds the echo delay), so the reach
+        covers every closure a herald commands."""
+        h, margin = self.histogram, self.jitter_margin
+        return (
+            h.tau_min - self.memory.echo_delay - self.detectors.signal.dead_time - margin,
+            max(h.tau_max, self.shutter.echo_window[1]) + margin,
+        )
 
     def with_mode_count(self, n_modes: int) -> "ScenarioConfig":
         """Same scenario with a different multiplexing count and uniform mode

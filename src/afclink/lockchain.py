@@ -205,11 +205,16 @@ class LockRunResult:
     max_abs_residual: float
     rms_residual: float
 
+    def step_at(self, t: np.ndarray) -> np.ndarray:
+        """Index of the sample that holds at times ``t``: floor(t / dt), the
+        last sample at or before each time (in floating point, so a time
+        within rounding of a grid point may take its neighbour); times
+        outside the run take the first or last sample."""
+        return np.clip((np.asarray(t) / self.dt).astype(np.int64), 0, len(self.residual) - 1)
+
     def residual_at(self, t: np.ndarray) -> np.ndarray:
-        """Residual at times ``t``, each holding the last sample at or before
-        it; times outside the run take the first or last sample."""
-        idx = np.clip((np.asarray(t) / self.dt).astype(np.int64), 0, len(self.residual) - 1)
-        return self.residual[idx]
+        """Residual at times ``t``, the sample ``step_at`` picks."""
+        return self.residual[self.step_at(t)]
 
     def to_csv(self) -> str:
         flat = [None] * (2 * len(self.t))

@@ -34,7 +34,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import intervals as iv
 from .spectral import SpectralGrid
 
 _FOUR_LN2 = 4.0 * math.log(2.0)
@@ -301,36 +300,26 @@ def afc_efficiency_oracle(spectrum: AbsorptionSpectrum, mode: float, spacing: fl
     return float(np.sum(np.abs(e_out[window]) ** 2) / np.sum(np.abs(e_in) ** 2))
 
 
-def storage_branches(
-    offsets: np.ndarray,
-    cfg: AFCConfig,
-    inh: InhomogeneousProfile,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Vectorized outcome draw for photons at the given mode offsets.
+def _branch_chances(offsets: np.ndarray, cfg: AFCConfig, inh: InhomogeneousProfile):
+    """The comb's outcome chances at ``offsets`` as thresholds on one
+    uniform: echo below ``echo_below``, prompt below ``prompt_below``, else
+    lost.  Returns the in-band mask, for each in-band photon in order the row
+    of the threshold table that holds its chances, and the table's two
+    columns.  Rows 0 and 1 hold the chances inside a pit on and off a tooth;
+    each in-band photon outside every pit has a row of its own.
 
-    Returns an array of outcome codes (KIND_*).  A photon echoes only when
-    it is inside a prepared pit and aligned with a comb tooth to within half
-    a tooth FWHM; misalignment (e.g. a lock-chain residual of a few tooth
-    widths) removes the echo branch entirely.
+    A photon echoes only when it is inside a prepared pit and aligned with a
+    comb tooth to within half a tooth FWHM; misalignment (e.g. a lock-chain
+    residual of a few tooth widths) removes the echo branch entirely.
+    Outside a pit the prompt chance is the plain absorption survival
+    exp(-depth) of the unprepared profile.
     """
-    offsets = np.asarray(offsets, dtype=np.float64)
-    n = len(offsets)
-    out = np.full(n, KIND_LOST, dtype=np.uint8)
-    if n == 0:
-        return out
-
     in_band = inh.in_band(offsets)
-    out[~in_band] = KIND_OUT_OF_BAND
-
-    idx = np.flatnonzero(in_band)
-    if idx.size == 0:
-        return out
-    off = offsets[idx]
+    off = offsets[in_band]
     modes = np.asarray(cfg.mode_offsets)
     # the comb modes on either side of each photon; the closer one wins, the
     # upper one on a tie
-    above = iv.table_lookup(modes, off, side="left")
+    above = np.searchsorted(modes, off, side="left")
     nearest = modes[np.minimum(above, len(modes) - 1)]
     alt = modes[np.maximum(above - 1, 0)]
     nearest = np.where(np.abs(off - alt) < np.abs(off - nearest), alt, nearest)
@@ -343,20 +332,65 @@ def storage_branches(
     p_prompt_pit = math.exp(-cfg.mean_comb_depth)
     if eta + p_prompt_pit > 1.0:
         raise ValueError("comb parameters give echo + transmit probability > 1")
+    row = np.where(on_tooth, 0, 1)
+    outside = np.flatnonzero(~in_pit)
+    echo_below = np.zeros(2 + len(outside))
+    echo_below[0] = eta
+    prompt_below = np.empty(2 + len(outside))
+    prompt_below[:2] = eta + p_prompt_pit, p_prompt_pit
+    if len(outside):
+        row[outside] = 2 + np.arange(len(outside))
+        prompt_below[2:] = np.exp(-inh.depth_at(off[outside]))
+    return in_band, row, echo_below, prompt_below
 
-    u = rng.random(idx.size)
-    # one uniform per photon: echo below p_echo (eta on a tooth, else 0),
-    # prompt below p_echo + p_prompt_pit inside a pit, or below the plain
-    # absorption survival exp(-depth) of the unprepared profile outside one
-    prompt_below = np.where(on_tooth, eta + p_prompt_pit, p_prompt_pit)
-    off_pit = ~in_pit
-    if np.any(off_pit):
-        prompt_below[off_pit] = np.exp(-inh.depth_at(off[off_pit]))
-    res = np.full(idx.size, KIND_LOST, dtype=np.uint8)
-    res[u < prompt_below] = KIND_PROMPT
-    res[on_tooth & (u < eta)] = KIND_ECHO
 
-    out[idx] = res
+def storage_branches(
+    offsets: np.ndarray,
+    cfg: AFCConfig,
+    inh: InhomogeneousProfile,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """Vectorized outcome draw for photons at the given mode offsets.
+
+    Returns an array of outcome codes (KIND_*): out of band beyond the
+    inhomogeneous support, else one uniform per photon against the chances
+    of ``_branch_chances``.
+    """
+    offsets = np.asarray(offsets, dtype=np.float64)
+    out = np.full(len(offsets), KIND_OUT_OF_BAND, dtype=np.uint8)
+    if len(offsets) == 0:
+        return out
+    in_band, row, echo_below, prompt_below = _branch_chances(offsets, cfg, inh)
+    u = rng.random(len(row))
+    res = np.full(len(u), KIND_LOST, dtype=np.uint8)
+    res[u < prompt_below[row]] = KIND_PROMPT
+    res[u < echo_below[row]] = KIND_ECHO
+    out[in_band] = res
+    return out
+
+
+def branch_counts(
+    counts: np.ndarray,
+    offsets: np.ndarray,
+    cfg: AFCConfig,
+    inh: InhomogeneousProfile,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """Outcome totals, one per KIND_* code, of ``counts[i]`` photons at
+    ``offsets[i]``: one multinomial per row of ``_branch_chances``' table,
+    the chances that ``storage_branches`` draws photon by photon.  The
+    offsets that share a row (every one on a tooth, say) pool their photons.
+    """
+    counts = np.asarray(counts, dtype=np.int64)
+    in_band, row, echo_below, prompt_below = _branch_chances(np.asarray(offsets, dtype=np.float64), cfg, inh)
+    n = np.bincount(row, weights=counts[in_band], minlength=len(echo_below)).astype(np.int64)
+    p = np.empty((len(n), 3))
+    p[:, 0] = echo_below
+    p[:, 1] = prompt_below - echo_below
+    p[:, 2] = 1.0 - prompt_below
+    out = np.zeros(KIND_LOST + 1, dtype=np.int64)
+    out[[KIND_ECHO, KIND_PROMPT, KIND_LOST]] = rng.multinomial(n, p).sum(axis=0)
+    out[KIND_OUT_OF_BAND] = counts.sum() - n.sum()
     return out
 
 

@@ -49,12 +49,43 @@ therefore materializes noise exactly where it can matter:
   each herald, and joins the pair photons in one gate test (pass where the
   gate is open, else with probability ``extinction``).
 
-Besides the window-edge effect above, the only approximation this leaves is
-a dead-time chain longer than the one dead time the reach covers, second
-order in click rate x dead time (Müller 1973), which ``ScenarioConfig``
-caps at 1e-2 (flagship: 5.2e-4).  ``tests/test_reference.py`` checks these
-shortcuts against a brute-force run that materializes every noise photon.
-Detection is active only during transmission phases (the preparation light
+Most signal-arm pair photons lie outside the reach of every detected herald
+(81 % at 14 mW pump and 2e4 pairs/s).  ``far_pairs`` marks those that also
+lie at least the jitter margin (8 sigma) after the start of their
+transmission window and the echo delay plus that margin before its end.
+For such a far photon:
+
+- the gate is open with certainty: the reach around each herald holds every
+  closure the herald commands (``ScenarioConfig.signal_reach``);
+- every exit it can take (out of band at entry, prompt, echo) lands, jitter
+  included, in its own window;
+- none of its clicks can enter the histogram, which pairs a signal click
+  only with the heralds whose reach holds the photon;
+- it cannot shadow a click that does, since the reach also covers one
+  signal dead time before ``tau_min``.
+
+``far_outcomes`` therefore only counts the far photons: one multinomial
+over the memory's branches per (mode, lock step), whose photons all share
+one set of chances, then one binomial per detectable kind for the detector
+efficiency, drawn on the memory stream after the photon-level uniforms.
+The counts join ``memory_outcomes``, ``detected_outcomes`` and
+``signal_by_origin.pair``.  Their one new approximation is that far clicks
+take no part in dead time, neither lost to an earlier click nor shadowing a
+later one; that raises ``signal_detected`` by at most the signal click rate
+during the windows x the dead time (2.3e3/s x 50 ns = 1.1e-4 at that
+working point).  The grouped draws have a fixed cost per batch, so the
+engine takes this path only in a batch of at least ``_FAR_MIN_PAIRS``
+(3000) pair photons: a flagship batch has about 500 and keeps every photon
+on the photon-level path; at 14 mW pump and 2e4 pairs/s a batch has about
+21000.
+
+Besides the window-edge effect and the far clicks' dead time above, the only
+approximation this leaves is a dead-time chain longer than the one dead time
+the reach covers, second order in click rate x dead time (Müller 1973),
+which ``ScenarioConfig`` caps at 1e-2 (flagship: 5.2e-4).
+``tests/test_reference.py`` checks these shortcuts against a brute-force run
+that materializes every noise photon and carries every pair photon through
+the gate, the memory and the detector.  Detection is active only during transmission phases (the preparation light
 makes the detectors unusable during pit burning), so preparation-phase
 photons are dropped at source.
 
@@ -89,6 +120,7 @@ from .memory import (
     KIND_LOST,
     KIND_OUT_OF_BAND,
     KIND_PROMPT,
+    branch_counts,
     exit_times,
     storage_branches,
 )
@@ -116,6 +148,12 @@ _DETECTED_KIND = _MEMORY_KIND + _N_KIND  # detected pair photons
 _PAIRS = _DETECTED_KIND + _N_KIND
 _NOISE_IN_ECHO = _PAIRS + 1
 _N_SLOTS = _NOISE_IN_ECHO + 1
+
+# pair photons per batch from which the far path pays for its fixed cost:
+# against the photon-level path it cost a flagship batch 0.2-0.4 ms more at
+# 500-1500 pair photons, about as much at 3000 and 0.1-0.3 ms less at
+# 4000-8000 (timeit minima, 2 vCPUs)
+_FAR_MIN_PAIRS = 3000
 
 _ORIGIN_NAMES = (
     (ORIGIN_PAIR, "pair"), (ORIGIN_CONVERSION_NOISE, "conversion_noise"), (ORIGIN_DARK_COUNT, "dark_count")
@@ -186,6 +224,8 @@ class _Engine:
         self.p_any = self.p_herald + p_s - self.p_both
         self.kept_source = cfg.source.thinned(self.p_any)
         self.lost_pair_rate = max(0.0, cfg.source.total_pair_rate - self.kept_source.total_pair_rate)
+        # a far pair photon keeps every exit and its jitter inside its window
+        self.window_guard = np.array([cfg.jitter_margin, -(cfg.memory.echo_delay + cfg.jitter_margin)])
         self.n_cycles = int(math.ceil(cfg.duration / cfg.shutter.cycle_period))
         per_batch = max(1, int(round(6.0 / cfg.shutter.cycle_period)))
         self.batches = [
@@ -250,12 +290,22 @@ class _Engine:
     def signal_arm(self, b, windows, h_times, signal_t, mode_idx, vec):
         """Signal-arm noise, gate, lock residual, memory and detection of the
         signal photons that survived the fiber and the converter; the
-        in-window detection times (sorted) and origins."""
+        in-window detection times (sorted) and origins.
+
+        In a batch with at least ``_FAR_MIN_PAIRS`` pair photons, those that
+        ``far_pairs`` marks skip the photon-level path and are only counted,
+        by ``far_outcomes`` (see the module docstring); the rest join the
+        signal-arm noise in it."""
         cfg = self.cfg
-        # converter noise (beam-splitter share) at full rate on the reach, and
-        # one gate test, commanded by the heralds, for it and the pair photons
         lo, hi = cfg.signal_reach
         rel = iv.as_interval_set(h_times + lo, h_times + hi)
+        far_t, far_mode = signal_t[:0], mode_idx[:0]
+        if len(signal_t) >= _FAR_MIN_PAIRS:
+            far = self.far_pairs(windows, rel, signal_t)
+            far_t, far_mode = signal_t[far], mode_idx[far]
+            signal_t, mode_idx = signal_t[~far], mode_idx[~far]
+        # converter noise (beam-splitter share) at full rate on the reach, and
+        # one gate test, commanded by the heralds, for it and the pair photons
         rng = _stream(cfg.seed, _S_SIGNAL_NOISE, b)
         n_t = iv.sample_poisson(iv.intersect(windows, rel), 0.5 * cfg.converter.noise_rate, rng)
         entry_off = np.concatenate([self.mode_offsets[mode_idx], cfg.converter.noise_offsets(len(n_t), rng)])
@@ -270,9 +320,12 @@ class _Engine:
             entry_off = entry_off + self.lock_result.residual_at(entry_t)
 
         mem = cfg.memory
-        kinds = storage_branches(entry_off, mem.afc, mem.inhomogeneous, _stream(cfg.seed, _S_MEMORY, b))
+        mem_rng = _stream(cfg.seed, _S_MEMORY, b)
+        kinds = storage_branches(entry_off, mem.afc, mem.inhomogeneous, mem_rng)
         exits = exit_times(entry_t, kinds, mem.afc, mem.slow_light_delay)
         _tally(vec, _MEMORY_KIND, _N_KIND, kinds[entry_org == ORIGIN_PAIR])
+        if len(far_t):
+            self.far_outcomes(far_t, far_mode, mem_rng, vec)
         det = cfg.detectors.signal
         rng = _stream(cfg.seed, _S_SIGNAL_DETECT, b)
         # the detector efficiency thins the photons that leave the memory
@@ -285,6 +338,37 @@ class _Engine:
         _tally(vec, _SIGNAL_ORIGIN, _N_ORIGIN, det_org)
         _tally(vec, _DETECTED_KIND, _N_KIND, det_kind[det_org == ORIGIN_PAIR])
         return det_t, det_org
+
+    def far_pairs(self, windows, rel, t) -> np.ndarray:
+        """Mask of the pair photons at memory-entry times ``t`` that lie
+        outside ``rel``, the reach around every detected herald, and at least
+        the jitter margin after a window's start and the echo delay plus the
+        margin before its end."""
+        inner = windows + self.window_guard
+        # a window shorter than the guard keeps an empty row, and sorted edges
+        np.maximum(inner[:, 1], inner[:, 0], out=inner[:, 1])
+        return iv.contains(inner, t) & ~iv.contains(rel, t)
+
+    def far_outcomes(self, t, mode_idx, rng, vec) -> None:
+        """Tally the memory outcomes and detections of the far pair photons
+        at times ``t`` in modes ``mode_idx``: one multinomial over the
+        memory's branches per (mode, lock step), then one binomial per
+        detectable kind for the signal detector's efficiency."""
+        n_modes = len(self.mode_offsets)
+        if self.lock_result is None:
+            counts, offsets = np.bincount(mode_idx, minlength=n_modes), self.mode_offsets
+        else:
+            # one group per (lock step, mode) of the steps the photons span
+            step = self.lock_result.step_at(t)
+            first, last = step.min(), step.max()
+            counts = np.bincount((step - first) * n_modes + mode_idx, minlength=(last - first + 1) * n_modes)
+            offsets = (self.lock_result.residual[first:last + 1, None] + self.mode_offsets).ravel()
+        mem = self.cfg.memory
+        stored = branch_counts(counts, offsets, mem.afc, mem.inhomogeneous, rng)
+        detected = rng.binomial(stored[:KIND_LOST], self.cfg.detectors.signal.efficiency)
+        vec[_MEMORY_KIND:_MEMORY_KIND + _N_KIND] += stored
+        vec[_DETECTED_KIND:_DETECTED_KIND + KIND_LOST] += detected
+        vec[_SIGNAL_ORIGIN + ORIGIN_PAIR] += detected.sum()
 
     # -- a run -------------------------------------------------------------
 

@@ -302,6 +302,19 @@ def test_residual_at_holds_last_sample_and_clips():
     assert np.array_equal(res.residual_at(np.array([-1.0, -0.2, 2.0, 10.0])), [5.0, 5.0, 7.0, 7.0])
 
 
+def test_step_at_is_the_sample_residual_at_reads():
+    res = simulate_lock_run(LockChainConfig(), 10, 0.5, seed=1)
+    k = np.arange(len(res.t))
+    # on a grid point its own sample holds, up to the next point the same one
+    assert np.array_equal(res.step_at(k * res.dt), k)
+    assert np.array_equal(res.step_at((k + 0.999) * res.dt), k)
+    # before 0 the first sample, past the end the last
+    assert np.array_equal(res.step_at(np.array([-5.0, -1e-9])), [0, 0])
+    assert np.array_equal(res.step_at(np.array([10.0 + 1e-9, 1e6])), [k[-1], k[-1]])
+    t = np.random.default_rng(0).uniform(-1.0, 11.0, 1000)
+    assert np.array_equal(res.residual_at(t), res.residual[res.step_at(t)])
+
+
 def test_simulated_run_carries_its_step():
     res = simulate_lock_run(LockChainConfig(), 10, 0.5, seed=1)
     assert res.dt == 0.5

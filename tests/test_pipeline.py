@@ -1,14 +1,28 @@
 """Engine-level checks of the noise shortcuts in ``pipeline._Engine``."""
 
 import ast
+import dataclasses
+import functools
 from pathlib import Path
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from afclink import intervals as iv
 from afclink import pipeline
 from afclink.channel import ShutterSchedule, as_closures
-from afclink.config import LockSettings, ScenarioConfig
+from afclink.config import (
+    DetectorSettings,
+    LockSettings,
+    MemorySettings,
+    ScenarioConfig,
+    bundled_scenarios,
+    load_bundled_scenario,
+)
+from afclink.detection import SPDConfig
+from afclink.lockchain import DriftModel, LaserId, LockChainConfig, RfOffsets
+from afclink.memory import KIND_ECHO, KIND_LOST, KIND_OUT_OF_BAND, KIND_PROMPT, InhomogeneousProfile, storage_branches
 from afclink.source import SourceConfig
 
 
@@ -86,3 +100,156 @@ def test_every_stage_draws_from_its_own_stream():
     ]
     assert all(isinstance(s, ast.Name) for s in stages), [ast.dump(s) for s in stages]
     assert sorted(s.id for s in stages) == sorted(ids)
+
+
+def test_signal_reach_covers_a_gate_that_outlasts_the_histogram():
+    # a far pair photon is taken to meet an open gate, so the reach must hold
+    # every closure even when the gate reopens after tau_max (1.4 us)
+    cfg = ScenarioConfig(
+        name="late_gate", seed=0, duration=1.2, source=SourceConfig(total_pair_rate=500.0, n_modes=25),
+        shutter=ShutterSchedule(echo_window=(900e-9, 1500e-9)),
+    )
+    lo, hi = cfg.signal_reach
+    assert hi == 1500e-9 + cfg.jitter_margin
+    h = np.array([0.4, 0.4 + 700e-9])
+    closed = as_closures(h, cfg.shutter)
+    assert np.all(closed[:, 0] >= h[0] + lo) and np.all(closed[:, 1] <= h[-1] + hi)
+    # every shipped histogram outlasts its gate: their reach ends at tau_max
+    for name in bundled_scenarios():
+        shipped = load_bundled_scenario(name)
+        assert shipped.histogram.tau_max > shipped.shutter.echo_window[1]
+        assert shipped.signal_reach[1] == shipped.histogram.tau_max + shipped.jitter_margin
+
+
+@functools.lru_cache(maxsize=None)
+def _far_engine(duration: float, gate_end: float, jitter_fwhm: float) -> pipeline._Engine:
+    return pipeline._Engine(ScenarioConfig(
+        name="far", seed=0, duration=duration, source=SourceConfig(total_pair_rate=500.0, n_modes=25),
+        shutter=ShutterSchedule(echo_window=(900e-9, gate_end)),
+        detectors=DetectorSettings(signal=SPDConfig(dark_rate=300.0, jitter_fwhm=jitter_fwhm)),
+    ))
+
+
+_WINDOW_EDGES = (0.3, 0.6, 0.9, 1.2)  # the two transmission windows of a 1.2 s run
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    # a window shorter than the guard at the run's end or first in the set
+    duration=st.sampled_from([1.2, 0.9 + 5e-7]),
+    short_first=st.booleans(),
+    gate_end=st.sampled_from([1.2e-6, 1.5e-6]),
+    jitter_fwhm=st.sampled_from([100e-12, 300e-9]),
+    heralds=st.lists(st.tuples(st.sampled_from([0.3, 0.9]), st.floats(0.0, 0.2999)), min_size=1, max_size=6),
+    photons=st.lists(
+        st.tuples(st.integers(0, 9), st.floats(-4e-6, 4e-6)), min_size=1, max_size=40
+    ),
+)
+def test_far_path_takes_no_photon_a_herald_or_a_window_edge_can_see(
+    duration, short_first, gate_end, jitter_fwhm, heralds, photons
+):
+    # a photon in a closure, in some herald's reach or within the guard of a
+    # window edge stays on the photon-level path; every other photon inside a
+    # window takes the far path
+    eng = _far_engine(duration, gate_end, jitter_fwhm)
+    cfg = eng.cfg
+    h = np.sort([start + x for start, x in heralds])
+    anchors = np.concatenate([h, _WINDOW_EDGES])
+    t = np.array([anchors[i % len(anchors)] + dt for i, dt in photons])
+    windows = cfg.shutter.transmission_windows(0, 2, cfg.duration)
+    if short_first:
+        windows[0, 1] = windows[0, 0] + 5e-7
+    lo, hi = cfg.signal_reach
+    far = eng.far_pairs(windows, iv.as_interval_set(h + lo, h + hi), t)
+
+    def inside(starts, ends):
+        return ((t[:, None] >= starts) & (t[:, None] < ends)).any(axis=1)
+
+    margin, echo = cfg.jitter_margin, cfg.memory.echo_delay
+    in_reach = inside(h + lo, h + hi)
+    in_closure = inside(h + cfg.shutter.herald_close_delay, h + gate_end)
+    safe = inside(windows[:, 0] + margin, windows[:, 1] + -(echo + margin))
+    assert not np.any(in_closure & ~in_reach)
+    assert np.array_equal(far, safe & ~in_reach)
+
+
+def test_grouped_far_draws_match_per_photon_draws():
+    # the same far photons, drawn per (mode, lock step) group by far_outcomes
+    # and photon by photon by storage_branches plus the efficiency thinning,
+    # pooled over seeds.  The chain runs open with a 4 MHz RF mismatch, so
+    # its residual walks over teeth, between teeth and out of the pits, and
+    # a 1 GHz memory band puts the modes with |k| >= 9 out of band.
+    chain = LockChainConfig(
+        rf=RfOffsets(f_beat=RfOffsets().f_beat + 4e6),
+        drift={laser: DriftModel(sigma=5e5) for laser in LaserId},
+    ).with_servos_disabled()
+    grouped, per_photon = np.zeros((2, 4), np.int64), np.zeros((2, 4), np.int64)
+    classes = np.zeros(3, np.int64)  # photons on a tooth, between teeth, outside a pit
+    for seed in range(4):
+        cfg = ScenarioConfig(
+            name="grouped", seed=seed, duration=60.0, source=SourceConfig(total_pair_rate=500.0, n_modes=25),
+            memory=MemorySettings(inhomogeneous=InhomogeneousProfile(fwhm=1e9)),
+            lock=LockSettings(mode="simulated", config=chain, dt=1.0),
+        )
+        eng = pipeline._Engine(cfg)
+        rng = np.random.default_rng(100 + seed)
+        # photons in five of the sixty lock steps, so that a photon read
+        # against the wrong step meets another residual
+        t = np.sort(rng.choice(60, 5, replace=False)[rng.integers(0, 5, 60_000)] + rng.random(60_000))
+        mode_idx = rng.integers(0, len(eng.mode_offsets), len(t))
+
+        vec = np.zeros(pipeline._N_SLOTS, np.int64)
+        eng.far_outcomes(t, mode_idx, np.random.default_rng(200 + seed), vec)
+        detected = vec[pipeline._DETECTED_KIND:pipeline._DETECTED_KIND + 4]
+        assert vec[pipeline._SIGNAL_ORIGIN + pipeline.ORIGIN_PAIR] == detected.sum()
+        grouped += (vec[pipeline._MEMORY_KIND:pipeline._MEMORY_KIND + 4], detected)
+
+        off = eng.mode_offsets[mode_idx] + eng.lock_result.residual_at(t)
+        mem = cfg.memory
+        kinds = storage_branches(off, mem.afc, mem.inhomogeneous, rng)
+        clicks = (kinds != KIND_LOST) & (rng.random(len(kinds)) < cfg.detectors.signal.efficiency)
+        per_photon[0] += np.bincount(kinds, minlength=4)
+        per_photon[1] += np.bincount(kinds[clicks], minlength=4)
+
+        afc = mem.afc
+        detune = off - eng.mode_offsets[mode_idx]
+        in_pit = np.abs(detune) <= afc.pit_halfwidth
+        miss = np.abs(detune - afc.tooth_spacing * np.round(detune / afc.tooth_spacing))
+        on_tooth = in_pit & (miss <= 0.5 * afc.tooth_fwhm)
+        classes += (on_tooth.sum(), (in_pit & ~on_tooth).sum(), (~in_pit).sum())
+
+    assert np.all(classes > 1000), classes
+    assert np.all(per_photon[0] > 1000), per_photon
+    assert grouped[1, KIND_LOST] == per_photon[1, KIND_LOST] == 0
+    # one z per kind, at the memory and at the detector
+    kinds = [KIND_ECHO, KIND_PROMPT, KIND_OUT_OF_BAND]
+    a = np.concatenate([grouped[0], grouped[1, kinds]])
+    b = np.concatenate([per_photon[0], per_photon[1, kinds]])
+    z = (a - b) / np.sqrt(a + b)
+    assert np.all(np.abs(z) < 4), (grouped, per_photon, z)
+
+
+def test_far_path_runs_only_in_batches_that_pay_for_it(monkeypatch):
+    # a batch below _FAR_MIN_PAIRS pair photons keeps every photon on the
+    # photon-level path; the flagship's 485 pairs/s are below it, 2e4 above
+    arrivals, marked = [], []
+    real_arm, real_far = pipeline._Engine.signal_arm, pipeline._Engine.far_pairs
+
+    def spy_arm(self, b, windows, h_times, signal_t, *args):
+        arrivals.append(len(signal_t))
+        return real_arm(self, b, windows, h_times, signal_t, *args)
+
+    def spy_far(self, windows, rel, t):
+        marked.append(len(t))
+        return real_far(self, windows, rel, t)
+
+    monkeypatch.setattr(pipeline._Engine, "signal_arm", spy_arm)
+    monkeypatch.setattr(pipeline._Engine, "far_pairs", spy_far)
+    for rate in (485.0, 2e4):
+        arrivals.clear()
+        marked.clear()
+        pipeline.run_raw(ScenarioConfig(
+            name="far_path", seed=1, duration=6.0, source=SourceConfig(total_pair_rate=rate, n_modes=25)
+        ), workers=1)
+        assert len(arrivals) == 1 and (arrivals[0] >= pipeline._FAR_MIN_PAIRS) == (rate > 1e4), arrivals
+        assert marked == ([] if rate < 1e4 else arrivals)
