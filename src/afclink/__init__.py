@@ -33,7 +33,6 @@ from .memory import (  # noqa: F401
     InhomogeneousProfile,
     afc_efficiency,
     afc_efficiency_oracle,
-    branch_counts,
     comb_spectrum,
     exit_times,
     prepare_afc,

@@ -122,7 +122,7 @@ def contains(intervals: np.ndarray, t: np.ndarray) -> np.ndarray:
     if len(intervals) == 0:
         return np.zeros(t.shape, dtype=bool)
     edges = intervals.ravel()
-    return np.searchsorted(edges, t, side="right") % 2 == 1
+    return (np.searchsorted(edges, t, side="right") & 1).astype(bool)
 
 
 def sample_poisson(intervals: np.ndarray, rate: float, rng: np.random.Generator) -> np.ndarray:

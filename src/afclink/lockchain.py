@@ -210,7 +210,7 @@ class LockRunResult:
         last sample at or before each time (in floating point, so a time
         within rounding of a grid point may take its neighbour); times
         outside the run take the first or last sample."""
-        return np.clip((np.asarray(t) / self.dt).astype(np.int64), 0, len(self.residual) - 1)
+        return np.minimum(np.maximum((np.asarray(t) / self.dt).astype(np.int64), 0), len(self.residual) - 1)
 
     def residual_at(self, t: np.ndarray) -> np.ndarray:
         """Residual at times ``t``, the sample ``step_at`` picks."""

@@ -317,13 +317,10 @@ def _branch_chances(offsets: np.ndarray, cfg: AFCConfig, inh: InhomogeneousProfi
     in_band = inh.in_band(offsets)
     off = offsets[in_band]
     modes = np.asarray(cfg.mode_offsets)
-    # the comb modes on either side of each photon; the closer one wins, the
-    # upper one on a tie
-    above = np.searchsorted(modes, off, side="left")
-    nearest = modes[np.minimum(above, len(modes) - 1)]
-    alt = modes[np.maximum(above - 1, 0)]
-    nearest = np.where(np.abs(off - alt) < np.abs(off - nearest), alt, nearest)
-    detune = off - nearest
+    # the nearest comb mode, the upper one from each midpoint on: a photon
+    # within rounding of a midpoint lies outside both pits, so either mode
+    # gives it the same chances
+    detune = off - modes[np.searchsorted(0.5 * (modes[1:] + modes[:-1]), off, side="right")]
     in_pit = np.abs(detune) <= cfg.pit_halfwidth
     tooth_miss = np.abs(detune - cfg.tooth_spacing * np.round(detune / cfg.tooth_spacing))
     on_tooth = in_pit & (tooth_miss <= 0.5 * cfg.tooth_fwhm)
@@ -384,12 +381,14 @@ def branch_counts(
     counts = np.asarray(counts, dtype=np.int64)
     in_band, row, echo_below, prompt_below = _branch_chances(np.asarray(offsets, dtype=np.float64), cfg, inh)
     n = np.bincount(row, weights=counts[in_band], minlength=len(echo_below)).astype(np.int64)
-    p = np.empty((len(n), 3))
-    p[:, 0] = echo_below
-    p[:, 1] = prompt_below - echo_below
-    p[:, 2] = 1.0 - prompt_below
+    drawn = np.zeros(3, dtype=np.int64)
+    # a scalar multinomial per row that holds photons: under a locked chain
+    # that is rows 0 and 1 alone
+    for k in np.flatnonzero(n).tolist():
+        e, p = echo_below[k], prompt_below[k]
+        drawn += rng.multinomial(n[k], (e, p - e, 1.0 - p))
     out = np.zeros(KIND_LOST + 1, dtype=np.int64)
-    out[[KIND_ECHO, KIND_PROMPT, KIND_LOST]] = rng.multinomial(n, p).sum(axis=0)
+    out[[KIND_ECHO, KIND_PROMPT, KIND_LOST]] = drawn
     out[KIND_OUT_OF_BAND] = counts.sum() - n.sum()
     return out
 

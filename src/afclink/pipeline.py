@@ -50,9 +50,10 @@ therefore materializes noise exactly where it can matter:
   gate is open, else with probability ``extinction``).
 
 Most signal-arm pair photons lie outside the reach of every detected herald
-(81 % at 14 mW pump and 2e4 pairs/s).  ``far_pairs`` marks those that also
-lie at least the jitter margin (8 sigma) after the start of their
-transmission window and the echo delay plus that margin before its end.
+(81 % both in the flagship and at 14 mW pump and 2e4 pairs/s).
+``far_pairs`` marks those that also lie at least the jitter margin
+(8 sigma) after the start of their transmission window and the echo delay
+plus that margin before its end.
 For such a far photon:
 
 - the gate is open with certainty: the reach around each herald holds every
@@ -73,11 +74,7 @@ The counts join ``memory_outcomes``, ``detected_outcomes`` and
 take no part in dead time, neither lost to an earlier click nor shadowing a
 later one; that raises ``signal_detected`` by at most the signal click rate
 during the windows x the dead time (2.3e3/s x 50 ns = 1.1e-4 at that
-working point).  The grouped draws have a fixed cost per batch, so the
-engine takes this path only in a batch of at least ``_FAR_MIN_PAIRS``
-(3000) pair photons: a flagship batch has about 500 and keeps every photon
-on the photon-level path; at 14 mW pump and 2e4 pairs/s a batch has about
-21000.
+working point).
 
 Besides the window-edge effect and the far clicks' dead time above, the only
 approximation this leaves is a dead-time chain longer than the one dead time
@@ -148,12 +145,6 @@ _DETECTED_KIND = _MEMORY_KIND + _N_KIND  # detected pair photons
 _PAIRS = _DETECTED_KIND + _N_KIND
 _NOISE_IN_ECHO = _PAIRS + 1
 _N_SLOTS = _NOISE_IN_ECHO + 1
-
-# pair photons per batch from which the far path pays for its fixed cost:
-# against the photon-level path it cost a flagship batch 0.2-0.4 ms more at
-# 500-1500 pair photons, about as much at 3000 and 0.1-0.3 ms less at
-# 4000-8000 (timeit minima, 2 vCPUs)
-_FAR_MIN_PAIRS = 3000
 
 _ORIGIN_NAMES = (
     (ORIGIN_PAIR, "pair"), (ORIGIN_CONVERSION_NOISE, "conversion_noise"), (ORIGIN_DARK_COUNT, "dark_count")
@@ -292,18 +283,16 @@ class _Engine:
         signal photons that survived the fiber and the converter; the
         in-window detection times (sorted) and origins.
 
-        In a batch with at least ``_FAR_MIN_PAIRS`` pair photons, those that
-        ``far_pairs`` marks skip the photon-level path and are only counted,
-        by ``far_outcomes`` (see the module docstring); the rest join the
-        signal-arm noise in it."""
+        The pair photons that ``far_pairs`` marks skip the photon-level path
+        and are only counted, by ``far_outcomes`` (see the module
+        docstring); the rest join the signal-arm noise in it."""
         cfg = self.cfg
         lo, hi = cfg.signal_reach
         rel = iv.as_interval_set(h_times + lo, h_times + hi)
-        far_t, far_mode = signal_t[:0], mode_idx[:0]
-        if len(signal_t) >= _FAR_MIN_PAIRS:
-            far = self.far_pairs(windows, rel, signal_t)
-            far_t, far_mode = signal_t[far], mode_idx[far]
-            signal_t, mode_idx = signal_t[~far], mode_idx[~far]
+        far = self.far_pairs(windows, rel, signal_t)
+        near = ~far
+        far_t, far_mode = signal_t[far], mode_idx[far]
+        signal_t, mode_idx = signal_t[near], mode_idx[near]
         # converter noise (beam-splitter share) at full rate on the reach, and
         # one gate test, commanded by the heralds, for it and the pair photons
         rng = _stream(cfg.seed, _S_SIGNAL_NOISE, b)
@@ -365,10 +354,11 @@ class _Engine:
             offsets = (self.lock_result.residual[first:last + 1, None] + self.mode_offsets).ravel()
         mem = self.cfg.memory
         stored = branch_counts(counts, offsets, mem.afc, mem.inhomogeneous, rng)
-        detected = rng.binomial(stored[:KIND_LOST], self.cfg.detectors.signal.efficiency)
+        eff = self.cfg.detectors.signal.efficiency
+        detected = [rng.binomial(k, eff) for k in stored[:KIND_LOST].tolist()]
         vec[_MEMORY_KIND:_MEMORY_KIND + _N_KIND] += stored
         vec[_DETECTED_KIND:_DETECTED_KIND + KIND_LOST] += detected
-        vec[_SIGNAL_ORIGIN + ORIGIN_PAIR] += detected.sum()
+        vec[_SIGNAL_ORIGIN + ORIGIN_PAIR] += sum(detected)
 
     # -- a run -------------------------------------------------------------
 

@@ -182,9 +182,10 @@ def test_every_setting_reaches_the_run():
     doc["source"]["total_pair_rate"] = 2e4
     doc["shutter"]["extinction"] = 0.05
     # the noise window runs on past the gate's reopening at 1.2 us, so that
-    # it holds a resolved floor (about 16 counts): the shipped 40 ns window
-    # holds 1.8 on average over seeds and none at about one seed in six,
-    # where no noise-window setting can move the report
+    # it holds a resolved floor (about 16 counts, most of them open-gate
+    # noise): the shipped 40 ns window holds 1.8 on average over seeds and
+    # none at about one seed in five, where no noise-window setting can move
+    # the report
     doc["histogram"]["noise_window"] = [1155e-9, 1270e-9]
     base = _reported(doc)
     paths = list(_leaf_paths(doc))
@@ -284,9 +285,9 @@ def test_run_deterministic_byte_identical():
 # report format) updates the constants and says so in CHANGES.md.
 _PINNED_PAYLOADS = {
     "smoke": {
-        "report.json": "e76dcca4325b3cc5879bd59eac700f280c7cf14b868ad73266db3985d6ff1fb5",
-        "histogram.csv": "8712fdb39273fc40184c148a1c8b587f6d6f4a58e9ba18b794b26a2ebafd91f8",
-        "summary.csv": "c63dddbde2c977eb25fbd9babfbfb5578a5a7e6a61c694a42608bc766f0cea7b",
+        "report.json": "aee67607cc318726f4a4934de8a6196c00fda75273c24be060411462c13ff101",
+        "histogram.csv": "de0d599f66cdf87a1cf08840f14609effc320cd0de61a8d6588d91991fcd1cec",
+        "summary.csv": "40297878aab5fd1e7e8f9551a159e320fe6b69dce9b5eae6b38535c6f172efaa",
     },
     "pair_rich_30s": {
         "report.json": "002ccf5acd4f4d485a876e3ab4182eb94f7bbc602e009c9dbbe5977bdc313ef2",

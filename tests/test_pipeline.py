@@ -1,7 +1,6 @@
 """Engine-level checks of the noise shortcuts in ``pipeline._Engine``."""
 
 import ast
-import dataclasses
 import functools
 from pathlib import Path
 
@@ -228,28 +227,3 @@ def test_grouped_far_draws_match_per_photon_draws():
     z = (a - b) / np.sqrt(a + b)
     assert np.all(np.abs(z) < 4), (grouped, per_photon, z)
 
-
-def test_far_path_runs_only_in_batches_that_pay_for_it(monkeypatch):
-    # a batch below _FAR_MIN_PAIRS pair photons keeps every photon on the
-    # photon-level path; the flagship's 485 pairs/s are below it, 2e4 above
-    arrivals, marked = [], []
-    real_arm, real_far = pipeline._Engine.signal_arm, pipeline._Engine.far_pairs
-
-    def spy_arm(self, b, windows, h_times, signal_t, *args):
-        arrivals.append(len(signal_t))
-        return real_arm(self, b, windows, h_times, signal_t, *args)
-
-    def spy_far(self, windows, rel, t):
-        marked.append(len(t))
-        return real_far(self, windows, rel, t)
-
-    monkeypatch.setattr(pipeline._Engine, "signal_arm", spy_arm)
-    monkeypatch.setattr(pipeline._Engine, "far_pairs", spy_far)
-    for rate in (485.0, 2e4):
-        arrivals.clear()
-        marked.clear()
-        pipeline.run_raw(ScenarioConfig(
-            name="far_path", seed=1, duration=6.0, source=SourceConfig(total_pair_rate=rate, n_modes=25)
-        ), workers=1)
-        assert len(arrivals) == 1 and (arrivals[0] >= pipeline._FAR_MIN_PAIRS) == (rate > 1e4), arrivals
-        assert marked == ([] if rate < 1e4 else arrivals)
