@@ -318,8 +318,8 @@ def _branch_chances(offsets: np.ndarray, cfg: AFCConfig, inh: InhomogeneousProfi
     off = offsets[in_band]
     modes = np.asarray(cfg.mode_offsets)
     # the nearest comb mode, the upper one from each midpoint on: a photon
-    # within rounding of a midpoint lies outside both pits, so either mode
-    # gives it the same chances
+    # within rounding of a midpoint lies outside both pits (which
+    # prepare_afc keeps apart), so either mode gives it the same chances
     detune = off - modes[np.searchsorted(0.5 * (modes[1:] + modes[:-1]), off, side="right")]
     in_pit = np.abs(detune) <= cfg.pit_halfwidth
     tooth_miss = np.abs(detune - cfg.tooth_spacing * np.round(detune / cfg.tooth_spacing))
