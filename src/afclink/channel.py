@@ -131,8 +131,7 @@ class ShutterSchedule:
 def as_closures(heralds: np.ndarray, schedule: ShutterSchedule) -> np.ndarray:
     """Merged closed intervals commanded by the herald stream."""
     heralds = np.asarray(heralds, dtype=np.float64)
-    t_open, t_close = schedule.echo_window
-    return iv.as_interval_set(heralds + schedule.herald_close_delay, heralds + t_close)
+    return iv.as_interval_set(heralds + schedule.herald_close_delay, heralds + schedule.echo_window[1])
 
 
 def gate_passes(

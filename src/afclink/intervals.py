@@ -1,17 +1,9 @@
-"""Small vectorized toolkit for disjoint time-interval sets, plus the sorted
-lookup kernel the pair side shares.
+"""Small vectorized toolkit for disjoint time-interval sets.
 
 An interval set is an (n, 2) float array of [start, end) rows, sorted by
 start and non-overlapping.  Used by the shutter gate (transmission windows
-and herald-commanded closures) and by the pipeline's noise sampler.
-
-``table_lookup`` answers ``np.searchsorted`` for a short sorted table and
-many unsorted keys through a bucket guide table (Chen & Asau, AIIE Trans. 6,
-1974; Devroye 1986, sec. III.2.4): a bucket index and one gather per key,
-then vectorised forward steps over the few keys whose bucket holds a table
-entry.
-The source's weighted mode draw and the memory's nearest-comb-mode search
-both go through it.
+and herald-commanded closures), by the Poisson samplers of the pairs, the
+noise and the dark counts, and by the histogram's coincidence pairing.
 """
 
 from __future__ import annotations
@@ -155,47 +147,3 @@ def sample_poisson(intervals: np.ndarray, rate: float, rng: np.random.Generator)
     per = first[1:] - first[:-1]
     return np.repeat(intervals[:, 0], per) + (u - np.repeat(cum[:-1], per))
 
-
-def table_lookup(table: np.ndarray, x: np.ndarray, side: str = "left") -> np.ndarray:
-    """Exactly ``np.searchsorted(table, x, side)`` for a short sorted float
-    table and many unsorted, NaN-free keys.
-
-    Keys map to one of ``8 * len(table)`` equal buckets spanning
-    ``[table[0], table[-1]]`` (keys outside clip to the end buckets).  The
-    bucket map is monotone, so the table entries in lower buckets than a
-    key's are all below the key; that count is where its search starts, and
-    vectorised passes step it over the entries of its own bucket (duplicate
-    entries take one pass each).  A product that is NaN (an infinite key or
-    table edge) starts from bucket 0, which cannot overshoot.
-    """
-    table = np.asarray(table, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
-    m = len(table)
-    if m == 0:
-        return np.zeros(x.shape, dtype=np.intp)
-    n_buckets = 8 * m
-    lo, hi = table[0], table[-1]
-    with np.errstate(over="ignore"):  # a subnormal span gives an infinite scale
-        scale = n_buckets / (hi - lo) if hi > lo else 0.0
-    guide = np.searchsorted(_buckets(table, lo, scale, n_buckets), np.arange(n_buckets))
-    flat = x.ravel()
-    idx = guide[_buckets(flat, lo, scale, n_buckets)]
-    # NaN past the end compares false on either side, so stepping stops there
-    padded = np.append(table, np.nan)
-    below = np.less if side == "left" else np.less_equal
-    todo = np.flatnonzero(below(padded[idx], flat))
-    while todo.size:
-        idx[todo] += 1
-        todo = todo[below(padded[idx[todo]], flat[todo])]
-    return idx.reshape(x.shape)
-
-
-def _buckets(v: np.ndarray, lo: float, scale: float, n_buckets: int) -> np.ndarray:
-    """Monotone map of ``v`` onto ``0 .. n_buckets - 1``; an overflowing
-    product clips to the end bucket, a NaN one (``inf * 0`` or ``inf - inf``)
-    maps to 0."""
-    with np.errstate(invalid="ignore", over="ignore"):
-        b = (v - lo) * scale
-    np.fmax(b, 0.0, out=b)
-    np.fmin(b, n_buckets - 1, out=b)
-    return b.astype(np.intp)

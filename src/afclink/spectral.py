@@ -64,14 +64,14 @@ def tpc_mode_offsets(n_modes: int, fsr: float) -> np.ndarray:
     return fsr * np.arange(-half, half + 1, dtype=np.float64)
 
 
-def merge_offsets(values, tol: float = MERGE_TOL_HZ) -> np.ndarray:
-    """Sort ``values`` and collapse groups closer than ``tol`` to one representative."""
+def merge_offsets(values) -> np.ndarray:
+    """Sort ``values`` and collapse groups closer than ``MERGE_TOL_HZ`` to one representative."""
     arr = np.sort(np.asarray(values, dtype=np.float64))
     if arr.size == 0:
         return arr
     keep = np.empty(arr.size, dtype=bool)
     keep[0] = True
-    keep[1:] = np.diff(arr) >= tol
+    keep[1:] = np.diff(arr) >= MERGE_TOL_HZ
     return arr[keep]
 
 

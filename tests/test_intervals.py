@@ -247,51 +247,3 @@ def test_sample_poisson_placement_matches_per_point_search_on_draws(s, rate, see
     u = u[:-1] * (L / u[-1])
     assert np.array_equal(pts, _place_per_point(s, u))
 
-
-def _tables():
-    # short sorted tables with duplicates, on a coarse grid so keys hit entries
-    grid = st.one_of(
-        st.integers(-6, 6).map(float),
-        st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False),
-    )
-    return st.lists(grid, min_size=1, max_size=30).map(lambda v: np.sort(np.array(v)))
-
-
-def _keys(table, extra):
-    near = np.concatenate([
-        table,
-        np.nextafter(table, -np.inf),
-        np.nextafter(table, np.inf),
-        [table[0] - 1.0, table[-1] + 1.0, -np.inf, np.inf, -1e300, 1e300],
-    ])
-    return np.concatenate([near, np.asarray(extra, dtype=np.float64)])
-
-
-@settings(max_examples=400, deadline=None)
-@given(
-    table=_tables(),
-    extra=st.lists(st.floats(-2e3, 2e3, allow_nan=False), max_size=40),
-    seed=st.integers(0, 2**32 - 1),
-)
-@example(table=np.array([3.0]), extra=[3.0, 2.0, 4.0], seed=0)  # one-entry table
-@example(table=np.array([1.0, 1.0, 1.0]), extra=[1.0], seed=0)  # all entries equal
-@example(table=np.array([0.0, 5e-324]), extra=[0.0, 5e-324, 1e-300], seed=0)  # subnormal span
-@example(table=np.array([0.0, 1e-300]), extra=[1e3], seed=0)  # key * scale overflows
-@example(table=np.array([-np.inf, 0.0, np.inf]), extra=[0.0, 1.0], seed=0)  # infinite edges
-def test_table_lookup_matches_searchsorted(table, extra, seed):
-    x = np.random.default_rng(seed).permutation(_keys(table, extra))
-    for side in ("left", "right"):
-        got = iv.table_lookup(table, x, side=side)
-        assert got.dtype == np.intp
-        assert np.array_equal(got, np.searchsorted(table, x, side=side))
-
-
-def test_table_lookup_uniform_keys_and_shapes():
-    rng = np.random.default_rng(8)
-    cdf = np.cumsum(rng.random(25))
-    cdf /= cdf[-1]
-    u = rng.random((300, 7))
-    for side in ("left", "right"):
-        assert np.array_equal(iv.table_lookup(cdf, u, side), np.searchsorted(cdf, u, side))
-    assert iv.table_lookup(np.empty(0), np.array([1.0, 2.0])).tolist() == [0, 0]
-    assert iv.table_lookup(cdf, np.empty(0)).shape == (0,)

@@ -74,12 +74,6 @@ def test_prepare_rejects_overlapping_pits():
         prepare_afc(INH, cfg)
 
 
-def test_prepare_rejects_coarse_grid():
-    grid = SpectralGrid(-20e6, 20e6, 1e6)
-    with pytest.raises(ValueError):
-        prepare_afc(INH, CFG, grid=grid)
-
-
 def test_prepared_comb_is_periodic_inside_pit():
     spec = prepare_afc(INH, CFG)
     f = spec.frequencies()

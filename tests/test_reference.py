@@ -7,11 +7,13 @@ of them, and the signal-arm noise goes through the gate, the memory and the
 detector together with the pair photons.  It composes the engine's stage
 kernels and nothing else of ``pipeline``.
 
-``pipeline.run_raw`` takes four shortcuts on the same link: herald noise
+``pipeline.run_raw`` takes five shortcuts on the same link: herald noise
 drawn at its detected rate (and sorted, without jitter), signal-arm noise
-drawn only on ``windows ∩ rel``, independent batches, and a source thinned
-to the pairs with at least one photon past the fiber, the converter and (for
-the herald) the detector efficiency, the others only counted.  On each link
+drawn only on ``windows ∩ rel``, independent batches, a source thinned to
+the pairs with at least one photon past the fiber, the converter and (for
+the herald) the detector efficiency, the others only counted, and the
+signal-arm pair photons that no detected herald's reach and no window edge
+can see counted per (lock step, mode) group rather than one by one.  On each link
 of ``LINKS``, pooled over several seeds, the histogram in each delay band,
 the echo-window noise count, the pair count, the pair photons' memory
 outcomes and the origin counters of both must agree within the bound fixed

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from afclink import intervals as iv
-from afclink.source import SourceConfig, pair_delays, sample_pairs
+from afclink.source import SourceConfig, _invert_cdf, pair_delays, sample_pairs
 
 
 def _span(t0, t1):
@@ -41,6 +43,7 @@ def test_mode_histogram_matches_weights():
         (1, None),
         (4, (0.97, 0.01, 0.01, 0.01)),
         (6, (0.0, 0.5, 0.0, 0.0, 0.25, 0.25)),  # zero weights repeat cdf entries
+        (5, (0.5, 0.5, 0.0, 0.0, 0.0)),  # trailing zeros repeat the final 1.0
     ],
 )
 @pytest.mark.parametrize("bitgen", [np.random.PCG64, np.random.Philox, np.random.SFC64])
@@ -55,6 +58,27 @@ def test_mode_draw_equals_generator_choice(n_modes, weights, bitgen):
     assert np.array_equal(times, want_times)
     assert np.array_equal(mode_idx, want)
     assert rng.random() == ref.random()  # same number of draws consumed
+
+
+def _weights():
+    # 1-30 modes; zero weights at either end or in a run repeat cdf entries
+    weight = st.one_of(st.just(0.0), st.floats(1e-9, 1.0), st.integers(1, 3).map(float))
+    return st.lists(weight, min_size=1, max_size=30).filter(lambda w: sum(w) > 0)
+
+
+@settings(max_examples=400, deadline=None)
+@given(weights=_weights(), seed=st.integers(0, 2**32 - 1))
+@example(weights=[1.0], seed=0)  # one mode: every key maps to 0
+@example(weights=[0.0, 0.0, 1.0, 2.0], seed=0)  # leading zeros: cdf entries at 0.0
+@example(weights=[1.0, 2.0, 0.0, 0.0], seed=0)  # trailing zeros: cdf entries at 1.0
+@example(weights=[1.0, 0.0, 0.0, 0.0, 1.0], seed=0)  # a run of zeros in the middle
+def test_invert_cdf_matches_searchsorted(weights, seed):
+    cdf = np.cumsum(weights)
+    cdf /= cdf[-1]
+    near = np.concatenate([cdf, np.nextafter(cdf, -1.0), np.nextafter(cdf, 2.0), [0.0, np.nextafter(1.0, 0.0)]])
+    u = np.random.default_rng(seed).permutation(near[(near >= 0.0) & (near < 1.0)])
+    got = _invert_cdf(cdf, u)
+    assert np.array_equal(got, np.searchsorted(cdf, u, side="right"))
 
 
 def test_same_mode_double_pair_probability():
