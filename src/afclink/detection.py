@@ -60,8 +60,6 @@ def dead_time_filter(times: np.ndarray, dead_time: float) -> np.ndarray:
     """
     n = len(times)
     keep = np.ones(n, dtype=bool)
-    if dead_time <= 0 or n < 2:
-        return keep
     close = np.diff(times) < dead_time
     if not close.any():
         return keep
@@ -217,15 +215,11 @@ def accumulate_histogram(
     """
     heralds = np.asarray(heralds, dtype=np.float64)
     signals = np.asarray(signals, dtype=np.float64)
-    if len(heralds) == 0 or len(signals) == 0:
-        return
     lo = np.searchsorted(heralds, signals - hist.tau_max, side="right")
     hi = np.searchsorted(heralds, signals - hist.tau_min, side="right")
     counts = np.maximum(hi - lo, 0)
-    if counts.sum() == 0:
-        return
     s_idx = np.repeat(np.arange(len(signals)), counts)
-    h_idx = np.repeat(lo, counts) + iv.ragged_offsets(counts)
+    h_idx = iv.ragged_ranges(lo, counts)
     tau = signals[s_idx] - heralds[h_idx]
     bins = hist.bin_index(tau)
     valid = (bins >= 0) & (bins < hist.n_bins)
@@ -241,8 +235,6 @@ def moving_average(counts: np.ndarray, n_bins: int) -> np.ndarray:
     if n_bins < 1:
         raise ValueError("n_bins must be >= 1")
     counts = np.asarray(counts, dtype=np.float64)
-    if n_bins == 1:
-        return counts.copy()
     n = len(counts)
     cum = np.concatenate([[0.0], np.cumsum(counts)])
     left = np.clip(np.arange(n) - n_bins // 2, 0, n)

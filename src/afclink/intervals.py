@@ -1,7 +1,10 @@
 """Small vectorized toolkit for disjoint time-interval sets.
 
-An interval set is an (n, 2) float array of [start, end) rows, sorted by
-start and non-overlapping.  Used by the shutter gate (transmission windows
+An interval set is an (n, 2) float array of [start, end) rows of positive
+length, sorted by start and non-overlapping.  ``as_interval_set`` builds one
+from rows at two constant offsets from a sorted stream (the closures of
+``channel.as_closures`` and the engine's herald reach), whose starts and
+ends are non-decreasing.  Used by the shutter gate (transmission windows
 and herald-commanded closures), by the Poisson samplers of the pairs, the
 noise and the dark counts, and by the histogram's coincidence pairing.
 """
@@ -12,28 +15,16 @@ import numpy as np
 
 
 def as_interval_set(starts, ends) -> np.ndarray:
-    """Merge possibly overlapping intervals into a canonical disjoint set.
+    """Merge the rows [starts[i], ends[i]) into a canonical disjoint set.
 
-    When every row has positive length and both the starts and the ends are
-    non-decreasing, as for the constant-width sets built on a sorted herald
-    stream, each end is already the running maximum of the ends, and the
-    merge is one linear pass with no copy and no sort.  Any other input has
-    its empty rows dropped, is sorted by start if needed, and is swept with
-    the running maximum of the ends.
+    Both the starts and the ends must be non-decreasing, as they are for
+    rows at two constant offsets from a sorted stream: each end is then the
+    running maximum of the ends, and the merge is one linear pass with no
+    copy and no sort.  A row narrower than the float spacing of its stream
+    comes out as a zero-length row, which ``contains`` never matches.
     """
     starts = np.asarray(starts, dtype=np.float64)
     ends = np.asarray(ends, dtype=np.float64)
-    if starts.size == 0:
-        return np.empty((0, 2))
-    keep = ends > starts
-    if not (keep.all() and (starts[1:] >= starts[:-1]).all() and (ends[1:] >= ends[:-1]).all()):
-        starts, ends = starts[keep], ends[keep]
-        if starts.size == 0:
-            return np.empty((0, 2))
-        if np.any(np.diff(starts) < 0):
-            order = np.argsort(starts, kind="stable")
-            starts, ends = starts[order], ends[order]
-        ends = np.maximum.accumulate(ends)
     # brk[i] marks a break before row i: row i starts a merged interval and
     # row i - 1 ends one (the first and the last row always do)
     brk = np.empty(starts.size + 1, dtype=bool)
@@ -46,8 +37,6 @@ def as_interval_set(starts, ends) -> np.ndarray:
 
 
 def total_length(intervals: np.ndarray) -> float:
-    if len(intervals) == 0:
-        return 0.0
     return float(np.sum(intervals[:, 1] - intervals[:, 0]))
 
 
@@ -61,58 +50,38 @@ def complement(intervals: np.ndarray, span: tuple[float, float]) -> np.ndarray:
     return np.stack([starts[keep], ends[keep]], axis=1)
 
 
-def ragged_offsets(counts: np.ndarray) -> np.ndarray:
-    """[0..c0), [0..c1), ... concatenated, without a python loop."""
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    starts = np.repeat(np.cumsum(counts) - counts, counts)
-    return np.arange(total, dtype=np.int64) - starts
+def ragged_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """[s0 .. s0 + c0), [s1 .. s1 + c1), ... concatenated, without a python loop."""
+    last = np.cumsum(counts)
+    idx = np.repeat(starts - (last - counts), counts)
+    idx += np.arange(len(idx))
+    return idx
 
 
 def intersect(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Intersection of two disjoint interval sets (vectorized sweep).
 
-    Only rows of positive length come out: a zero-length input row, such as
-    the empty span ``complement`` passes for ``span0 == span1``, yields
-    nothing.
+    Rows of positive length clip to rows of positive length.
     """
-    if len(a) == 0 or len(b) == 0:
-        return np.empty((0, 2))
     # a-row i overlaps b rows lo[i] .. hi[i] - 1, found by searchsorted so the
     # cost is O(n + m + overlaps).  b being disjoint and sorted, the b rows
     # strictly between the first and the last of them lie inside a-row i, so
-    # only those two are clipped against it.  Rows come out empty only from
-    # zero-length input rows.
+    # only those two are clipped against it.
     lo = np.searchsorted(b[:, 1], a[:, 0], side="right")
     hi = np.searchsorted(b[:, 0], a[:, 1], side="left")
     counts = np.maximum(hi - lo, 0)
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty((0, 2))
-    last = np.cumsum(counts)
-    first = last - counts
-    b_idx = np.repeat(lo - first, counts)
-    b_idx += np.arange(total)
-    out = b.take(b_idx, axis=0)
+    out = b.take(ragged_ranges(lo, counts), axis=0)
     hit = counts > 0
-    f, l = first[hit], last[hit] - 1
+    l = np.cumsum(counts)[hit] - 1
+    f = l + 1 - counts[hit]
     out[f, 0] = np.maximum(out[f, 0], a[hit, 0])
     out[l, 1] = np.minimum(out[l, 1], a[hit, 1])
-    keep = out[:, 1] > out[:, 0]
-    if keep.all():
-        return out
-    kept = np.empty((np.count_nonzero(keep), 2))
-    kept[:, 0] = out[keep, 0]
-    kept[:, 1] = out[keep, 1]
-    return kept
+    return out
 
 
 def contains(intervals: np.ndarray, t: np.ndarray) -> np.ndarray:
     """Membership test: True where t falls inside the interval set."""
     t = np.asarray(t, dtype=np.float64)
-    if len(intervals) == 0:
-        return np.zeros(t.shape, dtype=bool)
     edges = intervals.ravel()
     return (np.searchsorted(edges, t, side="right") & 1).astype(bool)
 

@@ -122,10 +122,11 @@ class AFCConfig:
 
 @dataclass(frozen=True)
 class AbsorptionSpectrum:
-    """Optical depth sampled on a uniform frequency grid."""
+    """Optical depth on a uniform frequency grid, and the tooth spacing of its comb."""
 
     grid: SpectralGrid
     optical_depth: np.ndarray
+    tooth_spacing: float
 
     def __post_init__(self):
         depth = np.asarray(self.optical_depth, dtype=np.float64)
@@ -181,7 +182,7 @@ def prepare_afc(inh: InhomogeneousProfile, cfg: AFCConfig) -> AbsorptionSpectrum
             teeth[near] += np.exp(-(x[near] ** 2) / sigma2)
         depth[lo:hi] += cfg.tooth_peak_depth * teeth * in_pit[lo:hi]
 
-    return AbsorptionSpectrum(grid=grid, optical_depth=depth)
+    return AbsorptionSpectrum(grid=grid, optical_depth=depth, tooth_spacing=cfg.tooth_spacing)
 
 
 def afc_efficiency(d: float, F: float, d0: float = 0.0) -> float:
@@ -224,7 +225,7 @@ def comb_spectrum(
         x = f - k * spacing
         near = np.abs(x) <= 8 * fwhm
         depth[near] += peak * np.exp(-(x[near] ** 2) / sigma2)
-    return AbsorptionSpectrum(grid=grid, optical_depth=depth)
+    return AbsorptionSpectrum(grid=grid, optical_depth=depth, tooth_spacing=spacing)
 
 
 def _minimum_phase(attenuation: np.ndarray) -> np.ndarray:
@@ -257,10 +258,10 @@ def afc_efficiency_oracle(spectrum: AbsorptionSpectrum, mode: float, spacing: fl
     pulse of spectral FWHM 6x the tooth spacing (wide against the comb
     period, narrow against the pit).  The echo energy is integrated over a
     window of width 1/(2*spacing) centered at delay 1/spacing and normalized
-    to the input energy.
+    to the input energy; ``spacing`` must be ``spectrum.tooth_spacing``.
     """
-    if spacing <= 0:
-        raise ValueError("spacing must be > 0")
+    if spacing != spectrum.tooth_spacing:
+        raise ValueError(f"spacing {spacing} is not the spectrum's tooth spacing {spectrum.tooth_spacing}")
     if spectrum.grid.step > spacing / 8.0:
         raise ValueError("grid too coarse for the echo oracle (need step <= spacing/8)")
     input_fwhm = 6.0 * spacing

@@ -121,7 +121,7 @@ def test_efficiency_monotone_rise_then_fall():
 
 def test_oracle_flat_spectrum_has_no_echo():
     g = SpectralGrid(-30e6, 30e6, 1.15e6 / 64)
-    flat = AbsorptionSpectrum(g, np.zeros(g.n_points))
+    flat = AbsorptionSpectrum(g, np.zeros(g.n_points), 1.15e6)
     assert afc_efficiency_oracle(flat, 0.0, 1.15e6) < 1e-6
 
 
@@ -150,9 +150,14 @@ def test_oracle_grid_convergence():
     assert abs(b - a) / a < 0.01
 
 
+def test_oracle_rejects_another_spacing():
+    with pytest.raises(ValueError, match="tooth spacing"):
+        afc_efficiency_oracle(comb_spectrum(2, 4), 0.0, 2e6)
+
+
 def test_oracle_rejects_coarse_grid():
     g = SpectralGrid(-30e6, 30e6, 1e6)
-    flat = AbsorptionSpectrum(g, np.zeros(g.n_points))
+    flat = AbsorptionSpectrum(g, np.zeros(g.n_points), 1.15e6)
     with pytest.raises(ValueError):
         afc_efficiency_oracle(flat, 0.0, 1.15e6)
 
