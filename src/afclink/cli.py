@@ -120,33 +120,29 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="afclink", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--config", required=True, help="scenario JSON path or bundled name")
-        p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--workers", type=int, default=None, help="parallel batch workers")
+    base = argparse.ArgumentParser(add_help=False)
+    base.add_argument("--config", required=True, help="scenario JSON path or bundled name")
+    base.add_argument("--out", default=None, help="output directory")
+    engine = argparse.ArgumentParser(add_help=False, parents=[base])
+    engine.add_argument("--workers", type=int, default=None, help="parallel batch workers")
 
-    p = sub.add_parser("simulate", help="run one scenario end to end")
-    common(p)
+    p = sub.add_parser("simulate", parents=[engine], help="run one scenario end to end")
     p.add_argument("--seed", type=int, default=None, help="override the scenario seed")
     p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("sweep", help="sweep one config field")
-    common(p)
+    p = sub.add_parser("sweep", parents=[engine], help="sweep one config field")
     p.add_argument("--param", required=True, help="dotted config path, e.g. source.n_modes")
     p.add_argument("--values", required=True, help="comma-separated JSON values, e.g. 1,5,25")
     p.set_defaults(func=_cmd_sweep)
 
-    p = sub.add_parser("lockcheck", help="simulate the document's lock chain alone, at its lock.dt")
-    common(p)
+    p = sub.add_parser("lockcheck", parents=[base], help="simulate the document's lock chain alone, at its lock.dt")
     p.add_argument("--hours", type=float, required=True)
     p.set_defaults(func=_cmd_lockcheck)
 
-    p = sub.add_parser("afc-plot", help="export the prepared comb spectrum as CSV")
-    common(p)
+    p = sub.add_parser("afc-plot", parents=[base], help="export the prepared comb spectrum as CSV")
     p.set_defaults(func=_cmd_afc_plot)
 
-    p = sub.add_parser("calibrate", help="step the pair rate to a target echo peak")
-    common(p)
+    p = sub.add_parser("calibrate", parents=[engine], help="step the pair rate to a target echo peak")
     p.add_argument("--target-peak", type=float, required=True)
     p.add_argument("--calibration-duration", type=float, default=None,
                    help="shorter duration for calibration runs (target scales linearly)")

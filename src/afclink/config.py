@@ -110,9 +110,11 @@ class ScenarioConfig:
             offsets = tuple(self.source.mode_offsets())
         except ValueError as exc:
             raise ScenarioError("source.n_modes", str(exc)) from exc
-        object.__setattr__(self, "memory", replace(
-            self.memory, afc=replace(self.memory.afc, mode_offsets=offsets)
-        ))
+        try:
+            afc = replace(self.memory.afc, mode_offsets=offsets)
+        except ValueError as exc:  # overlapping pits, which the nearest-mode pick cannot tell apart
+            raise ScenarioError("memory.afc.pit_halfwidth", str(exc)) from exc
+        object.__setattr__(self, "memory", replace(self.memory, afc=afc))
         # the signal reach covers one dead time of shadowing; chains of
         # dead times are second order in click rate x dead time (Mueller,
         # Nucl. Instrum. Methods 112, 1973, 47), so that product must stay

@@ -87,7 +87,7 @@ def detect(
     windows: np.ndarray,
     rng: np.random.Generator,
     *cols: np.ndarray,
-    noise: np.ndarray | None = None,
+    noise: np.ndarray = np.empty(0),
 ) -> tuple[np.ndarray, ...]:
     """Detection records of one detector whose dark counts fall on the
     interval set ``windows``, for photons at ``times`` that are already
@@ -111,11 +111,9 @@ def detect(
     the stream: on equal times a photon, then a dark, then a noise click.
     """
     t = times
-    if spd.jitter_fwhm > 0 and len(t):
+    if spd.jitter_fwhm > 0:
         t = t + spd.jitter_sigma * rng.standard_normal(len(t))
     darks = iv.sample_poisson(windows, spd.dark_rate, rng)
-    if noise is None:
-        noise = np.empty(0)
     origin = np.repeat([ORIGIN_DARK_COUNT, ORIGIN_CONVERSION_NOISE], [len(darks), len(noise)])
     t = np.concatenate([t, darks, noise])
     cols = [

@@ -99,8 +99,6 @@ def sample_poisson(intervals: np.ndarray, rate: float, rng: np.random.Generator)
     serves the many short rows of a herald-relative set.
     """
     L = total_length(intervals)
-    if L <= 0 or rate <= 0:
-        return np.empty(0)
     n = rng.poisson(rate * L)
     if n == 0:
         return np.empty(0)

@@ -196,7 +196,7 @@ class LockChainConfig:
 
 @dataclass(frozen=True)
 class LockRunResult:
-    """Residual telemetry of a simulated lock run, sampled every ``dt`` seconds."""
+    """Residual telemetry of a lock run, sampled every ``dt`` seconds; all zero for an ideal lock."""
 
     dt: float
     t: np.ndarray

@@ -94,6 +94,8 @@ class AFCConfig:
         object.__setattr__(
             self, "mode_offsets", tuple(float(m) for m in sorted(self.mode_offsets))
         )
+        if len(self.mode_offsets) > 1 and min(np.diff(self.mode_offsets)) <= 2 * self.pit_halfwidth:
+            raise ValueError("adjacent mode pits overlap; reduce pit_halfwidth or respace modes")
 
     @property
     def tooth_fwhm(self) -> float:
@@ -157,8 +159,6 @@ def prepare_afc(inh: InhomogeneousProfile, cfg: AFCConfig) -> AbsorptionSpectrum
     pit and four tooth spacings beyond, at eight points per tooth FWHM.
     """
     modes = np.asarray(cfg.mode_offsets)
-    if len(modes) > 1 and np.min(np.diff(modes)) <= 2 * cfg.pit_halfwidth:
-        raise ValueError("adjacent mode pits overlap; reduce pit_halfwidth or respace modes")
     span = cfg.pit_halfwidth + 4 * cfg.tooth_spacing
     grid = SpectralGrid(modes.min() - span, modes.max() + span, cfg.tooth_spacing / (4.0 * cfg.finesse) / 2.0)
 
@@ -306,14 +306,17 @@ def _branch_chances(offsets: np.ndarray, cfg: AFCConfig, inh: InhomogeneousProfi
     comb tooth to within half a tooth FWHM; misalignment (e.g. a lock-chain
     residual of a few tooth widths) removes the echo branch entirely.
     Outside a pit the prompt chance is the plain absorption survival
-    exp(-depth) of the unprepared profile.
+    exp(-depth) of the unprepared profile.  On a tooth, with x the tooth
+    peak depth over the finesse and d0 the background depth, echo + prompt
+    <= exp(-d0) (x^2 e^-x + e^-1.0645x) <= 1 for every comb ``AFCConfig``
+    accepts, with equality only at x = d0 = 0.
     """
     in_band = inh.in_band(offsets)
     off = offsets[in_band]
     modes = np.asarray(cfg.mode_offsets)
     # the nearest comb mode, the upper one from each midpoint on: a photon
     # within rounding of a midpoint lies outside both pits (which
-    # prepare_afc keeps apart), so either mode gives it the same chances
+    # AFCConfig keeps apart), so either mode gives it the same chances
     detune = off - modes[np.searchsorted(0.5 * (modes[1:] + modes[:-1]), off, side="right")]
     in_pit = np.abs(detune) <= cfg.pit_halfwidth
     tooth_miss = np.abs(detune - cfg.tooth_spacing * np.round(detune / cfg.tooth_spacing))
@@ -321,17 +324,12 @@ def _branch_chances(offsets: np.ndarray, cfg: AFCConfig, inh: InhomogeneousProfi
 
     eta = cfg.echo_efficiency
     p_prompt_pit = math.exp(-cfg.mean_comb_depth)
-    if eta + p_prompt_pit > 1.0:
-        raise ValueError("comb parameters give echo + transmit probability > 1")
-    row = np.where(on_tooth, 0, 1)
     outside = np.flatnonzero(~in_pit)
+    row = np.where(on_tooth, 0, 1)
+    row[outside] = 2 + np.arange(len(outside))
     echo_below = np.zeros(2 + len(outside))
     echo_below[0] = eta
-    prompt_below = np.empty(2 + len(outside))
-    prompt_below[:2] = eta + p_prompt_pit, p_prompt_pit
-    if len(outside):
-        row[outside] = 2 + np.arange(len(outside))
-        prompt_below[2:] = np.exp(-inh.depth_at(off[outside]))
+    prompt_below = np.concatenate([[eta + p_prompt_pit, p_prompt_pit], np.exp(-inh.depth_at(off[outside]))])
     return in_band, row, echo_below, prompt_below
 
 
@@ -349,8 +347,6 @@ def storage_branches(
     """
     offsets = np.asarray(offsets, dtype=np.float64)
     out = np.full(len(offsets), KIND_OUT_OF_BAND, dtype=np.uint8)
-    if len(offsets) == 0:
-        return out
     in_band, row, echo_below, prompt_below = _branch_chances(offsets, cfg, inh)
     u = rng.random(len(row))
     res = np.full(len(u), KIND_LOST, dtype=np.uint8)

@@ -69,6 +69,8 @@ For such a far photon:
 over the memory's branches per (mode, lock step), whose photons all share
 one set of chances, then one binomial per detectable kind for the detector
 efficiency, drawn on the memory stream after the photon-level uniforms.
+One path serves every lock: an ideal lock is a zero residual on the lock
+grid, which the photon-level path adds and the far path groups by alike.
 The counts join ``memory_outcomes``, ``detected_outcomes`` and
 ``signal_by_origin.pair``.  Their one new approximation is that far clicks
 take no part in dead time, neither lost to an earlier click nor shadowing a
@@ -82,9 +84,10 @@ the reach covers, second order in click rate x dead time (Müller 1973),
 which ``ScenarioConfig`` caps at 1e-2 (flagship: 5.2e-4).
 ``tests/test_reference.py`` checks these shortcuts against a brute-force run
 that materializes every noise photon and carries every pair photon through
-the gate, the memory and the detector.  Detection is active only during transmission phases (the preparation light
-makes the detectors unusable during pit burning), so preparation-phase
-photons are dropped at source.
+the gate, the lock residual, the memory and the detector.  Detection is
+active only during transmission phases (the preparation light makes the
+detectors unusable during pit burning), so preparation-phase photons are
+dropped at source.
 
 Randomness is split into one stream per (stage, batch): an SFC64 generator
 seeded from its own ``SeedSequence`` spawn key ``(stage, batch)``.  Toggling
@@ -199,7 +202,7 @@ class RawRunResult:
     histogram: CoincidenceHistogram
     counters: dict
     transmission_time: float
-    lock_result: LockRunResult | None
+    lock_result: LockRunResult | None  # None under an ideal lock, which has no telemetry
 
 
 class _Engine:
@@ -222,10 +225,14 @@ class _Engine:
         self.batches = [
             (lo, min(lo + per_batch, self.n_cycles)) for lo in range(0, self.n_cycles, per_batch)
         ]
+        # an ideal lock is a zero residual on the lock grid and runs no chain
         lock = cfg.lock
-        self.lock_result = None if lock.mode == "ideal" else simulate_lock_run(
-            lock.config, cfg.duration, lock.dt, _derived_seed(cfg.seed, _S_LOCK, 0)
-        )
+        if lock.mode == "simulated":
+            seed = _derived_seed(cfg.seed, _S_LOCK, 0)
+            self.lock_result = simulate_lock_run(lock.config, cfg.duration, lock.dt, seed)
+        else:
+            steps = lock.dt * np.arange(round(cfg.duration / lock.dt) + 1)
+            self.lock_result = LockRunResult(lock.dt, steps, np.zeros(len(steps)), {}, 0.0, 0.0)
 
     # -- one batch ---------------------------------------------------------
 
@@ -233,8 +240,6 @@ class _Engine:
         cfg = self.cfg
         lo, hi = self.batches[b]
         windows = cfg.shutter.transmission_windows(lo, hi, cfg.duration)
-        if len(windows) == 0:
-            return
 
         # source: the pairs that reach an arm, timed at their arrival, and a
         # count of the others
@@ -257,10 +262,9 @@ class _Engine:
         accumulate_histogram(hist, h_times, det_t)
         w0, w1 = cfg.shutter.echo_window
         noise_t = det_t[det_org == ORIGIN_CONVERSION_NOISE]
-        if len(noise_t) and len(h_times):
-            lo_i = np.searchsorted(h_times, noise_t - w1, side="right")
-            hi_i = np.searchsorted(h_times, noise_t - w0, side="right")
-            vec[_NOISE_IN_ECHO] += int(np.sum(hi_i - lo_i))
+        lo_i = np.searchsorted(h_times, noise_t - w1, side="right")
+        hi_i = np.searchsorted(h_times, noise_t - w0, side="right")
+        vec[_NOISE_IN_ECHO] += int(np.sum(hi_i - lo_i))
 
     def herald_arm(self, b, windows, pair_t, vec) -> np.ndarray:
         """Herald-arm noise and detection of the pair heralds that survived
@@ -304,9 +308,8 @@ class _Engine:
         rng = _stream(cfg.seed, _S_GATE_LEAK, b)
         passes = gate_passes(entry_t, windows, closed, cfg.shutter.extinction, rng)
         entry_t, entry_off, entry_org = entry_t[passes], entry_off[passes], entry_org[passes]
-        if self.lock_result is not None:
-            # the lock-chain residual shifts every photon against the comb
-            entry_off = entry_off + self.lock_result.residual_at(entry_t)
+        # the lock-chain residual shifts every photon against the comb
+        entry_off = entry_off + self.lock_result.residual_at(entry_t)
 
         mem = cfg.memory
         mem_rng = _stream(cfg.seed, _S_MEMORY, b)
@@ -344,14 +347,11 @@ class _Engine:
         memory's branches per (mode, lock step), then one binomial per
         detectable kind for the signal detector's efficiency."""
         n_modes = len(self.mode_offsets)
-        if self.lock_result is None:
-            counts, offsets = np.bincount(mode_idx, minlength=n_modes), self.mode_offsets
-        else:
-            # one group per (lock step, mode) of the steps the photons span
-            step = self.lock_result.step_at(t)
-            first, last = step.min(), step.max()
-            counts = np.bincount((step - first) * n_modes + mode_idx, minlength=(last - first + 1) * n_modes)
-            offsets = (self.lock_result.residual[first:last + 1, None] + self.mode_offsets).ravel()
+        # one group per (lock step, mode) of the steps the photons span
+        step = self.lock_result.step_at(t)
+        first, last = step.min(), step.max()
+        counts = np.bincount((step - first) * n_modes + mode_idx, minlength=(last - first + 1) * n_modes)
+        offsets = (self.lock_result.residual[first:last + 1, None] + self.mode_offsets).ravel()
         mem = self.cfg.memory
         stored = branch_counts(counts, offsets, mem.afc, mem.inhomogeneous, rng)
         eff = self.cfg.detectors.signal.efficiency
@@ -386,7 +386,7 @@ class _Engine:
             histogram=CoincidenceHistogram(**asdict(cfg.histogram), counts=sum(p[0] for p in parts)),
             counters=_counters(sum(p[1] for p in parts)),
             transmission_time=iv.total_length(windows),
-            lock_result=self.lock_result,
+            lock_result=self.lock_result if cfg.lock.mode == "simulated" else None,
         )
 
 

@@ -122,6 +122,8 @@ _MALFORMED = [
     # the echo (at 650 ns with 2 MHz teeth) must land in both windows
     ("memory.afc.tooth_spacing", 2e6, "histogram.signal_window"),
     ("shutter.echo_window", [9e-7, 1e-6], "shutter.echo_window"),
+    # 10 MHz between modes against a 9 MHz pit half-width: the pits overlap
+    ("source.fsr", 10e6, "memory.afc.pit_halfwidth"),
 ]
 
 
@@ -298,6 +300,11 @@ _PINNED_PAYLOADS = {
         "histogram.csv": "753954ce5643c3d9d23b23b8f5462c02577af433bbfe20127555dec7c66b2789",
         "summary.csv": "eb31be231f94e6a4ef081e6e45c3fb566fd148a856b383a1ae51bf116a5cd3d8",
     },
+    "ideal_lock_30s": {
+        "report.json": "8c836722950eae5dc7df15bfa6c241520ea5e7550742a69fafc4edb5e1edd4e2",
+        "histogram.csv": "9e98cb34688a7b9fc4d38cdf6679ef1d04bd04ece41111c5665c8d6d921ddf8e",
+        "summary.csv": "7cf2f8346269cb14d164cfa803841fc5270c4a0e7a8cbbdbfb72c32235cf9d81",
+    },
 }
 
 
@@ -309,12 +316,33 @@ def test_seeded_payload_is_pinned(tmp_path):
         duration=30.0,
         converter=dataclasses.replace(flagship.converter, pump_power=14.0),
     ).with_rate(2e4)
-    cfgs = {"smoke": load_bundled_scenario("multiplexed_25mode_10km_smoke"), "pair_rich_30s": pair_rich}
+    smoke = load_bundled_scenario("multiplexed_25mode_10km_smoke")
+    # the smoke link under an ideal lock, which reports no lock telemetry
+    ideal = dataclasses.replace(smoke, duration=30.0, lock=LockSettings(mode="ideal")).with_rate(2e4)
+    cfgs = {"smoke": smoke, "pair_rich_30s": pair_rich, "ideal_lock_30s": ideal}
     for name, cfg in cfgs.items():
         out = tmp_path / name
         run_scenario(cfg, out_dir=str(out), workers=1)
+        assert (out / "lock_telemetry.csv").exists() == (cfg.lock.mode == "simulated"), name
         got = {f: hashlib.sha256((out / f).read_bytes()).hexdigest() for f in _PINNED_PAYLOADS[name]}
         assert got == _PINNED_PAYLOADS[name], name
+
+
+def test_empty_last_batch_reports_nothing():
+    # at a 0.6 s cycle with 0.3 s of preparation, 12.3 s ends inside the
+    # preparation phase of cycle 20, a batch of its own: that batch has no
+    # transmission window, and the run reports what the 12 s run reports
+    smoke = load_bundled_scenario("multiplexed_25mode_10km_smoke").with_rate(2e4)
+    short, long = (dataclasses.replace(smoke, duration=d) for d in (12.0, 12.3))
+    assert pipeline._Engine(long).batches[-1] == (20, 21)
+    assert len(long.shutter.transmission_windows(20, 21, long.duration)) == 0
+    a, b = run_scenario(short, workers=1), run_scenario(long, workers=1)
+    assert a.counts["pairs_generated"] > 0
+    assert np.array_equal(a.histogram.counts, b.histogram.counts)
+    summaries = [rep.summary_dict() for rep in (a, b)]
+    for summary in summaries:
+        del summary["duration"], summary["config_sha256"]
+    assert summaries[0] == summaries[1]
 
 
 def test_parallel_matches_serial():
@@ -688,6 +716,16 @@ def test_cli_afc_plot(tmp_path, capsys):
     assert code == 0
     text = open(os.path.join(out, "afc_spectrum.csv")).read()
     assert text.startswith("offset_hz,optical_depth\n")
+
+
+@pytest.mark.parametrize("argv", [["lockcheck", "--hours", "1"], ["afc-plot"]], ids=["lockcheck", "afc-plot"])
+def test_cli_workers_only_where_the_engine_runs(argv):
+    # neither subcommand runs the engine, so neither takes --workers
+    argv = argv + ["--config", "lock_12h"]
+    assert cli.build_parser().parse_args(argv).config == "lock_12h"
+    with pytest.raises(SystemExit) as exc:
+        cli.build_parser().parse_args(argv + ["--workers", "2"])
+    assert exc.value.code == 2
 
 
 def test_cli_sweep(tmp_path, capsys):

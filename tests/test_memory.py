@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from afclink.memory import (
     AFCConfig,
@@ -68,10 +70,10 @@ def test_prepare_without_teeth_leaves_flat_background():
     assert np.allclose(spec.optical_depth[in_pit], cfg.background_depth)
 
 
-def test_prepare_rejects_overlapping_pits():
-    cfg = AFCConfig(mode_offsets=(0.0, 10e6), pit_halfwidth=9e6)
-    with pytest.raises(ValueError):
-        prepare_afc(INH, cfg)
+def test_afc_config_rejects_overlapping_pits():
+    with pytest.raises(ValueError, match="pits overlap"):
+        AFCConfig(mode_offsets=(10e6, 0.0), pit_halfwidth=9e6)
+    assert AFCConfig(mode_offsets=(10e6, 0.0), pit_halfwidth=4.9e6).mode_offsets == (0.0, 10e6)
 
 
 def test_prepared_comb_is_periodic_inside_pit():
@@ -197,6 +199,19 @@ def test_echo_probability_matches_formula():
     p_prompt = math.exp(-CFG.mean_comb_depth)
     sigma_p = math.sqrt(p_prompt * (1 - p_prompt) / n)
     assert np.mean(kinds == KIND_PROMPT) == pytest.approx(p_prompt, abs=3 * sigma_p)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    peak=st.floats(0.0, 1e6),
+    finesse=st.floats(1.0, 1e6, exclude_min=True),
+    background=st.floats(0.0, 1e3),
+)
+def test_on_tooth_chances_sum_to_at_most_one(peak, finesse, background):
+    # the echo and prompt chances of a photon on a tooth leave the loss a
+    # chance >= 0 for every comb the decoder accepts
+    afc = AFCConfig(tooth_peak_depth=peak, finesse=finesse, background_depth=background)
+    assert afc.echo_efficiency + math.exp(-afc.mean_comb_depth) <= 1.0
 
 
 def test_outcome_probabilities_cover_all_events():

@@ -5,7 +5,9 @@ every converter-noise photon of both arms is drawn at the full beam-splitter
 rate on every transmission window, the herald detector thins and jitters all
 of them, and the signal-arm noise goes through the gate, the memory and the
 detector together with the pair photons.  It composes the engine's stage
-kernels and nothing else of ``pipeline``.
+kernels and, of ``pipeline``, only the engine's lock realisation: every
+photon past the gate takes the residual ``residual_at`` gives at its entry
+time, as in the engine.
 
 ``pipeline.run_raw`` takes five shortcuts on the same link: herald noise
 drawn at its detected rate (and sorted, without jitter), signal-arm noise
@@ -51,20 +53,30 @@ N_BANDS = 16
 NOISE_BOOST = 5.0
 
 
-#: the links compared, as edits of the flagship document at dotted paths: the
-#: shipped link; a signal detector with 300 ns FWHM jitter, so that the
-#: reach's jitter margins carry weight; and a 1 GHz memory band, which the
-#: modes with |k| >= 9 leave
+_CHAIN = load_bundled_scenario("multiplexed_25mode_10km").lock.config
+_IDEAL = LockSettings(mode="ideal")
+_BEAT_HIGH = dataclasses.replace(_CHAIN, rf=dataclasses.replace(_CHAIN.rf, f_beat=_CHAIN.rf.f_beat + 120e3))
+
+#: the links compared, as edits of the flagship document at dotted paths and
+#: a lock: under an ideal lock, the shipped link; a signal detector with
+#: 300 ns FWHM jitter, so that the reach's jitter margins carry weight; and a
+#: 1 GHz memory band, which the modes with |k| >= 9 leave.  Then the shipped
+#: link under the flagship chain run open loop, whose residual wanders by up
+#: to a few hundred kHz in 12 s and takes photons off their teeth, and under
+#: the locked chain with its beat 120 kHz high, just inside the 144 kHz half
+#: tooth width, so that every (lock step, mode) group has its own offset
 LINKS = {
-    "shipped": {},
-    "signal_jitter_300ns": {"detectors.signal.jitter_fwhm": 300e-9},
-    "memory_band_1ghz": {"memory.inhomogeneous.fwhm": 1e9},
+    "shipped": ({}, _IDEAL),
+    "signal_jitter_300ns": ({"detectors.signal.jitter_fwhm": 300e-9}, _IDEAL),
+    "memory_band_1ghz": ({"memory.inhomogeneous.fwhm": 1e9}, _IDEAL),
+    "open_loop": ({}, LockSettings("simulated", _CHAIN.with_servos_disabled())),
+    "beat_120khz_high": ({}, LockSettings("simulated", _BEAT_HIGH)),
 }
 
 
-def reference_config(seed: int, edits: dict):
+def reference_config(seed: int, edits: dict, lock: LockSettings):
     """A 12 s (two-batch) flagship slice with 5x the converter noise, 2e4
-    pairs/s, an ideal lock and the given edits."""
+    pairs/s, the given edits and ``lock``."""
     doc = scenario_to_dict(load_bundled_scenario("multiplexed_25mode_10km"))
     for path, value in edits.items():
         *parents, key = path.split(".")
@@ -76,7 +88,7 @@ def reference_config(seed: int, edits: dict):
         seed=seed,
         duration=12.0,
         converter=dataclasses.replace(converter, noise_rate_ref=NOISE_BOOST * converter.noise_rate_ref),
-        lock=LockSettings(mode="ideal"),
+        lock=lock,
     ).with_rate(2e4)
 
 
@@ -111,6 +123,7 @@ def reference_run(cfg, rng: np.random.Generator) -> tuple[np.ndarray, dict]:
     entry_org = _origins(signal_t[keep], n_t)
     passes = gate_passes(entry_t, windows, closed, cfg.shutter.extinction, rng)
     entry_t, entry_off, entry_org = entry_t[passes], entry_off[passes], entry_org[passes]
+    entry_off = entry_off + pipeline._Engine(cfg).lock_result.residual_at(entry_t)
 
     mem = cfg.memory
     kinds = storage_branches(entry_off, mem.afc, mem.inhomogeneous, rng)
@@ -185,7 +198,7 @@ def pooled(counts: np.ndarray, counters: dict, layout) -> dict:
 def test_engine_matches_brute_force_reference(link):
     eng, ref = {}, {}
     for seed in SEEDS:
-        cfg = reference_config(seed, LINKS[link])
+        cfg = reference_config(seed, *LINKS[link])
         # the slice must cross a batch edge, or batch independence goes unchecked
         assert len(pipeline._Engine(cfg).batches) >= 2
         raw = pipeline.run_raw(cfg, workers=1)
