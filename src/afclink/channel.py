@@ -59,8 +59,7 @@ class ConverterConfig:
     efficiency: float = 0.558
     pm_fwhm: float = 40e9  # Hz
     pump_power: float = 140.0  # mW
-    noise_rate_ref: float = 40e3  # counts/s at reference_power
-    reference_power: float = 140.0  # mW
+    noise_rate_per_mw: float = 40e3 / 140.0  # counts/s per mW of pump
 
     def __post_init__(self):
         if not 0.0 <= self.efficiency <= 1.0:
@@ -69,25 +68,25 @@ class ConverterConfig:
             raise ValueError("pm_fwhm must be > 0")
         if self.pump_power < 0:
             raise ValueError("pump_power must be >= 0")
-        if self.noise_rate_ref < 0 or self.reference_power <= 0:
-            raise ValueError("invalid noise rate reference")
+        if self.noise_rate_per_mw < 0:
+            raise ValueError("noise_rate_per_mw must be >= 0")
 
     @property
     def noise_rate(self) -> float:
-        """Pump-induced noise rate, linear in pump power through the one
-        anchored reference point."""
-        return self.noise_rate_ref * self.pump_power / self.reference_power
+        """Pump-induced noise rate, linear in pump power."""
+        return self.noise_rate_per_mw * self.pump_power
 
-    def window_transmission(self, mode_offset) -> np.ndarray:
-        """Gaussian phase-matching transmission, T(0) = 1."""
-        x = np.asarray(mode_offset, dtype=np.float64) / self.pm_fwhm
-        return np.exp(-4.0 * math.log(2.0) * x * x)
+    @property
+    def arm_noise_rate(self) -> float:
+        """Noise rate each arm receives: the beam splitter's half of ``noise_rate``."""
+        return 0.5 * self.noise_rate
 
     def conversion_probability(self, mode_offset) -> np.ndarray:
-        """Chance that a photon at ``mode_offset`` is converted:
-        efficiency * T_pm(offset).  Evaluate it once per mode, not once per
-        photon."""
-        return self.efficiency * self.window_transmission(mode_offset)
+        """Chance that a photon at ``mode_offset`` is converted: efficiency
+        times the Gaussian phase-matching transmission, 1 at offset 0.
+        Evaluate it once per mode, not once per photon."""
+        x = np.asarray(mode_offset, dtype=np.float64) / self.pm_fwhm
+        return self.efficiency * np.exp(-4.0 * math.log(2.0) * x * x)
 
     def noise_offsets(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """Frequency offsets of ``n`` pump-induced noise photons: white

@@ -72,13 +72,7 @@ def _cmd_lockcheck(args) -> int:
     if lock.config is None:
         raise ScenarioError("lock.mode", "lockcheck runs lock.config, and an ideal lock has none")
     result = simulate_lock_run(lock.config, duration=args.hours * 3600.0, dt=lock.dt, seed=cfg.seed)
-    summary = {
-        "hours": args.hours,
-        "dt": lock.dt,
-        "seed": cfg.seed,
-        "max_abs_residual_hz": result.max_abs_residual,
-        "rms_residual_hz": result.rms_residual,
-    }
+    summary = {"hours": args.hours, "dt": lock.dt, "seed": cfg.seed, **result.summary()}
     if args.out:
         _write(args.out, "lock_telemetry.csv", result.to_csv())
         _write(args.out, "lock_summary.json", json.dumps(summary, indent=2, sort_keys=True))

@@ -21,6 +21,8 @@ from dataclasses import dataclass, field, replace
 from importlib import resources
 from typing import Any, Literal, Optional
 
+import numpy as np
+
 from .channel import ConverterConfig, FiberLink, ShutterSchedule
 from .detection import HistogramLayout, SPDConfig
 from .lockchain import LaserId, LockChainConfig
@@ -121,8 +123,7 @@ class ScenarioConfig:
         # small at the signal detector's highest click rate
         det = self.detectors.signal
         r_max = det.efficiency * (
-            0.5 * self.converter.noise_rate
-            + self.source.total_pair_rate * self.link.survival_probability * self.converter.efficiency
+            self.converter.arm_noise_rate + self.source.total_pair_rate * self.signal_survival.max()
         ) + det.dark_rate
         if r_max * det.dead_time > _MAX_RATE_DEAD_TIME:
             raise ScenarioError(
@@ -147,6 +148,12 @@ class ScenarioConfig:
                 "shutter.prep_duration",
                 f"must exceed the {reach:.4g} s signal reach plus herald dead time",
             )
+
+    @property
+    def signal_survival(self) -> np.ndarray:
+        """Per source mode, the chance that a signal photon survives the
+        fiber and the converter and reaches the gate."""
+        return self.link.survival_probability * self.converter.conversion_probability(self.source.mode_offsets())
 
     @property
     def jitter_margin(self) -> float:

@@ -199,11 +199,24 @@ class LockRunResult:
     """Residual telemetry of a lock run, sampled every ``dt`` seconds; all zero for an ideal lock."""
 
     dt: float
-    t: np.ndarray
     residual: np.ndarray
     laser_errors: dict[LaserId, np.ndarray]
-    max_abs_residual: float
-    rms_residual: float
+
+    @property
+    def t(self) -> np.ndarray:
+        return self.dt * np.arange(len(self.residual))
+
+    @property
+    def max_abs_residual(self) -> float:
+        return float(np.max(np.abs(self.residual)))
+
+    @property
+    def rms_residual(self) -> float:
+        return float(np.sqrt(np.mean(self.residual**2)))
+
+    def summary(self) -> dict:
+        """The residual statistics a report and ``afclink lockcheck`` print."""
+        return {"max_abs_residual_hz": self.max_abs_residual, "rms_residual_hz": self.rms_residual}
 
     def step_at(self, t: np.ndarray) -> np.ndarray:
         """Index of the sample that holds at times ``t``: floor(t / dt), the
@@ -217,10 +230,10 @@ class LockRunResult:
         return self.residual[self.step_at(t)]
 
     def to_csv(self) -> str:
-        flat = [None] * (2 * len(self.t))
+        flat = [None] * (2 * len(self.residual))
         flat[0::2] = self.t.tolist()
         flat[1::2] = self.residual.tolist()
-        return "t_s,residual_hz\n" + ("%.6f,%.9e\n" * len(self.t)) % tuple(flat)
+        return "t_s,residual_hz\n" + ("%.6f,%.9e\n" * len(self.residual)) % tuple(flat)
 
 
 def _system_matrices(config: LockChainConfig):
@@ -311,13 +324,8 @@ def simulate_lock_run(
         x = M @ x + L @ z[k]
         traj[k + 1] = x
 
-    t = dt * np.arange(n_steps + 1)
-    residual = _residual(config.rf, traj.T)
     return LockRunResult(
         dt=dt,
-        t=t,
-        residual=residual,
+        residual=_residual(config.rf, traj.T),
         laser_errors={laser: traj[:, i].copy() for i, laser in enumerate(DRIVEN_LASERS)},
-        max_abs_residual=float(np.max(np.abs(residual))),
-        rms_residual=float(np.sqrt(np.mean(residual**2))),
     )

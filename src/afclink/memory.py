@@ -187,14 +187,14 @@ def prepare_afc(inh: InhomogeneousProfile, cfg: AFCConfig) -> AbsorptionSpectrum
 
 def afc_efficiency(d: float, F: float, d0: float = 0.0) -> float:
     """Forward echo efficiency of a comb with depth parameter d, finesse F
-    and background depth d0, clamped to [0, 1]."""
+    and background depth d0, at most 4/e^2; squaring (d/F) e^(-d/2F) keeps
+    it finite at any depth."""
     if d < 0 or d0 < 0:
         raise ValueError("depths must be >= 0")
     if F <= 1:
         raise ValueError("finesse must be > 1")
     dd = d / F
-    eta = dd * dd * math.exp(-dd) * math.exp(-7.0 / (F * F)) * math.exp(-d0)
-    return min(max(eta, 0.0), 1.0)
+    return (dd * math.exp(-dd / 2.0)) ** 2 * math.exp(-7.0 / (F * F)) * math.exp(-d0)
 
 
 def comb_spectrum(

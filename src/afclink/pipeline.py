@@ -212,7 +212,7 @@ class _Engine:
         # per mode: the signal photon reaches the gate with p_s; the herald
         # photon is detected (before dead time) with p_h = p_s * eta_herald;
         # the source draws only the pairs with at least one such photon
-        p_s = cfg.link.survival_probability * cfg.converter.conversion_probability(self.mode_offsets)
+        p_s = cfg.signal_survival
         self.p_herald = p_s * cfg.detectors.herald.efficiency
         self.p_both = self.p_herald * p_s
         self.p_any = self.p_herald + p_s - self.p_both
@@ -231,8 +231,7 @@ class _Engine:
             seed = _derived_seed(cfg.seed, _S_LOCK, 0)
             self.lock_result = simulate_lock_run(lock.config, cfg.duration, lock.dt, seed)
         else:
-            steps = lock.dt * np.arange(round(cfg.duration / lock.dt) + 1)
-            self.lock_result = LockRunResult(lock.dt, steps, np.zeros(len(steps)), {}, 0.0, 0.0)
+            self.lock_result = LockRunResult(lock.dt, np.zeros(round(cfg.duration / lock.dt) + 1), {})
 
     # -- one batch ---------------------------------------------------------
 
@@ -275,7 +274,7 @@ class _Engine:
         # herald-arm noise is drawn directly at its detected rate (exact
         # thinning of the beam-splitter share by the detector efficiency),
         # sorted and without jitter (see the module docstring)
-        rate = 0.5 * cfg.converter.noise_rate * det.efficiency
+        rate = cfg.converter.arm_noise_rate * det.efficiency
         noise = iv.sample_poisson(windows, rate, _stream(cfg.seed, _S_HERALD_NOISE, b))
         rng = _stream(cfg.seed, _S_HERALD_DETECT, b)
         h_times, h_org = detect(pair_t, det, windows, rng, _origins(pair_t), noise=noise)
@@ -300,7 +299,7 @@ class _Engine:
         # converter noise (beam-splitter share) at full rate on the reach, and
         # one gate test, commanded by the heralds, for it and the pair photons
         rng = _stream(cfg.seed, _S_SIGNAL_NOISE, b)
-        n_t = iv.sample_poisson(iv.intersect(windows, rel), 0.5 * cfg.converter.noise_rate, rng)
+        n_t = iv.sample_poisson(iv.intersect(windows, rel), cfg.converter.arm_noise_rate, rng)
         entry_off = np.concatenate([self.mode_offsets[mode_idx], cfg.converter.noise_offsets(len(n_t), rng)])
         entry_t = np.concatenate([signal_t, n_t])
         entry_org = _origins(signal_t, n_t)

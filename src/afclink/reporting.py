@@ -16,6 +16,7 @@ import numpy as np
 from . import __version__
 from .config import ScenarioConfig, config_hash
 from .detection import CoincidenceHistogram, compute_snr, moving_average
+from .lockchain import LockRunResult
 from .pipeline import RawRunResult, run_raw
 
 #: bins of adjacent averaging used for peak statistics (1.28 ns at the
@@ -41,8 +42,7 @@ class RunReport:
     degenerate: bool
     peak: dict
     counts: dict
-    lock: Optional[dict]
-    lock_result: object = None
+    lock_result: Optional[LockRunResult]  # None under an ideal lock, which has no telemetry
 
     def summary_dict(self) -> dict:
         return {
@@ -60,7 +60,7 @@ class RunReport:
             "degenerate": self.degenerate,
             "peak": self.peak,
             "counts": self.counts,
-            "lock": self.lock,
+            "lock": None if self.lock_result is None else self.lock_result.summary(),
         }
 
     def to_json(self) -> str:
@@ -134,13 +134,6 @@ def analyze(cfg: ScenarioConfig, raw: RawRunResult) -> RunReport:
         snr_error = str(exc)
         degenerate = True
 
-    lock = None
-    if raw.lock_result is not None:
-        lock = {
-            "max_abs_residual_hz": raw.lock_result.max_abs_residual,
-            "rms_residual_hz": raw.lock_result.rms_residual,
-        }
-
     return RunReport(
         scenario=cfg.name,
         seed=cfg.seed,
@@ -158,7 +151,6 @@ def analyze(cfg: ScenarioConfig, raw: RawRunResult) -> RunReport:
         degenerate=degenerate,
         peak=peak_above_floor(hist, smoothed, cfg.memory.echo_delay),
         counts=raw.counters,
-        lock=lock,
         lock_result=raw.lock_result,
     )
 

@@ -63,10 +63,13 @@ def test_convert_survival_on_resonance():
 
 def test_convert_window_half_maximum_and_edges():
     cfg = ConverterConfig()
-    assert cfg.window_transmission(20e9) == pytest.approx(0.5, rel=1e-12)
-    assert cfg.window_transmission(-20e9) == pytest.approx(0.5, rel=1e-12)
+    def window(f):
+        return cfg.conversion_probability(f) / cfg.efficiency
+
+    assert window(20e9) == pytest.approx(0.5, rel=1e-12)
+    assert window(-20e9) == pytest.approx(0.5, rel=1e-12)
     # the outermost multiplexed mode barely notices the window
-    assert cfg.window_transmission(1.4064e9) == pytest.approx(0.9966, abs=2e-4)
+    assert window(1.4064e9) == pytest.approx(0.9966, abs=2e-4)
     n = 50_000
     keep = _converted(cfg, np.full(n, 20e9), np.random.default_rng(3))
     p = 0.558 * 0.5
@@ -84,7 +87,11 @@ def test_convert_preserves_times_and_offsets():
     assert np.all(np.isin(offsets[keep], offsets))
 
 
-def test_noise_rate_at_reference_power():
+def test_noise_rate_per_mw_gives_the_shipped_rates():
+    # the shipped 40,000 counts/s at 140 mW, and a tenth of it at 14 mW,
+    # come out of the one per-mW field exactly
+    assert ConverterConfig(pump_power=140.0).noise_rate == 40_000.0
+    assert ConverterConfig(pump_power=14.0).noise_rate == 4_000.0
     cfg = ConverterConfig()
     rng = np.random.default_rng(6)
     counts = [len(iv.sample_poisson(np.array([[0.0, 1.0]]), cfg.noise_rate, rng)) for _ in range(30)]

@@ -49,11 +49,11 @@ def small_cfg(duration=60.0, rate=500.0, seed=777, **kw):
 # config_hash of each bundled scenario: decoding must keep every value as the
 # document gives it (an int stays an int), or the provenance hash moves
 _BUNDLED_HASHES = {
-    "lock_12h": "068d4c9cf1e7d142123e69e7525597b334de9b15a99585c3edf99903adb94253",
-    "multiplexed_25mode_10km": "0e3edf4acd1a58b9c21b854952f02a1a4f22f751379876b4c2debe0e7330b59a",
-    "multiplexed_25mode_10km_smoke": "40db728e02a3dd2dd3c8a3da2e9e7979b8aa0c415abab236088e0af3849fc44a",
-    "multiplexed_5mode_5m": "1a88eb38e30379fac02037513de9a51d9eb5468605081bc3d041e7d32eb3e715",
-    "single_mode_5m": "af3ab0f6c725b24fba4201315ab4ba7964e2ef757aed1b4c17e3d37befa07a62",
+    "lock_12h": "56ce154acc1c75bcb4bd097ff2003da2c861c205cb25c083e1df5f3b1509e671",
+    "multiplexed_25mode_10km": "743b52c2c052854ca1c490c724ef5d64e53771ab9bc5315e89d9b5b8ebd06b60",
+    "multiplexed_25mode_10km_smoke": "810cb801bc64574dd0a52851e8b8a6e8a672735bcca87b1dec05be2bd49169b5",
+    "multiplexed_5mode_5m": "7ab2d795860177317e3c37fcce1cea5fcff817511c7e9fb553723d1bbe5b52ff",
+    "single_mode_5m": "f5c0a25566b9c3bbc7e9209b705765efedb45dacd84602f179cbc32d67f987af",
 }
 
 
@@ -124,6 +124,10 @@ _MALFORMED = [
     ("shutter.echo_window", [9e-7, 1e-6], "shutter.echo_window"),
     # 10 MHz between modes against a 9 MHz pit half-width: the pits overlap
     ("source.fsr", 10e6, "memory.afc.pit_halfwidth"),
+    # converter noise is one field, the rate per mW of pump
+    ("converter.noise_rate_ref", 40e3, "converter.noise_rate_ref"),
+    ("converter.reference_power", 140.0, "converter.reference_power"),
+    ("converter.noise_rate_per_mw", -1.0, "converter"),
 ]
 
 
@@ -233,11 +237,13 @@ def test_signal_dead_time_beyond_the_reach_rejected(dead_time):
     # the signal reach covers one dead time of shadowing, which holds while
     # the signal detector's highest click rate r_max keeps r_max x dead time
     # <= 1e-2; at the reference slice's rates (5x converter noise, 2e4
-    # pairs/s) that product is 2.7e-3 at 50 ns, 0.054 at 1 us, 0.27 at 5 us
+    # pairs/s) that product is 2.7e-3 at 50 ns, 8.1e-3 at 150 ns, 0.054 at
+    # 1 us, 0.27 at 5 us
     d = scenario_to_dict(load_bundled_scenario("multiplexed_25mode_10km"))
-    d["converter"]["noise_rate_ref"] *= 5
+    d["converter"]["noise_rate_per_mw"] *= 5
     d["source"]["total_pair_rate"] = 2e4
-    assert scenario_from_dict(d).detectors.signal.dead_time == 50e-9
+    d["detectors"]["signal"]["dead_time"] = 150e-9
+    assert scenario_from_dict(d).detectors.signal.dead_time == 150e-9
     d["detectors"]["signal"]["dead_time"] = dead_time
     with pytest.raises(ScenarioError) as err:
         scenario_from_dict(d)
@@ -291,17 +297,17 @@ def test_run_deterministic_byte_identical():
 # report format) updates the constants and says so in CHANGES.md.
 _PINNED_PAYLOADS = {
     "smoke": {
-        "report.json": "aee67607cc318726f4a4934de8a6196c00fda75273c24be060411462c13ff101",
+        "report.json": "f3af5025592aa5a823b8ed1bc8fafb108656d7cbd205100761bb1f36813344a6",
         "histogram.csv": "de0d599f66cdf87a1cf08840f14609effc320cd0de61a8d6588d91991fcd1cec",
         "summary.csv": "40297878aab5fd1e7e8f9551a159e320fe6b69dce9b5eae6b38535c6f172efaa",
     },
     "pair_rich_30s": {
-        "report.json": "002ccf5acd4f4d485a876e3ab4182eb94f7bbc602e009c9dbbe5977bdc313ef2",
+        "report.json": "92e81cf11fdc0d9c7158a65e4454cf72ab1dd1717b74d6c6c44da2e3554985e6",
         "histogram.csv": "753954ce5643c3d9d23b23b8f5462c02577af433bbfe20127555dec7c66b2789",
         "summary.csv": "eb31be231f94e6a4ef081e6e45c3fb566fd148a856b383a1ae51bf116a5cd3d8",
     },
     "ideal_lock_30s": {
-        "report.json": "8c836722950eae5dc7df15bfa6c241520ea5e7550742a69fafc4edb5e1edd4e2",
+        "report.json": "6b1101aef37da633a8ef13a8861ad0ea8de5ce05eb566961801f0f03a67a2b28",
         "histogram.csv": "9e98cb34688a7b9fc4d38cdf6679ef1d04bd04ece41111c5665c8d6d921ddf8e",
         "summary.csv": "7cf2f8346269cb14d164cfa803841fc5270c4a0e7a8cbbdbfb72c32235cf9d81",
     },
@@ -389,6 +395,20 @@ def test_zero_conversion_still_counts_every_pair():
     assert rep.counts["signal_by_origin"]["pair"] == 0
 
 
+def test_opaque_comb_runs_and_echoes_nothing():
+    # a comb far deeper than any useful one absorbs every pair photon, all
+    # of which arrive in a pit, for good: the run completes and reports
+    # neither echo nor prompt
+    d = scenario_to_dict(load_bundled_scenario("multiplexed_25mode_10km_smoke"))
+    d["memory"]["afc"]["tooth_peak_depth"] = 1e200
+    d["duration"] = 6.0
+    d["source"]["total_pair_rate"] = 2e4
+    rep = run_scenario(scenario_from_dict(d), workers=1)
+    assert rep.counts["heralds_by_origin"]["pair"] > 0
+    assert rep.counts["memory_outcomes"] == {"echo": 0, "prompt": 0, "out_of_band": 0}
+    assert rep.counts["signal_by_origin"]["pair"] == 0
+
+
 def test_forced_lock_mismatch_kills_echo():
     # a constant matching residual of 2.5 tooth spacings parks every photon
     # between teeth: storage still absorbs, but nothing rephases
@@ -406,7 +426,7 @@ def test_forced_lock_mismatch_kills_echo():
     ref = run_scenario(dataclasses.replace(base, lock=LockSettings(mode="ideal")))
     assert ref.counts["memory_outcomes"]["echo"] > 50
     assert rep.counts["memory_outcomes"]["echo"] == 0
-    assert rep.lock["max_abs_residual_hz"] == pytest.approx(2.875e6, rel=1e-2)
+    assert rep.summary_dict()["lock"]["max_abs_residual_hz"] == pytest.approx(2.875e6, rel=1e-2)
 
 
 def test_report_files_written(tmp_path):
@@ -432,12 +452,13 @@ def test_csv_writers_match_per_row_format():
     assert hist.to_csv(smoothed) == "tau_ns,counts,smoothed\n" + "".join(
         f"{c:.4f},{n},{s:.6f}\n" for c, n, s in rows
     )
-    t = np.array([0.0, 1 / 3, 2.0, 151199.0, 1e6 + 0.5e-6])
     residual = np.array([-1.234e-12, 0.0, 1 / 3, -7.5e-300, 2.875e6])
-    lock = LockRunResult(1.0, t, residual, {}, 2.875e6, 1.0)
-    assert lock.to_csv() == "t_s,residual_hz\n" + "".join(
-        f"{ti:.6f},{ri:.9e}\n" for ti, ri in zip(t, residual)
-    )
+    # times that no decimal writes exactly, and times past 1e6 s
+    for dt in (1 / 3, 250000.125):
+        lock = LockRunResult(dt, residual, {})
+        assert lock.to_csv() == "t_s,residual_hz\n" + "".join(
+            f"{ti:.6f},{ri:.9e}\n" for ti, ri in zip(lock.t, residual)
+        )
 
 
 def test_noise_floor_matches_analytic_expectation():
@@ -465,7 +486,7 @@ def test_noise_floor_matches_analytic_expectation():
 
     mem_pass, _ = quad(transmit, -half_span, half_span, limit=400, points=[-inh.fwhm, inh.fwhm])
     mem_pass /= cfg.converter.pm_fwhm
-    noise_det = 0.5 * cfg.converter.noise_rate * mem_pass * cfg.detectors.signal.efficiency
+    noise_det = cfg.converter.arm_noise_rate * mem_pass * cfg.detectors.signal.efficiency
 
     heralds = rep.counts["heralds_detected"]
     # pre-herald region: the gate is open by default, full flux plus darks

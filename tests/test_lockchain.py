@@ -290,10 +290,7 @@ def test_csv_format():
 
 def test_residual_at_holds_last_sample_and_clips():
     residual = np.array([5.0, -3.0, 8.0, 1.0, 7.0])
-    res = LockRunResult(
-        dt=0.5, t=0.5 * np.arange(5), residual=residual, laser_errors={},
-        max_abs_residual=8.0, rms_residual=0.0,
-    )
+    res = LockRunResult(dt=0.5, residual=residual, laser_errors={})
     # sample floor(t / dt): 0.9 and 1.3 lie past the midpoint of their step
     assert np.array_equal(res.residual_at(np.array([0.2, 0.9, 1.3])), [5.0, -3.0, 8.0])
     # on a grid point the new sample already holds

@@ -203,7 +203,7 @@ def test_echo_probability_matches_formula():
 
 @settings(max_examples=300, deadline=None)
 @given(
-    peak=st.floats(0.0, 1e6),
+    peak=st.floats(0.0, 1e300),
     finesse=st.floats(1.0, 1e6, exclude_min=True),
     background=st.floats(0.0, 1e3),
 )

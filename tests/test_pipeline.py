@@ -52,7 +52,7 @@ def test_gate_thinned_signal_noise_matches_gate_strata(monkeypatch):
             shutter=ShutterSchedule(extinction=0.2),
             lock=LockSettings(mode="ideal"),
         )
-        rate = 0.5 * cfg.converter.noise_rate  # beam-splitter share
+        rate = cfg.converter.arm_noise_rate
         engine = pipeline._Engine(cfg)
         heralds.clear()
         entries.clear()

@@ -56,20 +56,28 @@ NOISE_BOOST = 5.0
 _CHAIN = load_bundled_scenario("multiplexed_25mode_10km").lock.config
 _IDEAL = LockSettings(mode="ideal")
 _BEAT_HIGH = dataclasses.replace(_CHAIN, rf=dataclasses.replace(_CHAIN.rf, f_beat=_CHAIN.rf.f_beat + 120e3))
+_OPEN_FAST = dataclasses.replace(
+    _CHAIN.with_servos_disabled(),
+    drift={laser: dataclasses.replace(d, sigma=75e3) for laser, d in _CHAIN.drift.items()},
+)
 
 #: the links compared, as edits of the flagship document at dotted paths and
 #: a lock: under an ideal lock, the shipped link; a signal detector with
 #: 300 ns FWHM jitter, so that the reach's jitter margins carry weight; and a
 #: 1 GHz memory band, which the modes with |k| >= 9 leave.  Then the shipped
 #: link under the flagship chain run open loop, whose residual wanders by up
-#: to a few hundred kHz in 12 s and takes photons off their teeth, and under
-#: the locked chain with its beat 120 kHz high, just inside the 144 kHz half
+#: to a few hundred kHz in 12 s and takes photons off their teeth; the same
+#: chain with every drift five times as strong, whose residual spans about
+#: -0.24 to 1.7 MHz over the seeds, several tooth spacings, so that a path
+#: that dropped the residual would keep echoes the reference loses; and the
+#: locked chain with its beat 120 kHz high, just inside the 144 kHz half
 #: tooth width, so that every (lock step, mode) group has its own offset
 LINKS = {
     "shipped": ({}, _IDEAL),
     "signal_jitter_300ns": ({"detectors.signal.jitter_fwhm": 300e-9}, _IDEAL),
     "memory_band_1ghz": ({"memory.inhomogeneous.fwhm": 1e9}, _IDEAL),
     "open_loop": ({}, LockSettings("simulated", _CHAIN.with_servos_disabled())),
+    "open_loop_fast": ({}, LockSettings("simulated", _OPEN_FAST)),
     "beat_120khz_high": ({}, LockSettings("simulated", _BEAT_HIGH)),
 }
 
@@ -87,7 +95,7 @@ def reference_config(seed: int, edits: dict, lock: LockSettings):
         flagship,
         seed=seed,
         duration=12.0,
-        converter=dataclasses.replace(converter, noise_rate_ref=NOISE_BOOST * converter.noise_rate_ref),
+        converter=dataclasses.replace(converter, noise_rate_per_mw=NOISE_BOOST * converter.noise_rate_per_mw),
         lock=lock,
     ).with_rate(2e4)
 
@@ -98,7 +106,7 @@ def reference_run(cfg, rng: np.random.Generator) -> tuple[np.ndarray, dict]:
     windows = cfg.shutter.transmission_windows(0, n_cycles, cfg.duration)
     offsets = cfg.source.mode_offsets()
     converted = cfg.converter.conversion_probability(offsets)
-    arm_rate = 0.5 * cfg.converter.noise_rate
+    arm_rate = cfg.converter.arm_noise_rate
 
     herald_t, mode_idx = sample_pairs(cfg.source, windows, rng)
     signal_t = herald_t + pair_delays(cfg.source, len(herald_t), rng)
