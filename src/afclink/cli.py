@@ -22,9 +22,9 @@ from .config import (
     load_scenario_file,
     scenario_to_json,
 )
-from .lockchain import simulate_lock_run
 from .memory import prepare_afc
-from .reporting import run_scenario
+from .pipeline import lock_run
+from .reporting import run_scenario, write_text
 
 
 def _load_config(spec: str):
@@ -35,12 +35,6 @@ def _load_config(spec: str):
     except FileNotFoundError:
         raise ScenarioError("--config", f"no such file or bundled scenario: {spec!r}; "
                             f"bundled: {', '.join(bundled_scenarios())}")
-
-
-def _write(out_dir: str, name: str, text: str) -> None:
-    os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, name), "w", encoding="utf-8") as fh:
-        fh.write(text)
 
 
 def _cmd_simulate(args) -> int:
@@ -61,7 +55,7 @@ def _cmd_sweep(args) -> int:
     rows = sweep(cfg, args.param, values, workers=args.workers)
     csv_text = sweep_csv(rows)
     if args.out:
-        _write(args.out, "sweep.csv", csv_text)
+        write_text(args.out, "sweep.csv", csv_text)
     print(csv_text, end="")
     return 0
 
@@ -71,12 +65,13 @@ def _cmd_lockcheck(args) -> int:
     lock = cfg.lock
     if lock.config is None:
         raise ScenarioError("lock.mode", "lockcheck runs lock.config, and an ideal lock has none")
-    result = simulate_lock_run(lock.config, duration=args.hours * 3600.0, dt=lock.dt, seed=cfg.seed)
-    summary = {"hours": args.hours, "dt": lock.dt, "seed": cfg.seed, **result.summary()}
+    result = lock_run(cfg, args.hours * 3600.0)
+    summary = json.dumps({"hours": args.hours, "dt": lock.dt, "seed": cfg.seed, **result.summary()},
+                         indent=2, sort_keys=True)
     if args.out:
-        _write(args.out, "lock_telemetry.csv", result.to_csv())
-        _write(args.out, "lock_summary.json", json.dumps(summary, indent=2, sort_keys=True))
-    print(json.dumps(summary, indent=2, sort_keys=True))
+        write_text(args.out, "lock_telemetry.csv", result.to_csv())
+        write_text(args.out, "lock_summary.json", summary)
+    print(summary)
     return 0
 
 
@@ -85,7 +80,7 @@ def _cmd_afc_plot(args) -> int:
     spectrum = prepare_afc(cfg.memory.inhomogeneous, cfg.memory.afc)
     csv_text = spectrum.to_csv()
     if args.out:
-        _write(args.out, "afc_spectrum.csv", csv_text)
+        write_text(args.out, "afc_spectrum.csv", csv_text)
         print(json.dumps({"points": spectrum.grid.n_points, "out": os.path.join(args.out, "afc_spectrum.csv")}))
     else:
         print(csv_text, end="")
@@ -105,7 +100,7 @@ def _cmd_calibrate(args) -> int:
         "target_peak": args.target_peak,
     }
     if args.out:
-        _write(args.out, "calibrated_scenario.json", scenario_to_json(calibrated))
+        write_text(args.out, "calibrated_scenario.json", scenario_to_json(calibrated))
     print(json.dumps(out, indent=2, sort_keys=True))
     return 0
 

@@ -71,7 +71,7 @@ class LockSettings:
     takes no ``config``; 'simulated' runs the closed-loop network ``config``
     (the default chain when null) at telemetry step ``dt`` and feeds its
     residual into every photon's mode offset before the memory.
-    ``afclink lockcheck`` runs the same ``config`` at the same ``dt``."""
+    ``afclink lockcheck`` writes the same realisation (``pipeline.lock_run``)."""
 
     mode: Literal["ideal", "simulated"] = "ideal"
     config: Optional[LockChainConfig] = None

@@ -146,6 +146,8 @@ class HistogramLayout:
         for name, (a, b) in (("signal_window", self.signal_window), ("noise_window", self.noise_window)):
             if not (self.tau_min <= a < b <= self.tau_max):
                 raise ValueError(f"{name} must lie inside the histogram range")
+            if self.window_bins((a, b)) < 1:
+                raise ValueError(f"{name} must hold at least one whole bin of width {self.bin_width:g} s")
         s, nw = self.signal_window, self.noise_window
         if max(s[0], nw[0]) < min(s[1], nw[1]):
             raise ValueError("signal and noise windows must be disjoint")
@@ -245,9 +247,7 @@ def compute_snr(hist: CoincidenceHistogram) -> float:
     counts rescaled to the signal window's duration."""
     s = float(hist.window_counts(hist.signal_window))
     noise_raw = float(hist.window_counts(hist.noise_window))
-    n_bins_noise = hist.window_bins(hist.noise_window)
-    n_bins_signal = hist.window_bins(hist.signal_window)
-    if n_bins_noise == 0 or noise_raw <= 0:
+    if noise_raw <= 0:
         raise ValueError("noise floor unresolved")
-    n = noise_raw * (n_bins_signal / n_bins_noise)
+    n = noise_raw * hist.window_bins(hist.signal_window) / hist.window_bins(hist.noise_window)
     return (s - n) / n

@@ -28,7 +28,6 @@ fourfold.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass, field
 
@@ -142,11 +141,11 @@ class AbsorptionSpectrum:
         return self.grid.frequencies()
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("offset_hz,optical_depth\n")
-        for f, d in zip(self.frequencies(), self.optical_depth):
-            buf.write(f"{f:.3f},{d:.9e}\n")
-        return buf.getvalue()
+        n = self.grid.n_points
+        flat = [None] * (2 * n)
+        flat[0::2] = self.frequencies().tolist()
+        flat[1::2] = self.optical_depth.tolist()
+        return "offset_hz,optical_depth\n" + ("%.3f,%.9e\n" * n) % tuple(flat)
 
 
 def prepare_afc(inh: InhomogeneousProfile, cfg: AFCConfig) -> AbsorptionSpectrum:

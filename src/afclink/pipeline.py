@@ -205,6 +205,17 @@ class RawRunResult:
     lock_result: LockRunResult | None  # None under an ideal lock, which has no telemetry
 
 
+def lock_run(cfg: ScenarioConfig, duration: float) -> LockRunResult:
+    """The document's lock realisation over ``duration`` seconds, at its
+    ``lock.dt``: the residual every run of ``cfg`` adds to its photons and
+    ``afclink lockcheck`` writes.  An ideal lock is a zero residual on the
+    lock grid and runs no chain."""
+    lock = cfg.lock
+    if lock.mode == "ideal":
+        return LockRunResult(lock.dt, np.zeros(round(duration / lock.dt) + 1), {})
+    return simulate_lock_run(lock.config, duration, lock.dt, _derived_seed(cfg.seed, _S_LOCK, 0))
+
+
 class _Engine:
     def __init__(self, cfg: ScenarioConfig):
         self.cfg = cfg
@@ -225,13 +236,7 @@ class _Engine:
         self.batches = [
             (lo, min(lo + per_batch, self.n_cycles)) for lo in range(0, self.n_cycles, per_batch)
         ]
-        # an ideal lock is a zero residual on the lock grid and runs no chain
-        lock = cfg.lock
-        if lock.mode == "simulated":
-            seed = _derived_seed(cfg.seed, _S_LOCK, 0)
-            self.lock_result = simulate_lock_run(lock.config, cfg.duration, lock.dt, seed)
-        else:
-            self.lock_result = LockRunResult(lock.dt, np.zeros(round(cfg.duration / lock.dt) + 1), {})
+        self.lock_result = lock_run(cfg, cfg.duration)
 
     # -- one batch ---------------------------------------------------------
 

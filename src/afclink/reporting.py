@@ -24,13 +24,17 @@ from .pipeline import RawRunResult, run_raw
 SMOOTHING_BINS = 10
 
 
+def write_text(out_dir: str, name: str, text: str) -> None:
+    """Write ``text`` to the file ``name`` in ``out_dir`` as UTF-8, making
+    the directory if it is missing; every output file is written here."""
+    os.makedirs(out_dir, exist_ok=True)
+    with open(os.path.join(out_dir, name), "w", encoding="utf-8") as fh:
+        fh.write(text)
+
+
 @dataclass
 class RunReport:
-    scenario: str
-    seed: int
-    config_sha256: str
-    version: str
-    duration: float
+    cfg: ScenarioConfig  # the run's provenance: its name, seed, duration and hash
     transmission_time: float
     histogram: CoincidenceHistogram
     smoothed: np.ndarray
@@ -46,11 +50,11 @@ class RunReport:
 
     def summary_dict(self) -> dict:
         return {
-            "scenario": self.scenario,
-            "seed": self.seed,
-            "config_sha256": self.config_sha256,
-            "version": self.version,
-            "duration": self.duration,
+            "scenario": self.cfg.name,
+            "seed": self.cfg.seed,
+            "config_sha256": config_hash(self.cfg),
+            "version": __version__,
+            "duration": self.cfg.duration,
             "transmission_time": self.transmission_time,
             "S": self.s_counts,
             "N_raw": self.n_raw,
@@ -69,22 +73,18 @@ class RunReport:
     def summary_csv(self) -> str:
         n = "" if self.n_scaled is None else f"{self.n_scaled:.3f}"
         snr = "" if self.snr is None else f"{self.snr:.4f}"
+        cfg = self.cfg
         return (
             "scenario,S,N,snr,duration_s,seed\n"
-            f"{self.scenario},{self.s_counts},{n},{snr},{self.duration:.1f},{self.seed}\n"
+            f"{cfg.name},{self.s_counts},{n},{snr},{cfg.duration:.1f},{cfg.seed}\n"
         )
 
     def write(self, out_dir: str) -> None:
-        os.makedirs(out_dir, exist_ok=True)
-        with open(os.path.join(out_dir, "report.json"), "w", encoding="utf-8") as fh:
-            fh.write(self.to_json())
-        with open(os.path.join(out_dir, "histogram.csv"), "w", encoding="utf-8") as fh:
-            fh.write(self.histogram.to_csv(self.smoothed))
-        with open(os.path.join(out_dir, "summary.csv"), "w", encoding="utf-8") as fh:
-            fh.write(self.summary_csv())
+        write_text(out_dir, "report.json", self.to_json())
+        write_text(out_dir, "histogram.csv", self.histogram.to_csv(self.smoothed))
+        write_text(out_dir, "summary.csv", self.summary_csv())
         if self.lock_result is not None:
-            with open(os.path.join(out_dir, "lock_telemetry.csv"), "w", encoding="utf-8") as fh:
-                fh.write(self.lock_result.to_csv())
+            write_text(out_dir, "lock_telemetry.csv", self.lock_result.to_csv())
 
 
 def peak_above_floor(hist: CoincidenceHistogram, smoothed: np.ndarray, echo_delay: float) -> dict:
@@ -99,10 +99,9 @@ def peak_above_floor(hist: CoincidenceHistogram, smoothed: np.ndarray, echo_dela
     display.
     """
     sl = hist._window_slice(hist.signal_window)
-    peak_max = float(np.max(smoothed[sl])) if sl.stop > sl.start else 0.0
-    raw_peak = int(np.max(hist.counts[sl])) if sl.stop > sl.start else 0
-    nb = hist.window_bins(hist.noise_window)
-    floor = hist.window_counts(hist.noise_window) / nb if nb else 0.0
+    peak_max = float(np.max(smoothed[sl]))
+    raw_peak = int(np.max(hist.counts[sl]))
+    floor = hist.window_counts(hist.noise_window) / hist.window_bins(hist.noise_window)
     at_echo = float(smoothed[int(np.clip(hist.bin_index(echo_delay), 0, hist.n_bins - 1))])
     return {
         "peak_raw": raw_peak,
@@ -135,11 +134,7 @@ def analyze(cfg: ScenarioConfig, raw: RawRunResult) -> RunReport:
         degenerate = True
 
     return RunReport(
-        scenario=cfg.name,
-        seed=cfg.seed,
-        config_sha256=config_hash(cfg),
-        version=__version__,
-        duration=cfg.duration,
+        cfg=cfg,
         transmission_time=raw.transmission_time,
         histogram=hist,
         smoothed=smoothed,

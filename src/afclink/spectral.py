@@ -65,10 +65,9 @@ def tpc_mode_offsets(n_modes: int, fsr: float) -> np.ndarray:
 
 
 def merge_offsets(values) -> np.ndarray:
-    """Sort ``values`` and collapse groups closer than ``MERGE_TOL_HZ`` to one representative."""
+    """Sort ``values`` (at least one) and collapse groups closer than
+    ``MERGE_TOL_HZ`` to one representative."""
     arr = np.sort(np.asarray(values, dtype=np.float64))
-    if arr.size == 0:
-        return arr
     keep = np.empty(arr.size, dtype=bool)
     keep[0] = True
     keep[1:] = np.diff(arr) >= MERGE_TOL_HZ

@@ -311,6 +311,14 @@ def test_snr_formula_inversion():
     assert h.window_counts(h.signal_window) == 74
     assert h.window_counts(h.noise_window) / 6 == pytest.approx(30.83, abs=0.01)
     assert compute_snr(h) == pytest.approx(1.40, abs=0.01)
+    # on the shipped layout the SNR is (S - N) / N exactly, with N the one
+    # correctly rounded scaled floor that the report prints
+    h = CoincidenceHistogram()
+    assert (h.window_bins(h.signal_window), h.window_bins(h.noise_window)) == (1952, 312)
+    h.counts[h._window_slice(h.signal_window).start] = 500
+    h.counts[h._window_slice(h.noise_window).start] = 71
+    n = 71 * 1952 / 312
+    assert compute_snr(h) == (500 - n) / n
 
 
 def test_snr_trivial_values():

@@ -32,8 +32,10 @@ from afclink.config import (
 )
 from afclink.detection import CoincidenceHistogram
 from afclink.lockchain import LockRunResult, RfOffsets
+from afclink.memory import AbsorptionSpectrum
 from afclink.reporting import run_scenario
 from afclink.source import SourceConfig
+from afclink.spectral import SpectralGrid
 
 
 def small_cfg(duration=60.0, rate=500.0, seed=777, **kw):
@@ -106,6 +108,9 @@ _MALFORMED = [
     ("histogram.tau_min", 2e-6, "histogram"),
     ("histogram.bin_width", 0, "histogram"),
     ("histogram.noise_window", [1.1e-6, 1.2e-6], "histogram"),
+    # a window that holds no whole bin has no counts to report
+    ("histogram.bin_width", 1e-6, "histogram"),
+    ("histogram.noise_window", [1.155e-6, 1.1551e-6], "histogram"),
     # keys of older documents: one field says each setting, so these are unknown
     (f"{_LOCK}.enabled", "no", f"{_LOCK}.enabled"),
     (f"{_LOCK}.setpoint", 0.0, f"{_LOCK}.setpoint"),
@@ -459,6 +464,13 @@ def test_csv_writers_match_per_row_format():
         assert lock.to_csv() == "t_s,residual_hz\n" + "".join(
             f"{ti:.6f},{ri:.9e}\n" for ti, ri in zip(lock.t, residual)
         )
+    # negative offsets that no decimal writes exactly, a zero depth, a depth
+    # near the bottom of the float range and whole and repeating ones
+    grid = SpectralGrid(-2.5e6 - 1 / 3, 2.5e6, 1.25e6)
+    spectrum = AbsorptionSpectrum(grid, np.array([0.0, 1e-300, 5.0, 1 / 3, 0.0]), 1e6)
+    assert spectrum.to_csv() == "offset_hz,optical_depth\n" + "".join(
+        f"{f:.3f},{d:.9e}\n" for f, d in zip(spectrum.frequencies(), spectrum.optical_depth)
+    )
 
 
 def test_noise_floor_matches_analytic_expectation():
@@ -729,6 +741,20 @@ def test_cli_lockcheck(tmp_path, capsys):
     doc.write_text(json.dumps(d))
     assert cli_main(["lockcheck", "--config", str(doc), "--hours", "0.5"]) == 2
     assert json.loads(capsys.readouterr().out)["error"]["field"] == "lock.mode"
+
+
+def test_cli_lockcheck_writes_the_simulated_realisation(tmp_path, capsys):
+    # 0.05 h is the smoke document's 180 s: lockcheck writes the lock
+    # realisation that simulate uses, byte for byte
+    sim, chk = tmp_path / "simulate", tmp_path / "lockcheck"
+    smoke = "multiplexed_25mode_10km_smoke"
+    assert cli_main(["simulate", "--config", smoke, "--workers", "1", "--out", str(sim)]) == 0
+    capsys.readouterr()
+    assert cli_main(["lockcheck", "--config", smoke, "--hours", "0.05", "--out", str(chk)]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert (chk / "lock_telemetry.csv").read_bytes() == (sim / "lock_telemetry.csv").read_bytes()
+    lock = json.loads((sim / "report.json").read_text())["lock"]
+    assert {k: summary[k] for k in ("max_abs_residual_hz", "rms_residual_hz")} == lock
 
 
 def test_cli_afc_plot(tmp_path, capsys):

@@ -5,9 +5,9 @@ every converter-noise photon of both arms is drawn at the full beam-splitter
 rate on every transmission window, the herald detector thins and jitters all
 of them, and the signal-arm noise goes through the gate, the memory and the
 detector together with the pair photons.  It composes the engine's stage
-kernels and, of ``pipeline``, only the engine's lock realisation: every
-photon past the gate takes the residual ``residual_at`` gives at its entry
-time, as in the engine.
+kernels and, of ``pipeline``, only the document's lock realisation,
+``lock_run``: every photon past the gate takes the residual ``residual_at``
+gives at its entry time, as in the engine.
 
 ``pipeline.run_raw`` takes five shortcuts on the same link: herald noise
 drawn at its detected rate (and sorted, without jitter), signal-arm noise
@@ -131,7 +131,7 @@ def reference_run(cfg, rng: np.random.Generator) -> tuple[np.ndarray, dict]:
     entry_org = _origins(signal_t[keep], n_t)
     passes = gate_passes(entry_t, windows, closed, cfg.shutter.extinction, rng)
     entry_t, entry_off, entry_org = entry_t[passes], entry_off[passes], entry_org[passes]
-    entry_off = entry_off + pipeline._Engine(cfg).lock_result.residual_at(entry_t)
+    entry_off = entry_off + pipeline.lock_run(cfg, cfg.duration).residual_at(entry_t)
 
     mem = cfg.memory
     kinds = storage_branches(entry_off, mem.afc, mem.inhomogeneous, rng)
