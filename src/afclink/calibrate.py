@@ -108,9 +108,10 @@ def sweep(
     value raises ``ScenarioError`` naming the field without running anything.
     Each run uses a seed derived from (scenario seed, value index), so
     toggling a value does not perturb the others.  Sweeping
-    ``source.n_modes`` reconfigures the whole multiplexing plan and scales
-    the pair rate proportionally (constant rate per mode), mirroring how a
-    multiplexed source is pumped harder as modes are added.
+    ``source.n_modes`` reconfigures the whole multiplexing plan with uniform
+    mode weights and scales the pair rate proportionally (constant rate per
+    mode), mirroring how a multiplexed source is pumped harder as modes are
+    added.
     """
     *parents, key = parameter_path.split(".")
     rescale = parameter_path == "source.n_modes"
@@ -122,11 +123,12 @@ def sweep(
         if not isinstance(obj, dict):
             raise ScenarioError(parameter_path, "no such config path")
         obj[key] = v
-        if rescale:  # the weights become uniform, as in with_mode_count
+        if rescale:  # the weights become uniform
             doc["source"]["mode_weights"] = None
         run_cfg = scenario_from_dict(doc)
         if rescale:
-            run_cfg = cfg.with_mode_count(run_cfg.source.n_modes)
+            src = cfg.source
+            run_cfg = run_cfg.with_rate(src.total_pair_rate * run_cfg.source.n_modes / src.n_modes)
         run_cfgs.append(replace(run_cfg, seed=_derived_seed(cfg.seed, 7002, i)))
     rows = []
     for v, run_cfg in zip(values, run_cfgs):

@@ -176,13 +176,6 @@ class ScenarioConfig:
             max(h.tau_max, self.shutter.echo_window[1]) + margin,
         )
 
-    def with_mode_count(self, n_modes: int) -> "ScenarioConfig":
-        """Same scenario with a different multiplexing count and uniform mode
-        weights; the pair rate scales proportionally (constant rate per mode)."""
-        rate = self.source.total_pair_rate * n_modes / self.source.n_modes
-        src = replace(self.source, n_modes=n_modes, total_pair_rate=rate, mode_weights=None)
-        return replace(self, source=src)
-
     def with_rate(self, total_pair_rate: float) -> "ScenarioConfig":
         return replace(self, source=replace(self.source, total_pair_rate=total_pair_rate))
 

@@ -242,12 +242,16 @@ def moving_average(counts: np.ndarray, n_bins: int) -> np.ndarray:
     return (cum[right] - cum[left]) / (right - left)
 
 
-def compute_snr(hist: CoincidenceHistogram) -> float:
-    """(S - N) / N with S the signal-window counts and N the noise-window
-    counts rescaled to the signal window's duration."""
-    s = float(hist.window_counts(hist.signal_window))
-    noise_raw = float(hist.window_counts(hist.noise_window))
+def scaled_floor(hist: CoincidenceHistogram) -> float:
+    """N: the noise-window counts rescaled to the signal window's duration.
+    Raises ``ValueError`` while the noise window holds no count."""
+    noise_raw = hist.window_counts(hist.noise_window)
     if noise_raw <= 0:
         raise ValueError("noise floor unresolved")
-    n = noise_raw * hist.window_bins(hist.signal_window) / hist.window_bins(hist.noise_window)
-    return (s - n) / n
+    return noise_raw * hist.window_bins(hist.signal_window) / hist.window_bins(hist.noise_window)
+
+
+def compute_snr(hist: CoincidenceHistogram) -> float:
+    """(S - N) / N with S the signal-window counts and N ``scaled_floor``."""
+    n = scaled_floor(hist)
+    return (hist.window_counts(hist.signal_window) - n) / n

@@ -148,6 +148,18 @@ class AbsorptionSpectrum:
         return "offset_hz,optical_depth\n" + ("%.3f,%.9e\n" * n) % tuple(flat)
 
 
+def _teeth(f: np.ndarray, centers: np.ndarray, fwhm: float) -> np.ndarray:
+    """Unit-peak Gaussian teeth of width ``fwhm`` at ``centers``, summed over
+    the frequencies ``f``; each tooth is cut at 8 FWHM from its center."""
+    sigma2 = fwhm**2 / _FOUR_LN2  # exponent scale: exp(-4ln2 x^2 / fwhm^2)
+    out = np.zeros(f.shape)
+    for c in centers:
+        x = f - c
+        near = np.abs(x) <= 8 * fwhm
+        out[near] += np.exp(-(x[near] ** 2) / sigma2)
+    return out
+
+
 def prepare_afc(inh: InhomogeneousProfile, cfg: AFCConfig) -> AbsorptionSpectrum:
     """Burn the multiplexed comb pattern into the inhomogeneous profile.
 
@@ -163,23 +175,12 @@ def prepare_afc(inh: InhomogeneousProfile, cfg: AFCConfig) -> AbsorptionSpectrum
 
     f = grid.frequencies()
     depth = inh.depth_at(f)
-    n_teeth_half = int(math.floor(cfg.pit_halfwidth / cfg.tooth_spacing))
-    sigma2 = (cfg.tooth_fwhm**2) / _FOUR_LN2  # exponent scale: exp(-4ln2 x^2 / fwhm^2)
-    reach = 6.0 * cfg.tooth_fwhm
-
+    half = math.floor(cfg.pit_halfwidth / cfg.tooth_spacing)
+    offsets = np.arange(-half, half + 1) * cfg.tooth_spacing
     for m in modes:
         in_pit = np.abs(f - m) <= cfg.pit_halfwidth
-        depth[in_pit] = cfg.background_depth
-        lo = np.searchsorted(f, m - cfg.pit_halfwidth - reach)
-        hi = np.searchsorted(f, m + cfg.pit_halfwidth + reach)
-        local = f[lo:hi]
-        teeth = np.zeros(local.shape)
-        for k in range(-n_teeth_half, n_teeth_half + 1):
-            center = m + k * cfg.tooth_spacing
-            x = local - center
-            near = np.abs(x) <= reach
-            teeth[near] += np.exp(-(x[near] ** 2) / sigma2)
-        depth[lo:hi] += cfg.tooth_peak_depth * teeth * in_pit[lo:hi]
+        teeth = _teeth(f[in_pit], m + offsets, cfg.tooth_fwhm)
+        depth[in_pit] = cfg.background_depth + cfg.tooth_peak_depth * teeth
 
     return AbsorptionSpectrum(grid=grid, optical_depth=depth, tooth_spacing=cfg.tooth_spacing)
 
@@ -217,13 +218,7 @@ def comb_spectrum(
     span = 2.0 * half * spacing
     step = fwhm / points_per_tooth
     grid = SpectralGrid(-span, span, step)
-    f = grid.frequencies()
-    sigma2 = fwhm**2 / _FOUR_LN2
-    depth = np.zeros(f.shape)
-    for k in range(-half, half + 1):
-        x = f - k * spacing
-        near = np.abs(x) <= 8 * fwhm
-        depth[near] += peak * np.exp(-(x[near] ** 2) / sigma2)
+    depth = peak * _teeth(grid.frequencies(), np.arange(-half, half + 1) * spacing, fwhm)
     return AbsorptionSpectrum(grid=grid, optical_depth=depth, tooth_spacing=spacing)
 
 

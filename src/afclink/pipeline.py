@@ -200,7 +200,7 @@ class RawRunResult:
     """Accumulated pipeline output before report assembly."""
 
     histogram: CoincidenceHistogram
-    counters: dict
+    counts: dict
     transmission_time: float
     lock_result: LockRunResult | None  # None under an ideal lock, which has no telemetry
 
@@ -388,7 +388,7 @@ class _Engine:
         windows = cfg.shutter.transmission_windows(0, self.n_cycles, cfg.duration)
         return RawRunResult(
             histogram=CoincidenceHistogram(**asdict(cfg.histogram), counts=sum(p[0] for p in parts)),
-            counters=_counters(sum(p[1] for p in parts)),
+            counts=_counters(sum(p[1] for p in parts)),
             transmission_time=iv.total_length(windows),
             lock_result=self.lock_result if cfg.lock.mode == "simulated" else None,
         )
@@ -428,5 +428,5 @@ def _map_chunks(engine: _Engine, chunks: list[tuple[int, int]]) -> list:
 
 
 def run_raw(cfg: ScenarioConfig, workers: int | None = None) -> RawRunResult:
-    """Execute the pipeline and return the raw histogram and counters."""
+    """Execute the pipeline and return the raw histogram and counts."""
     return _Engine(cfg).run(workers=workers)

@@ -7,6 +7,7 @@ two runs of the same scenario produce byte-identical payloads.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
 from typing import Optional
@@ -15,8 +16,7 @@ import numpy as np
 
 from . import __version__
 from .config import ScenarioConfig, config_hash
-from .detection import CoincidenceHistogram, compute_snr, moving_average
-from .lockchain import LockRunResult
+from .detection import compute_snr, moving_average, scaled_floor
 from .pipeline import RawRunResult, run_raw
 
 #: bins of adjacent averaging used for peak statistics (1.28 ns at the
@@ -33,22 +33,71 @@ def write_text(out_dir: str, name: str, text: str) -> None:
 
 
 @dataclass
-class RunReport:
+class RunReport(RawRunResult):
+    """A run's outputs, the document it ran and its histogram averaged over
+    SMOOTHING_BINS adjacent bins; every statistic is read from the histogram."""
+
     cfg: ScenarioConfig  # the run's provenance: its name, seed, duration and hash
-    transmission_time: float
-    histogram: CoincidenceHistogram
     smoothed: np.ndarray
-    s_counts: int
-    n_raw: int
-    n_scaled: Optional[float]
-    snr: Optional[float]
-    snr_error: Optional[str]
-    degenerate: bool
-    peak: dict
-    counts: dict
-    lock_result: Optional[LockRunResult]  # None under an ideal lock, which has no telemetry
+
+    @property
+    def s_counts(self) -> int:
+        """S: the signal-window counts."""
+        return self.histogram.window_counts(self.histogram.signal_window)
+
+    @property
+    def n_raw(self) -> int:
+        return self.histogram.window_counts(self.histogram.noise_window)
+
+    def _floor(self) -> tuple[Optional[float], Optional[str]]:
+        """N and no error, or no N and why the noise floor is unresolved."""
+        try:
+            return scaled_floor(self.histogram), None
+        except ValueError as exc:
+            return None, str(exc)
+
+    @property
+    def n_scaled(self) -> Optional[float]:
+        return self._floor()[0]
+
+    @property
+    def snr(self) -> Optional[float]:
+        return None if self.n_scaled is None else compute_snr(self.histogram)
+
+    @property
+    def degenerate(self) -> bool:
+        """Whether the excess over the floor is inside shot noise, or the
+        floor is unresolved."""
+        s, n = self.s_counts, self.n_scaled
+        return n is None or abs(s - n) < 3.0 * math.sqrt(max(s + n, 1.0))
+
+    @property
+    def peak(self) -> dict:
+        """Echo-peak statistics from ``smoothed``.
+
+        ``peak_above_floor`` is the smoothed count at the expected echo delay
+        minus the noise-window floor; reading the known echo position instead
+        of searching for a maximum keeps the statistic unbiased (a max over
+        many noisy bins rides several counts above the true peak), which
+        matters for rate calibration.  The in-window maximum is reported
+        alongside for display.
+        """
+        hist, smoothed = self.histogram, self.smoothed
+        sl = hist._window_slice(hist.signal_window)
+        floor = self.n_raw / hist.window_bins(hist.noise_window)
+        echo_bin = int(np.clip(hist.bin_index(self.cfg.memory.echo_delay), 0, hist.n_bins - 1))
+        at_echo = float(smoothed[echo_bin])
+        return {
+            "peak_raw": int(np.max(hist.counts[sl])),
+            "peak_smoothed_max": float(np.max(smoothed[sl])),
+            "peak_at_echo": at_echo,
+            "floor_per_bin": float(floor),
+            "peak_above_floor": float(at_echo - floor),
+            "smoothing_bins": SMOOTHING_BINS,
+        }
 
     def summary_dict(self) -> dict:
+        n_scaled, snr_error = self._floor()
         return {
             "scenario": self.cfg.name,
             "seed": self.cfg.seed,
@@ -58,9 +107,9 @@ class RunReport:
             "transmission_time": self.transmission_time,
             "S": self.s_counts,
             "N_raw": self.n_raw,
-            "N_scaled": self.n_scaled,
+            "N_scaled": n_scaled,
             "snr": self.snr,
-            "snr_error": self.snr_error,
+            "snr_error": snr_error,
             "degenerate": self.degenerate,
             "peak": self.peak,
             "counts": self.counts,
@@ -87,67 +136,8 @@ class RunReport:
             write_text(out_dir, "lock_telemetry.csv", self.lock_result.to_csv())
 
 
-def peak_above_floor(hist: CoincidenceHistogram, smoothed: np.ndarray, echo_delay: float) -> dict:
-    """Echo-peak statistics from ``smoothed``, the histogram averaged over
-    SMOOTHING_BINS adjacent bins.
-
-    ``peak_above_floor`` is the smoothed count at the expected echo delay
-    minus the noise-window floor; reading the known echo position instead of
-    searching for a maximum keeps the statistic unbiased (a max over many
-    noisy bins rides several counts above the true peak), which matters for
-    rate calibration.  The in-window maximum is reported alongside for
-    display.
-    """
-    sl = hist._window_slice(hist.signal_window)
-    peak_max = float(np.max(smoothed[sl]))
-    raw_peak = int(np.max(hist.counts[sl]))
-    floor = hist.window_counts(hist.noise_window) / hist.window_bins(hist.noise_window)
-    at_echo = float(smoothed[int(np.clip(hist.bin_index(echo_delay), 0, hist.n_bins - 1))])
-    return {
-        "peak_raw": raw_peak,
-        "peak_smoothed_max": peak_max,
-        "peak_at_echo": at_echo,
-        "floor_per_bin": float(floor),
-        "peak_above_floor": float(at_echo - floor),
-        "smoothing_bins": SMOOTHING_BINS,
-    }
-
-
 def analyze(cfg: ScenarioConfig, raw: RawRunResult) -> RunReport:
-    hist = raw.histogram
-    smoothed = moving_average(hist.counts, SMOOTHING_BINS)
-    s = hist.window_counts(hist.signal_window)
-    n_raw = hist.window_counts(hist.noise_window)
-
-    snr = None
-    snr_error = None
-    n_scaled = None
-    degenerate = False
-    try:
-        snr = compute_snr(hist)
-        n_scaled = n_raw * hist.window_bins(hist.signal_window) / hist.window_bins(hist.noise_window)
-        # flag runs whose excess over the floor is inside shot noise
-        if abs(s - n_scaled) < 3.0 * np.sqrt(max(s + n_scaled, 1.0)):
-            degenerate = True
-    except ValueError as exc:
-        snr_error = str(exc)
-        degenerate = True
-
-    return RunReport(
-        cfg=cfg,
-        transmission_time=raw.transmission_time,
-        histogram=hist,
-        smoothed=smoothed,
-        s_counts=s,
-        n_raw=n_raw,
-        n_scaled=n_scaled,
-        snr=snr,
-        snr_error=snr_error,
-        degenerate=degenerate,
-        peak=peak_above_floor(hist, smoothed, cfg.memory.echo_delay),
-        counts=raw.counters,
-        lock_result=raw.lock_result,
-    )
+    return RunReport(**vars(raw), cfg=cfg, smoothed=moving_average(raw.histogram.counts, SMOOTHING_BINS))
 
 
 def run_scenario(

@@ -33,7 +33,7 @@ from afclink.config import (
 from afclink.detection import CoincidenceHistogram
 from afclink.lockchain import LockRunResult, RfOffsets
 from afclink.memory import AbsorptionSpectrum
-from afclink.reporting import run_scenario
+from afclink.reporting import RunReport, analyze, run_scenario
 from afclink.source import SourceConfig
 from afclink.spectral import SpectralGrid
 
@@ -270,14 +270,6 @@ def test_bundled_scenarios_load():
         assert cfg.source.n_modes == len(cfg.memory.afc.mode_offsets)
 
 
-def test_mode_count_rescale():
-    cfg = load_bundled_scenario("multiplexed_25mode_10km")
-    five = cfg.with_mode_count(5)
-    assert five.source.n_modes == 5
-    assert five.source.total_pair_rate == pytest.approx(cfg.source.total_pair_rate / 5)
-    assert len(five.memory.afc.mode_offsets) == 5
-
-
 def test_few_mode_scenarios_match_mode_plan():
     m5 = load_bundled_scenario("multiplexed_5mode_5m")
     m1 = load_bundled_scenario("single_mode_5m")
@@ -445,6 +437,36 @@ def test_report_files_written(tmp_path):
     assert first[0] == "scenario,S,N,snr,duration_s,seed"
 
 
+def test_unresolved_noise_floor_report():
+    # an empty histogram, built without a run: the floor is unresolved, so
+    # the report gives no N and no SNR, says why, and flags the run
+    cfg = small_cfg()
+    hist = CoincidenceHistogram(**dataclasses.asdict(cfg.histogram))
+    rep = analyze(cfg, pipeline.RawRunResult(hist, {}, 0.0, None))
+    summary = rep.summary_dict()
+    assert summary["snr"] is None
+    assert summary["snr_error"] == "noise floor unresolved"
+    assert summary["N_scaled"] is None
+    assert summary["degenerate"] is True
+    assert json.loads(rep.to_json())["snr_error"] == "noise floor unresolved"
+    row = next(csv.DictReader(rep.summary_csv().splitlines()))
+    assert (row["N"], row["snr"]) == ("", "")
+
+
+def test_run_report_declares_only_its_document_and_smoothed_curve():
+    # a report is the run's outputs plus the document it ran and the smoothed
+    # curve; every statistic is read from the histogram, so no field is
+    # declared twice and none is stored that the histogram gives
+    src = Path(__file__).resolve().parent.parent / "src" / "afclink"
+    declared = {}
+    for module in ("pipeline", "reporting"):
+        for top in ast.parse((src / f"{module}.py").read_text(encoding="utf-8")).body:
+            if isinstance(top, ast.ClassDef) and top.name in ("RawRunResult", "RunReport"):
+                declared[top.name] = [n.target.id for n in top.body if isinstance(n, ast.AnnAssign)]
+    assert declared["RunReport"] == ["cfg", "smoothed"]
+    assert [f.name for f in dataclasses.fields(RunReport)] == declared["RawRunResult"] + ["cfg", "smoothed"]
+
+
 def test_csv_writers_match_per_row_format():
     # the writers format every row in one call; the oracle is the per-row
     # f-string over numpy scalars that they must match byte for byte
@@ -564,10 +586,34 @@ def test_sweep_rows_and_csv():
     assert per_herald[0] / per_herald[1] == pytest.approx(0.5, abs=0.15)
 
 
+def test_sweep_mode_count_scales_rate_and_plan(monkeypatch):
+    # 25 weights rising 1:25 in the document: sweeping to 5 modes runs at a
+    # fifth of the pair rate, with uniform weights and 5 comb offsets
+    class Ran(Exception):
+        pass
+
+    ran = []
+
+    def run_scenario(cfg, workers=None):
+        ran.append(cfg)
+        raise Ran
+
+    monkeypatch.setattr(calibrate, "run_scenario", run_scenario)
+    cfg = small_cfg()
+    cfg = dataclasses.replace(cfg, source=dataclasses.replace(cfg.source, mode_weights=tuple(np.arange(1, 26) / 325.0)))
+    with pytest.raises(Ran):
+        sweep(cfg, "source.n_modes", [5])
+    (five,) = ran
+    assert five.source.n_modes == 5
+    assert five.source.total_pair_rate == pytest.approx(cfg.source.total_pair_rate / 5)
+    assert five.source.mode_weights is None
+    assert len(five.memory.afc.mode_offsets) == 5
+
+
 def test_sweep_mode_count_rescales_rate():
     cfg = small_cfg(duration=20.0, rate=5000.0)
     # with 25 weights rising 1:25 in the document, the swept mode count only
-    # decodes if sweep drops the weights, as with_mode_count does
+    # decodes if sweep drops the weights
     for weights in (None, tuple(np.arange(1, 26) / 325.0)):
         src = dataclasses.replace(cfg.source, mode_weights=weights)
         rows = sweep(dataclasses.replace(cfg, source=src), "source.n_modes", [1, 25], workers=2)

@@ -210,7 +210,7 @@ def test_engine_matches_brute_force_reference(link):
         # the slice must cross a batch edge, or batch independence goes unchecked
         assert len(pipeline._Engine(cfg).batches) >= 2
         raw = pipeline.run_raw(cfg, workers=1)
-        e = pooled(raw.histogram.counts, engine_counters(raw.counters), cfg.histogram)
+        e = pooled(raw.histogram.counts, engine_counters(raw.counts), cfg.histogram)
         r = pooled(*reference_run(cfg, np.random.default_rng([seed, 0x5EF])), cfg.histogram)
         for k in e:
             eng[k] = eng.get(k, 0) + e[k]
