@@ -219,11 +219,16 @@ class LockRunResult:
         return {"max_abs_residual_hz": self.max_abs_residual, "rms_residual_hz": self.rms_residual}
 
     def step_at(self, t: np.ndarray) -> np.ndarray:
-        """Index of the sample that holds at times ``t``: floor(t / dt), the
-        last sample at or before each time (in floating point, so a time
-        within rounding of a grid point may take its neighbour); times
-        outside the run take the first or last sample."""
-        return np.minimum(np.maximum((np.asarray(t) / self.dt).astype(np.int64), 0), len(self.residual) - 1)
+        """Index of the sample that holds at times ``t``: the last k with
+        ``self.t[k] <= t``, exactly against the stored grid ``dt * k``;
+        times outside the run take the first or last sample.  floor(t / dt)
+        can miss the grid by one either way (0.1 * 43 / 0.1 < 43), so one
+        correction against the grid follows it."""
+        t = np.asarray(t, dtype=np.float64)
+        k = np.minimum(np.maximum((t / self.dt).astype(np.int64), 0), len(self.residual) - 1)
+        k += (k + 1 < len(self.residual)) & (t >= self.dt * (k + 1))
+        k -= (k > 0) & (t < self.dt * k)
+        return k
 
     def residual_at(self, t: np.ndarray) -> np.ndarray:
         """Residual at times ``t``, the sample ``step_at`` picks."""

@@ -312,6 +312,16 @@ def test_step_at_is_the_sample_residual_at_reads():
     assert np.array_equal(res.residual_at(t), res.residual[res.step_at(t)])
 
 
+@pytest.mark.parametrize("dt", [0.1, 1e-3, 0.05])
+def test_step_at_reads_the_stored_grid_exactly(dt):
+    # a time on the stored grid t = k * dt holds sample k, and the float
+    # just below it sample k - 1, where floor(t / dt) alone misses by one
+    res = LockRunResult(dt, np.zeros(round(60.0 / dt) + 1), {})
+    k = np.arange(len(res.residual))
+    assert np.array_equal(res.step_at(res.t), k)
+    assert np.array_equal(res.step_at(np.nextafter(res.t[1:], -np.inf)), k[:-1])
+
+
 def test_simulated_run_carries_its_step():
     res = simulate_lock_run(LockChainConfig(), 10, 0.5, seed=1)
     assert res.dt == 0.5
