@@ -40,6 +40,17 @@ def total_length(intervals: np.ndarray) -> float:
     return float(np.sum(intervals[:, 1] - intervals[:, 0]))
 
 
+def length_below(intervals: np.ndarray, cum: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """The set's length below each time ``t``, from its cumulative length
+    ``cum`` (``sample_poisson`` fills it): the rows that start at or before
+    t, less the part past t of the last."""
+    if len(intervals) == 0:
+        return np.zeros(t.shape)
+    i = np.searchsorted(intervals[:, 0], t, side="right")
+    past = np.maximum(intervals[np.maximum(i - 1, 0), 1] - t, 0.0)
+    return cum[i] - np.where(i > 0, past, 0.0)
+
+
 def complement(intervals: np.ndarray, span: tuple[float, float]) -> np.ndarray:
     """Gaps of an interval set within [span0, span1)."""
     lo, hi = span
@@ -86,7 +97,9 @@ def contains(intervals: np.ndarray, t: np.ndarray) -> np.ndarray:
     return (np.searchsorted(edges, t, side="right") & 1).astype(bool)
 
 
-def sample_poisson(intervals: np.ndarray, rate: float, rng: np.random.Generator) -> np.ndarray:
+def sample_poisson(
+    intervals: np.ndarray, rate: float, rng: np.random.Generator, cum: np.ndarray | None = None
+) -> np.ndarray:
     """Sorted Poisson points of the given rate restricted to the interval set.
 
     The points come out sorted in O(n): the partial sums of n + 1
@@ -96,16 +109,19 @@ def sample_poisson(intervals: np.ndarray, rate: float, rng: np.random.Generator)
     also takes a u rounded past the end).  Both sequences being sorted, the
     shorter one is searched in the longer: a few windows holding many points
     are filled by counting the points per row, while one search per point
-    serves the many short rows of a herald-relative set.
+    serves the many short rows of a herald-relative set.  ``cum``, when
+    given (n + 1 entries), receives cum[k], the length of rows 0 .. k - 1.
     """
-    L = total_length(intervals)
+    if cum is None:
+        cum = np.empty(len(intervals) + 1)
+    cum[0] = 0.0
+    np.cumsum(intervals[:, 1] - intervals[:, 0], out=cum[1:])
+    L = cum[-1]
     n = rng.poisson(rate * L)
     if n == 0:
         return np.empty(0)
     u = np.cumsum(rng.standard_exponential(n + 1))
     u = u[:-1] * (L / u[-1])
-    lengths = intervals[:, 1] - intervals[:, 0]
-    cum = np.concatenate([[0.0], np.cumsum(lengths)])
     if n < len(intervals):
         row = np.searchsorted(cum[1:-1], u, side="right")
         return intervals[row, 0] + (u - cum[row])

@@ -12,16 +12,15 @@ Event budget
 Most pairs lose both photons before either detector: at 10 km and a
 conversion efficiency of 0.558 the signal photon reaches the gate with
 p_s = 0.35 per mode and the herald photon is detected (before dead time)
-with p_h = p_s * eta_herald = 0.18.  The source therefore draws only the
-pairs with at least one surviving photon, at ``rate * sum(w * p_any)`` with
-modes weighted by ``w * p_any``, where p_any = 1 - (1 - p_h)(1 - p_s).
-That is exact: thinning a Poisson process by a per-mode probability leaves
-a Poisson process, and the discarded pairs form an independent one.  One
-uniform per drawn pair picks both photons, the herald only or the signal
-only, with the conditional chances p_h p_s, p_h (1 - p_s) and
-p_s (1 - p_h) over p_any, and only the pairs whose signal photon survives
-draw a correlation delay.  ``pairs_generated`` still counts every pair the
-source emitted: the discarded ones are added as one Poisson count per
+with p_h = p_s * eta_herald = 0.18.  A pair whose photons are marked
+independently by their survival splits into four independent Poisson
+processes (colouring theorem; Kingman, *Poisson Processes*, 1993,
+sec. 5.1): both photons survive, the herald only, the signal only, or
+neither.  The source draws the pairs whose herald survives, at
+``rate * sum(w * p_h)`` with modes weighted by ``w * p_h``, and one uniform
+per drawn pair keeps its signal photon with chance p_s; only those draw a
+correlation delay.  ``pairs_generated`` still counts every pair the source
+emitted: the pairs it does not draw are added as one Poisson count per
 batch.
 
 A long run at realistic rates also carries ~1e9 converter-noise photons;
@@ -43,18 +42,31 @@ therefore materializes noise exactly where it can matter:
   run to them and sorts the stream once.  The draws on the
   herald-detection stream are, in order, pair jitter, darks.
   Signal-arm noise keeps its jitter: there the intensity has edges every
-  microsecond (``rel`` and the gate), aligned with the histogram's.
-- signal-arm noise is generated at full rate on ``windows ∩ rel``, the
-  transmission windows restricted to ``ScenarioConfig.signal_reach`` around
-  each herald, and joins the pair photons in one gate test (pass where the
-  gate is open, else with probability ``extinction``).
+  microsecond (the reach and the gate), aligned with the histogram's.
+- signal-arm noise is generated at full rate on the reach ``windows ∩ rel``,
+  the transmission windows restricted to ``ScenarioConfig.signal_reach``
+  around each herald, and joins the pair photons in one gate test (pass
+  where the gate is open, else with probability ``extinction``).
 
-Most signal-arm pair photons lie outside the reach of every detected herald
-(81 % both in the flagship and at 14 mW pump and 2e4 pairs/s).
-``far_pairs`` marks those that also lie at least the jitter margin
-(8 sigma) after the start of their transmission window and the echo delay
-plus that margin before its end.
-For such a far photon:
+The signal-only pairs (62 % of the pairs with a surviving photon) are
+independent of every herald, so they too are drawn only where a herald can
+see them.  ``inner_f`` is each window less the jitter margin (8 sigma) plus
+a delay margin m = 36 tau_c at its start, and less the echo delay plus both
+margins at its end.  A Laplace pair delay exceeds m with chance
+e^-36 = 2.3e-16, so inside inner_f their photons' memory-entry intensity
+is flat.  Their entry times fall in three sets:
+
+- **P1**, inner_f inside the reach: the noise draw on the reach runs at the
+  summed rate, and one uniform per point marks it noise or mode k;
+- **P2**, outside inner_f: pair times drawn in the edge zones (``zones``, the
+  windows less inner_f shrunk by m) take their delays, and those whose
+  photon lands outside inner_f join the photon-level path;
+- **P3**, inner_f outside the reach: ``far_lengths`` measures it per lock
+  step from the reach's cumulative length at the cuts ``dt * k`` (the
+  convention of ``LockRunResult.step_at``), and ``far_outcomes`` draws one
+  Poisson count per (lock step, mode).
+
+A P3 photon does not need its photon-level path:
 
 - the gate is open with certainty: the reach around each herald holds every
   closure the herald commands (``ScenarioConfig.signal_reach``);
@@ -65,20 +77,20 @@ For such a far photon:
 - it cannot shadow a click that does, since the reach also covers one
   signal dead time before ``tau_min``.
 
-``far_outcomes`` therefore only counts the far photons: one multinomial
-over the memory's branches per (mode, lock step), whose photons all share
-one set of chances, then one binomial per detectable kind for the detector
-efficiency, drawn on the memory stream after the photon-level uniforms.
-One path serves every lock: an ideal lock is a zero residual on the lock
-grid, which the photon-level path adds and the far path groups by alike.
-The counts join ``memory_outcomes``, ``detected_outcomes`` and
-``signal_by_origin.pair``.  Their one new approximation is that far clicks
-take no part in dead time, neither lost to an earlier click nor shadowing a
-later one; that raises ``signal_detected`` by at most the signal click rate
-during the windows x the dead time (2.3e3/s x 50 ns = 1.1e-4 at that
-working point).
+``far_outcomes`` therefore draws, after the Poisson counts, one multinomial
+over the memory's branches per group of counts with alike chances
+(``memory.branch_counts``), then one binomial per detectable kind for the
+detector efficiency, on the memory stream after the photon-level uniforms.
+An ideal lock is a zero residual on the lock grid, so one path serves every
+lock.  The counts join ``memory_outcomes``, ``detected_outcomes`` and
+``signal_by_origin.pair``.  Every photon the engine draws takes the one
+photon-level path.  Besides the e^-36 delay tail, P3 clicks take no part in
+dead time, neither lost to an earlier click nor shadowing a later one; that
+raises ``signal_detected`` by at most the signal click rate during the
+windows x the dead time (2.3e3/s x 50 ns = 1.1e-4 at 14 mW pump and 2e4
+pairs/s).
 
-Besides the window-edge effect and the far clicks' dead time above, the only
+Besides the window-edge effect, the delay tail and the P3 clicks' dead time, the only
 approximation this leaves is a dead-time chain longer than the one dead time
 the reach covers, second order in click rate x dead time (Müller 1973),
 which ``ScenarioConfig`` caps at 1e-2 (flagship: 5.2e-4).
@@ -221,22 +233,30 @@ class _Engine:
         self.cfg = cfg
         self.mode_offsets = cfg.source.mode_offsets()
         # per mode: the signal photon reaches the gate with p_s; the herald
-        # photon is detected (before dead time) with p_h = p_s * eta_herald;
-        # the source draws only the pairs with at least one such photon
-        p_s = cfg.signal_survival
-        self.p_herald = p_s * cfg.detectors.herald.efficiency
-        self.p_both = self.p_herald * p_s
-        self.p_any = self.p_herald + p_s - self.p_both
-        self.kept_source = cfg.source.thinned(self.p_any)
-        self.lost_pair_rate = max(0.0, cfg.source.total_pair_rate - self.kept_source.total_pair_rate)
-        # a far pair photon keeps every exit and its jitter inside its window
-        self.window_guard = np.array([cfg.jitter_margin, -(cfg.memory.echo_delay + cfg.jitter_margin)])
+        # photon is detected (before dead time) with p_h = p_s * eta_herald
+        self.p_signal = cfg.signal_survival
+        p_herald = self.p_signal * cfg.detectors.herald.efficiency
+        self.herald_source = cfg.source.thinned(p_herald)
+        self.signal_only = cfg.source.thinned(self.p_signal * (1.0 - p_herald))
+        self.signal_only_rates = self.signal_only.total_pair_rate * self.signal_only.weights()
+        self.lost_pair_rate = max(0.0, cfg.source.total_pair_rate - self.herald_source.total_pair_rate)
+        # a point of the reach draw is a signal-only pair of mode <= k with
+        # chance pair_marks[k], else noise (a link with neither draws none)
+        self.reach_rate = float(self.signal_only.total_pair_rate + cfg.converter.arm_noise_rate)
+        self.pair_marks = np.cumsum(self.signal_only_rates) / (self.reach_rate or 1.0)
+        # inner_f and its core, shrunk by the delay margin m (module docstring)
+        m = 36.0 * cfg.source.coherence_time
+        margin = cfg.jitter_margin + m
+        self.inner_guard = np.array([margin, -(cfg.memory.echo_delay + margin)])
+        self.core_guard = self.inner_guard + [m, -m]
         self.n_cycles = int(math.ceil(cfg.duration / cfg.shutter.cycle_period))
         per_batch = max(1, int(round(6.0 / cfg.shutter.cycle_period)))
         self.batches = [
             (lo, min(lo + per_batch, self.n_cycles)) for lo in range(0, self.n_cycles, per_batch)
         ]
         self.lock_result = lock_run(cfg, cfg.duration)
+        # the first and the last lock step each batch touches
+        self.batch_steps = self.lock_result.step_at(np.array(self.batches) * cfg.shutter.cycle_period)
 
     # -- one batch ---------------------------------------------------------
 
@@ -244,23 +264,25 @@ class _Engine:
         cfg = self.cfg
         lo, hi = self.batches[b]
         windows = cfg.shutter.transmission_windows(lo, hi, cfg.duration)
+        inner, edges = self.zones(windows)
 
-        # source: the pairs that reach an arm, timed at their arrival, and a
-        # count of the others
+        # source: the pairs whose herald photon survives, timed at their
+        # arrival, a count of the others, then the signal-only pairs of the
+        # edge zones
         rng = _stream(cfg.seed, _S_SOURCE, b)
-        t_pairs, mode_idx = sample_pairs(self.kept_source, windows, rng)
-        # one uniform on [0, p_any) sorts each pair: [0, p_h p_s) both photons
-        # survive, [p_h p_s, p_h) the herald only, [p_h, p_any) the signal only
-        u = rng.random(len(t_pairs))
-        u *= self.p_any[mode_idx]
-        herald_ok = u < self.p_herald[mode_idx]
-        signal_ok = ~herald_ok | (u < self.p_both[mode_idx])
+        t_pairs, mode_idx = sample_pairs(self.herald_source, windows, rng)
+        both = rng.random(len(t_pairs)) < self.p_signal[mode_idx]
         vec[_PAIRS] += len(t_pairs) + rng.poisson(self.lost_pair_rate * iv.total_length(windows))
-        signal_t = t_pairs[signal_ok]
+        edge_t, edge_mode = sample_pairs(self.signal_only, edges, rng)
+        n_both = np.count_nonzero(both)
+        signal_t = np.concatenate([t_pairs[both], edge_t])
         signal_t += pair_delays(cfg.source, len(signal_t), _stream(cfg.seed, _S_CORRELATION, b))
+        signal_mode = np.concatenate([mode_idx[both], edge_mode])
+        # an edge pair's photon that lands in inner_f is left to the draws there
+        keep = np.concatenate([np.ones(n_both, dtype=bool), ~iv.contains(inner, signal_t[n_both:])])
 
-        h_times = self.herald_arm(b, windows, t_pairs[herald_ok], vec)
-        det_t, det_org = self.signal_arm(b, windows, h_times, signal_t, mode_idx[signal_ok], vec)
+        h_times = self.herald_arm(b, windows, t_pairs, vec)
+        det_t, det_org = self.signal_arm(b, windows, inner, h_times, signal_t[keep], signal_mode[keep], vec)
 
         # histogram and the per-herald noise flux into the echo window
         accumulate_histogram(hist, h_times, det_t)
@@ -269,6 +291,18 @@ class _Engine:
         lo_i = np.searchsorted(h_times, noise_t - w1, side="right")
         hi_i = np.searchsorted(h_times, noise_t - w0, side="right")
         vec[_NOISE_IN_ECHO] += int(np.sum(hi_i - lo_i))
+
+    def zones(self, windows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``inner_f`` of ``windows`` and their edge zones: each window less
+        its core, inner_f shrunk by the delay margin, as two rows.  A pair
+        whose photon can enter outside inner_f starts in an edge zone."""
+        inner = windows + self.inner_guard
+        core = windows + self.core_guard
+        # a window shorter than its guards keeps rows of no length inside it
+        for z in (inner, core):
+            np.minimum(z[:, 0], windows[:, 1], out=z[:, 0])
+            np.maximum(z[:, 1], z[:, 0], out=z[:, 1])
+        return inner, np.stack([windows[:, 0], core[:, 0], core[:, 1], windows[:, 1]], axis=1).reshape(-1, 2)
 
     def herald_arm(self, b, windows, pair_t, vec) -> np.ndarray:
         """Herald-arm noise and detection of the pair heralds that survived
@@ -286,28 +320,32 @@ class _Engine:
         _tally(vec, _HERALD_ORIGIN, _N_ORIGIN, h_org)
         return h_times
 
-    def signal_arm(self, b, windows, h_times, signal_t, mode_idx, vec):
+    def signal_arm(self, b, windows, inner, h_times, signal_t, mode_idx, vec):
         """Signal-arm noise, gate, lock residual, memory and detection of the
-        signal photons that survived the fiber and the converter; the
-        in-window detection times (sorted) and origins.
-
-        The pair photons that ``far_pairs`` marks skip the photon-level path
-        and are only counted, by ``far_outcomes`` (see the module
-        docstring); the rest join the signal-arm noise in it."""
+        signal photons the source drew (``signal_t``, memory-entry times),
+        the signal-only pairs of P1 and the converter noise on the reach;
+        the in-window detection times (sorted) and origins.  The P3 photons
+        are only counted, by ``far_outcomes`` (see the module docstring)."""
         cfg = self.cfg
         lo, hi = cfg.signal_reach
-        rel = iv.as_interval_set(h_times + lo, h_times + hi)
-        far = self.far_pairs(windows, rel, signal_t)
-        near = ~far
-        far_t, far_mode = signal_t[far], mode_idx[far]
-        signal_t, mode_idx = signal_t[near], mode_idx[near]
-        # converter noise (beam-splitter share) at full rate on the reach, and
-        # one gate test, commanded by the heralds, for it and the pair photons
+        reach = iv.intersect(windows, iv.as_interval_set(h_times + lo, h_times + hi))
+        # one draw on the reach at the summed rate of the converter noise
+        # (beam-splitter share) and the signal-only pairs, which also measures
+        # the reach; a pair point outside inner_f is left to the edge draws
+        cum = np.empty(len(reach) + 1)
         rng = _stream(cfg.seed, _S_SIGNAL_NOISE, b)
-        n_t = iv.sample_poisson(iv.intersect(windows, rel), cfg.converter.arm_noise_rate, rng)
-        entry_off = np.concatenate([self.mode_offsets[mode_idx], cfg.converter.noise_offsets(len(n_t), rng)])
-        entry_t = np.concatenate([signal_t, n_t])
-        entry_org = _origins(signal_t, n_t)
+        points = iv.sample_poisson(reach, self.reach_rate, rng, cum)
+        u = rng.random(len(points))
+        pair = u < self.pair_marks[-1]
+        mark = np.searchsorted(self.pair_marks, u[pair], side="right")
+        inside = iv.contains(inner, points[pair])
+        pair_t = np.concatenate([signal_t, points[pair][inside]])
+        pair_mode = np.concatenate([mode_idx, mark[inside]])
+        n_t = points[~pair]
+        # one gate test, commanded by the heralds, for the pair photons and the noise
+        entry_off = np.concatenate([self.mode_offsets[pair_mode], cfg.converter.noise_offsets(len(n_t), rng)])
+        entry_t = np.concatenate([pair_t, n_t])
+        entry_org = _origins(pair_t, n_t)
         closed = as_closures(h_times, cfg.shutter)
         rng = _stream(cfg.seed, _S_GATE_LEAK, b)
         passes = gate_passes(entry_t, windows, closed, cfg.shutter.extinction, rng)
@@ -320,8 +358,8 @@ class _Engine:
         kinds = storage_branches(entry_off, mem.afc, mem.inhomogeneous, mem_rng)
         exits = exit_times(entry_t, kinds, mem.afc, mem.slow_light_delay)
         _tally(vec, _MEMORY_KIND, _N_KIND, kinds[entry_org == ORIGIN_PAIR])
-        if len(far_t):
-            self.far_outcomes(far_t, far_mode, mem_rng, vec)
+        first, last = self.batch_steps[b]
+        self.far_outcomes(first, self.far_lengths(inner, first, last, reach, cum), mem_rng, vec)
         det = cfg.detectors.signal
         rng = _stream(cfg.seed, _S_SIGNAL_DETECT, b)
         # the detector efficiency thins the photons that leave the memory
@@ -335,29 +373,29 @@ class _Engine:
         _tally(vec, _DETECTED_KIND, _N_KIND, det_kind[det_org == ORIGIN_PAIR])
         return det_t, det_org
 
-    def far_pairs(self, windows, rel, t) -> np.ndarray:
-        """Mask of the pair photons at memory-entry times ``t`` that lie
-        outside ``rel``, the reach around every detected herald, and at least
-        the jitter margin after a window's start and the echo delay plus the
-        margin before its end."""
-        inner = windows + self.window_guard
-        # a window shorter than the guard keeps an empty row, and sorted edges
-        np.maximum(inner[:, 1], inner[:, 0], out=inner[:, 1])
-        return iv.contains(inner, t) & ~iv.contains(rel, t)
+    def far_lengths(self, inner, first, last, reach, cum) -> np.ndarray:
+        """The length of P3, ``inner`` outside ``reach``, in each lock step
+        ``first .. last``: the inner rows are cut at the grid points
+        ``dt * k`` between the steps (the convention of ``step_at``), and the
+        reach's length below each cut is read from its cumulative length
+        ``cum``, with no pass over the reach."""
+        cuts = self.lock_result.dt * np.arange(first, last + 2, dtype=np.float64)
+        cuts[[0, -1]] = -np.inf, np.inf
+        x = np.minimum(np.maximum(cuts[:, None], inner[:, 0]), inner[:, 1])
+        below = (x - inner[:, 0]).sum(axis=1) - iv.length_below(reach, cum, x).sum(axis=1)
+        # a difference of lengths may round a step's zero length below zero
+        return np.maximum(np.diff(below), 0.0)
 
-    def far_outcomes(self, t, mode_idx, rng, vec) -> None:
-        """Tally the memory outcomes and detections of the far pair photons
-        at times ``t`` in modes ``mode_idx``: one multinomial over the
-        memory's branches per (mode, lock step), then one binomial per
-        detectable kind for the signal detector's efficiency."""
-        n_modes = len(self.mode_offsets)
-        # one group per (lock step, mode) of the steps the photons span
-        step = self.lock_result.step_at(t)
-        first, last = step.min(), step.max()
-        counts = np.bincount((step - first) * n_modes + mode_idx, minlength=(last - first + 1) * n_modes)
-        offsets = (self.lock_result.residual[first:last + 1, None] + self.mode_offsets).ravel()
+    def far_outcomes(self, first, lengths, rng, vec) -> None:
+        """Tally the memory outcomes and detections of the P3 photons of
+        ``lengths[i]`` seconds in lock step ``first + i``: a Poisson count
+        per (lock step, mode), one multinomial over the memory's branches
+        per group of alike chances (``branch_counts``), then one binomial
+        per detectable kind for the signal detector's efficiency."""
+        counts = rng.poisson(lengths[:, None] * self.signal_only_rates)
+        offsets = self.lock_result.residual[first:first + len(lengths), None] + self.mode_offsets
         mem = self.cfg.memory
-        stored = branch_counts(counts, offsets, mem.afc, mem.inhomogeneous, rng)
+        stored = branch_counts(counts.ravel(), offsets.ravel(), mem.afc, mem.inhomogeneous, rng)
         eff = self.cfg.detectors.signal.efficiency
         detected = [rng.binomial(k, eff) for k in stored[:KIND_LOST].tolist()]
         vec[_MEMORY_KIND:_MEMORY_KIND + _N_KIND] += stored

@@ -294,19 +294,19 @@ def test_run_deterministic_byte_identical():
 # report format) updates the constants and says so in CHANGES.md.
 _PINNED_PAYLOADS = {
     "smoke": {
-        "report.json": "f3af5025592aa5a823b8ed1bc8fafb108656d7cbd205100761bb1f36813344a6",
-        "histogram.csv": "de0d599f66cdf87a1cf08840f14609effc320cd0de61a8d6588d91991fcd1cec",
-        "summary.csv": "40297878aab5fd1e7e8f9551a159e320fe6b69dce9b5eae6b38535c6f172efaa",
+        "report.json": "618f2e177cdd2bc92a695672f4cde6ab24b1d40492a4c845d7e5d50ac3d564af",
+        "histogram.csv": "c4d7264aa6c81ebe0777ae2359eae0bfa4dd0d1366176321dd80c45184f41c6e",
+        "summary.csv": "e23263a1d450e505f0368adf4ac07319ff11aa2a0aafb64f31b323689376cf44",
     },
     "pair_rich_30s": {
-        "report.json": "92e81cf11fdc0d9c7158a65e4454cf72ab1dd1717b74d6c6c44da2e3554985e6",
-        "histogram.csv": "753954ce5643c3d9d23b23b8f5462c02577af433bbfe20127555dec7c66b2789",
-        "summary.csv": "eb31be231f94e6a4ef081e6e45c3fb566fd148a856b383a1ae51bf116a5cd3d8",
+        "report.json": "66b495f06daebaf1c871d59774736f12bffa3f7de169809145c00d5e9ab82ed6",
+        "histogram.csv": "1889cb35c9961ac399ba753b755e6453455d5bd5ffbe1d68e01f3c6f7b343535",
+        "summary.csv": "4dc63885ca034c8038cd04a3dd43e2be7352b177a29554321a00df03d9c30a92",
     },
     "ideal_lock_30s": {
-        "report.json": "6b1101aef37da633a8ef13a8861ad0ea8de5ce05eb566961801f0f03a67a2b28",
-        "histogram.csv": "9e98cb34688a7b9fc4d38cdf6679ef1d04bd04ece41111c5665c8d6d921ddf8e",
-        "summary.csv": "7cf2f8346269cb14d164cfa803841fc5270c4a0e7a8cbbdbfb72c32235cf9d81",
+        "report.json": "b697c450718fc30c29929bf8b45133e74cc29a56ca03922c067489c6fe229610",
+        "histogram.csv": "cda914ce8b001522f905fc548be4846f62ef146b346a662fc9e84914bd7937cc",
+        "summary.csv": "4a5f1a45922024446f577dd718c42a37e401df4276bf1653e18a23392ad14463",
     },
 }
 

@@ -221,3 +221,15 @@ def test_sample_poisson_placement_matches_per_point_search_on_draws(s, rate, see
     u = u[:-1] * (L / u[-1])
     assert np.array_equal(pts, _place_per_point(s, u))
 
+
+
+@settings(max_examples=200, deadline=None)
+@given(s=_interval_sets)
+def test_length_below_matches_a_loop_over_rows(s):
+    # on the 1/16 grid every length is an exact float, so the two agree exactly
+    cum = np.empty(len(s) + 1)
+    iv.sample_poisson(s, 0.0, np.random.default_rng(0), cum)
+    assert np.array_equal(cum, np.concatenate([[0.0], np.cumsum(s[:, 1] - s[:, 0])]))
+    got = iv.length_below(s, cum, _probes)
+    want = [sum(max(0.0, min(b, t) - a) for a, b in s) for t in _probes]
+    assert np.array_equal(got, want)

@@ -2,9 +2,11 @@
 
 import ast
 import functools
+import math
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,7 +24,7 @@ from afclink.config import (
 from afclink.detection import SPDConfig
 from afclink.lockchain import DriftModel, LaserId, LockChainConfig, RfOffsets
 from afclink.memory import KIND_ECHO, KIND_LOST, KIND_OUT_OF_BAND, KIND_PROMPT, InhomogeneousProfile, storage_branches
-from afclink.source import SourceConfig
+from afclink.source import SourceConfig, sample_pairs
 
 
 def test_gate_thinned_signal_noise_matches_gate_strata(monkeypatch):
@@ -121,63 +123,86 @@ def test_signal_reach_covers_a_gate_that_outlasts_the_histogram():
 
 
 @functools.lru_cache(maxsize=None)
-def _far_engine(duration: float, gate_end: float, jitter_fwhm: float) -> pipeline._Engine:
+def _far_engine(duration: float, gate_end: float, jitter_fwhm: float, dt: float) -> pipeline._Engine:
     return pipeline._Engine(ScenarioConfig(
         name="far", seed=0, duration=duration, source=SourceConfig(total_pair_rate=500.0, n_modes=25),
         shutter=ShutterSchedule(echo_window=(900e-9, gate_end)),
         detectors=DetectorSettings(signal=SPDConfig(dark_rate=300.0, jitter_fwhm=jitter_fwhm)),
+        lock=LockSettings(mode="ideal", dt=dt),
     ))
 
 
-_WINDOW_EDGES = (0.3, 0.6, 0.9, 1.2)  # the two transmission windows of a 1.2 s run
+def _overlap(*rows) -> float:
+    return max(0.0, min(r[1] for r in rows) - max(r[0] for r in rows))
 
 
 @settings(max_examples=150, deadline=None)
 @given(
-    # a window shorter than the guard at the run's end or first in the set
+    # a window shorter than the guards at the run's end or first in the set
     duration=st.sampled_from([1.2, 0.9 + 5e-7]),
-    short_first=st.booleans(),
+    short_first=st.sampled_from([None, 5e-7, 2e-6, 4e-6]),
     gate_end=st.sampled_from([1.2e-6, 1.5e-6]),
     jitter_fwhm=st.sampled_from([100e-12, 300e-9]),
-    heralds=st.lists(st.tuples(st.sampled_from([0.3, 0.9]), st.floats(0.0, 0.2999)), min_size=1, max_size=6),
-    photons=st.lists(
-        st.tuples(st.integers(0, 9), st.floats(-4e-6, 4e-6)), min_size=1, max_size=40
-    ),
+    dt=st.sampled_from([1.0, 0.1, 0.05, 1e-3]),
+    heralds=st.lists(st.tuples(st.integers(0, 9), st.floats(-4e-6, 4e-6)), min_size=1, max_size=8),
+    photons=st.lists(st.tuples(st.integers(0, 9), st.floats(-4e-6, 4e-6)), min_size=1, max_size=40),
 )
 def test_far_path_takes_no_photon_a_herald_or_a_window_edge_can_see(
-    duration, short_first, gate_end, jitter_fwhm, heralds, photons
+    duration, short_first, gate_end, jitter_fwhm, dt, heralds, photons
 ):
-    # a photon in a closure, in some herald's reach or within the guard of a
-    # window edge stays on the photon-level path; every other photon inside a
-    # window takes the far path
-    eng = _far_engine(duration, gate_end, jitter_fwhm)
+    # In each lock step, P1 (inner_f in the reach of a herald), P3 (inner_f
+    # outside every reach, whose length far_lengths gives) and the window
+    # time outside inner_f add up to the window time, against a naive loop
+    # over rows and steps; and an edge zone holds every pair time whose
+    # photon can enter outside inner_f.  Heralds and probes sit near the
+    # window edges and the lock-step cuts.
+    eng = _far_engine(duration, gate_end, jitter_fwhm, dt)
     cfg = eng.cfg
-    h = np.sort([start + x for start, x in heralds])
-    anchors = np.concatenate([h, _WINDOW_EDGES])
-    t = np.array([anchors[i % len(anchors)] + dt for i, dt in photons])
     windows = cfg.shutter.transmission_windows(0, 2, cfg.duration)
-    if short_first:
-        windows[0, 1] = windows[0, 0] + 5e-7
+    if short_first is not None:
+        windows[0, 1] = windows[0, 0] + short_first
+    k0 = math.ceil(0.3 / dt)
+    anchors = np.concatenate([windows.ravel(), dt * np.arange(k0, k0 + 6)])
+    h = np.sort([anchors[i] + x for i, x in heralds])
     lo, hi = cfg.signal_reach
-    far = eng.far_pairs(windows, iv.as_interval_set(h + lo, h + hi), t)
+    reach = iv.intersect(windows, iv.as_interval_set(h + lo, h + hi))
+    cum = np.empty(len(reach) + 1)
+    iv.sample_poisson(reach, 0.0, np.random.default_rng(0), cum)
+    inner, edges = eng.zones(windows)
+    first, last = eng.batch_steps[0]
+    far = eng.far_lengths(inner, first, last, reach, cum)
+    assert len(far) == last - first + 1 and np.all(far >= 0)
 
-    def inside(starts, ends):
-        return ((t[:, None] >= starts) & (t[:, None] < ends)).any(axis=1)
+    m = 36 * cfg.source.coherence_time
+    start, end = cfg.jitter_margin + m, -(cfg.memory.echo_delay + (cfg.jitter_margin + m))
+    inner_rows = [(w0 + start, w1 + end) for w0, w1 in windows if w1 + end > w0 + start]
+    reach_rows = [(max(t + lo, w0), min(t + hi, w1)) for t in h for w0, w1 in windows if _overlap((t + lo, t + hi), (w0, w1))]
+    merged = []
+    for r0, r1 in sorted(reach_rows):
+        if merged and r0 <= merged[-1][1]:
+            merged[-1] = (merged[-1][0], max(merged[-1][1], r1))
+        else:
+            merged.append((r0, r1))
+    for i, k in enumerate(range(first, last + 1)):
+        step = (-math.inf if k == first else dt * k, math.inf if k == last else dt * (k + 1))
+        win = sum(_overlap(w, step) for w in windows)
+        p1 = sum(_overlap(a, r, step) for a in inner_rows for r in merged)
+        edge = win - sum(_overlap(a, step) for a in inner_rows)
+        assert p1 + far[i] + edge == pytest.approx(win, abs=1e-12), (k, p1, far[i], edge, win)
 
-    margin, echo = cfg.jitter_margin, cfg.memory.echo_delay
-    in_reach = inside(h + lo, h + hi)
-    in_closure = inside(h + cfg.shutter.herald_close_delay, h + gate_end)
-    safe = inside(windows[:, 0] + margin, windows[:, 1] + -(echo + margin))
-    assert not np.any(in_closure & ~in_reach)
-    assert np.array_equal(far, safe & ~in_reach)
+    t = np.array([anchors[i] + x for i, x in photons])
+    in_window = np.array([any(w0 <= x < w1 for w0, w1 in windows) for x in t])
+    core = np.array([any(a + m <= x < b - m for a, b in inner_rows) for x in t])
+    assert np.array_equal(iv.contains(edges, t), in_window & ~core)
 
 
 def test_grouped_far_draws_match_per_photon_draws():
-    # the same far photons, drawn per (mode, lock step) group by far_outcomes
-    # and photon by photon by storage_branches plus the efficiency thinning,
-    # pooled over seeds.  The chain runs open with a 4 MHz RF mismatch, so
-    # its residual walks over teeth, between teeth and out of the pits, and
-    # a 1 GHz memory band puts the modes with |k| >= 9 out of band.
+    # the P3 photons of a set, counted per (mode, lock step) from its
+    # lengths by far_outcomes, against photons drawn on the same set and
+    # sent through storage_branches plus the efficiency thinning, pooled
+    # over seeds.  The chain runs open with a 4 MHz RF mismatch, so its
+    # residual walks over teeth, between teeth and out of the pits, and a
+    # 1 GHz memory band puts the modes with |k| >= 9 out of band.
     chain = LockChainConfig(
         rf=RfOffsets(f_beat=RfOffsets().f_beat + 4e6),
         drift={laser: DriftModel(sigma=5e5) for laser in LaserId},
@@ -186,23 +211,25 @@ def test_grouped_far_draws_match_per_photon_draws():
     classes = np.zeros(3, np.int64)  # photons on a tooth, between teeth, outside a pit
     for seed in range(4):
         cfg = ScenarioConfig(
-            name="grouped", seed=seed, duration=60.0, source=SourceConfig(total_pair_rate=500.0, n_modes=25),
+            name="grouped", seed=seed, duration=60.0, source=SourceConfig(total_pair_rate=5e4, n_modes=25),
             memory=MemorySettings(inhomogeneous=InhomogeneousProfile(fwhm=1e9)),
             lock=LockSettings(mode="simulated", config=chain, dt=1.0),
         )
         eng = pipeline._Engine(cfg)
         rng = np.random.default_rng(100 + seed)
-        # photons in five of the sixty lock steps, so that a photon read
+        # a stretch of five of the sixty lock steps, so that a photon read
         # against the wrong step meets another residual
-        t = np.sort(rng.choice(60, 5, replace=False)[rng.integers(0, 5, 60_000)] + rng.random(60_000))
-        mode_idx = rng.integers(0, len(eng.mode_offsets), len(t))
+        steps = np.sort(rng.choice(60, 5, replace=False))
+        lengths = np.zeros(60)
+        lengths[steps] = rng.uniform(0.5, 1.0, 5)
 
         vec = np.zeros(pipeline._N_SLOTS, np.int64)
-        eng.far_outcomes(t, mode_idx, np.random.default_rng(200 + seed), vec)
+        eng.far_outcomes(0, lengths, np.random.default_rng(200 + seed), vec)
         detected = vec[pipeline._DETECTED_KIND:pipeline._DETECTED_KIND + 4]
         assert vec[pipeline._SIGNAL_ORIGIN + pipeline.ORIGIN_PAIR] == detected.sum()
         grouped += (vec[pipeline._MEMORY_KIND:pipeline._MEMORY_KIND + 4], detected)
 
+        t, mode_idx = sample_pairs(eng.signal_only, np.stack([steps, steps + lengths[steps]], axis=1), rng)
         off = eng.mode_offsets[mode_idx] + eng.lock_result.residual_at(t)
         mem = cfg.memory
         kinds = storage_branches(off, mem.afc, mem.inhomogeneous, rng)

@@ -71,7 +71,11 @@ _OPEN_FAST = dataclasses.replace(
 #: -0.24 to 1.7 MHz over the seeds, several tooth spacings, so that a path
 #: that dropped the residual would keep echoes the reference loses; and the
 #: locked chain with its beat 120 kHz high, just inside the 144 kHz half
-#: tooth width, so that every (lock step, mode) group has its own offset
+#: tooth width, so that every (lock step, mode) group has its own offset.
+#: Last, 10 us transmission windows every 20 us, whose edge zones (within
+#: the jitter and delay margins of a window's start, or the echo delay plus
+#: them of its end) hold 26 % of the window time, so that the signal-only
+#: pairs drawn there carry weight
 LINKS = {
     "shipped": ({}, _IDEAL),
     "signal_jitter_300ns": ({"detectors.signal.jitter_fwhm": 300e-9}, _IDEAL),
@@ -79,6 +83,7 @@ LINKS = {
     "open_loop": ({}, LockSettings("simulated", _CHAIN.with_servos_disabled())),
     "open_loop_fast": ({}, LockSettings("simulated", _OPEN_FAST)),
     "beat_120khz_high": ({}, LockSettings("simulated", _BEAT_HIGH)),
+    "short_windows": ({"shutter.cycle_period": 20e-6, "shutter.prep_duration": 10e-6}, _IDEAL),
 }
 
 
