@@ -335,6 +335,11 @@ class _Engine:
         cum = np.empty(len(reach) + 1)
         rng = _stream(cfg.seed, _S_SIGNAL_NOISE, b)
         points = iv.sample_poisson(reach, self.reach_rate, rng, cum)
+        # P3's lengths per lock step; the reach, as long as the herald stream,
+        # is let go before the gate and the memory
+        first, last = self.batch_steps[b]
+        far = self.far_lengths(inner, first, last, reach, cum)
+        del reach, cum
         u = rng.random(len(points))
         pair = u < self.pair_marks[-1]
         mark = np.searchsorted(self.pair_marks, u[pair], side="right")
@@ -358,8 +363,7 @@ class _Engine:
         kinds = storage_branches(entry_off, mem.afc, mem.inhomogeneous, mem_rng)
         exits = exit_times(entry_t, kinds, mem.afc, mem.slow_light_delay)
         _tally(vec, _MEMORY_KIND, _N_KIND, kinds[entry_org == ORIGIN_PAIR])
-        first, last = self.batch_steps[b]
-        self.far_outcomes(first, self.far_lengths(inner, first, last, reach, cum), mem_rng, vec)
+        self.far_outcomes(first, far, mem_rng, vec)
         det = cfg.detectors.signal
         rng = _stream(cfg.seed, _S_SIGNAL_DETECT, b)
         # the detector efficiency thins the photons that leave the memory

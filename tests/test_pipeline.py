@@ -104,8 +104,9 @@ def test_every_stage_draws_from_its_own_stream():
 
 
 def test_signal_reach_covers_a_gate_that_outlasts_the_histogram():
-    # a far pair photon is taken to meet an open gate, so the reach must hold
-    # every closure even when the gate reopens after tau_max (1.4 us)
+    # a P3 photon (counted, never drawn) is taken to meet an open gate, so
+    # the reach must hold every closure even when the gate reopens after
+    # tau_max (1.4 us)
     cfg = ScenarioConfig(
         name="late_gate", seed=0, duration=1.2, source=SourceConfig(total_pair_rate=500.0, n_modes=25),
         shutter=ShutterSchedule(echo_window=(900e-9, 1500e-9)),

@@ -11,11 +11,13 @@ gives at its entry time, as in the engine.
 
 ``pipeline.run_raw`` takes five shortcuts on the same link: herald noise
 drawn at its detected rate (and sorted, without jitter), signal-arm noise
-drawn only on ``windows ∩ rel``, independent batches, a source thinned to
-the pairs with at least one photon past the fiber, the converter and (for
-the herald) the detector efficiency, the others only counted, and the
-signal-arm pair photons that no detected herald's reach and no window edge
-can see counted per (lock step, mode) group rather than one by one.  On each link
+drawn only on the reach ``windows ∩ rel``, independent batches, a source
+thinned to the pairs whose herald photon gets past the fiber, the converter
+and the detector efficiency, the others only counted, and the signal-only
+pairs drawn only where a herald or a window edge can see them: on the reach
+well inside a window, marked among the signal-arm noise drawn there at the
+summed rate, and near a window edge, drawn with their delays; elsewhere
+they are Poisson counts per (lock step, mode) from the lengths.  On each link
 of ``LINKS``, pooled over several seeds, the histogram in each delay band,
 the echo-window noise count, the pair count, the pair photons' memory
 outcomes and the origin counters of both must agree within the bound fixed
