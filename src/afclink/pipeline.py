@@ -331,7 +331,7 @@ class _Engine:
         reach = iv.intersect(windows, iv.as_interval_set(h_times + lo, h_times + hi))
         # one draw on the reach at the summed rate of the converter noise
         # (beam-splitter share) and the signal-only pairs, which also measures
-        # the reach; a pair point outside inner_f is left to the edge draws
+        # the reach
         cum = np.empty(len(reach) + 1)
         rng = _stream(cfg.seed, _S_SIGNAL_NOISE, b)
         points = iv.sample_poisson(reach, self.reach_rate, rng, cum)
@@ -340,6 +340,8 @@ class _Engine:
         first, last = self.batch_steps[b]
         far = self.far_lengths(inner, first, last, reach, cum)
         del reach, cum
+        # each point is noise or a pair of mode k; a pair point outside
+        # inner_f is left to the edge draws
         u = rng.random(len(points))
         pair = u < self.pair_marks[-1]
         mark = np.searchsorted(self.pair_marks, u[pair], side="right")
