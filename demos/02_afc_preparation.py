@@ -23,8 +23,8 @@ from afclink.spectral import tpc_mode_offsets
 out_dir = os.path.dirname(os.path.abspath(__file__))
 
 inh = InhomogeneousProfile()
-cfg = AFCConfig(mode_offsets=tuple(tpc_mode_offsets(25, 117.2e6)))
-spectrum = prepare_afc(inh, cfg)
+cfg = AFCConfig()
+spectrum = prepare_afc(inh, cfg, tpc_mode_offsets(25, 117.2e6))
 path = os.path.join(out_dir, "afc_spectrum.csv")
 with open(path, "w") as fh:
     fh.write(spectrum.to_csv())

@@ -8,7 +8,7 @@ from dataclasses import replace
 from typing import Optional, Sequence
 
 from .config import ScenarioConfig, ScenarioError, scenario_from_dict, scenario_to_dict
-from .pipeline import _derived_seed
+from .pipeline import _spawn_seed
 from .reporting import RunReport, run_scenario
 
 
@@ -57,7 +57,7 @@ def calibrate_rate(
     the configured duration lands within ``rel_tol`` of the target.
 
     Evaluation k runs at the current rate on seed
-    ``_derived_seed(cfg.seed, 7001, k)``, starting from the configured rate.
+    ``_spawn_seed(cfg.seed, 7001, k)``, starting from the configured rate.
     After a miss the rate steps to target / s, where s = sum(r m) / sum(r^2)
     is the slope through the origin fitted to every (rate, peak) pair so far:
     the peak statistic is linear in the rate (see ``measure_echo_peak``), so
@@ -81,7 +81,7 @@ def calibrate_rate(
                 f"the scenario refuses the proposed rate {rate:.3g} ({exc}); {_listing(evals)}"
             ) from exc
         peak = measure_echo_peak(
-            run_cfg, seed=_derived_seed(cfg.seed, 7001, k),
+            run_cfg, seed=_spawn_seed(cfg.seed, 7001, k),
             duration=calibration_duration, workers=workers,
         )
         evals.append((rate, peak))
@@ -106,7 +106,7 @@ def sweep(
     Each value is set at the path in the scenario's document and decoded like
     a document, all before the first run, so an unknown path or a refused
     value raises ``ScenarioError`` naming the field without running anything.
-    Each run uses a seed derived from (scenario seed, value index), so
+    Each run uses a seed spawned from (scenario seed, value index), so
     toggling a value does not perturb the others.  Sweeping
     ``source.n_modes`` reconfigures the whole multiplexing plan with uniform
     mode weights and scales the pair rate proportionally (constant rate per
@@ -129,7 +129,7 @@ def sweep(
         if rescale:
             src = cfg.source
             run_cfg = run_cfg.with_rate(src.total_pair_rate * run_cfg.source.n_modes / src.n_modes)
-        run_cfgs.append(replace(run_cfg, seed=_derived_seed(cfg.seed, 7002, i)))
+        run_cfgs.append(replace(run_cfg, seed=_spawn_seed(cfg.seed, 7002, i)))
     rows = []
     for v, run_cfg in zip(values, run_cfgs):
         rep: RunReport = run_scenario(run_cfg, workers=workers)

@@ -63,7 +63,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_lockcheck(args) -> int:
     cfg = _load_config(args.config)
     lock = cfg.lock
-    if lock.config is None:
+    if lock.mode == "ideal":
         raise ScenarioError("lock.mode", "lockcheck runs lock.config, and an ideal lock has none")
     result = lock_run(cfg, args.hours * 3600.0)
     summary = json.dumps({"hours": args.hours, "dt": lock.dt, "seed": cfg.seed, **result.summary()},
@@ -77,7 +77,7 @@ def _cmd_lockcheck(args) -> int:
 
 def _cmd_afc_plot(args) -> int:
     cfg = _load_config(args.config)
-    spectrum = prepare_afc(cfg.memory.inhomogeneous, cfg.memory.afc)
+    spectrum = prepare_afc(cfg.memory.inhomogeneous, cfg.memory.afc, cfg.source.mode_offsets())
     csv_text = spectrum.to_csv()
     if args.out:
         write_text(args.out, "afc_spectrum.csv", csv_text)

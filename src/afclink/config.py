@@ -107,16 +107,15 @@ class ScenarioConfig:
             raise ScenarioError("duration", "must be > 0")
         if self.seed < 0:
             raise ScenarioError("seed", "must be >= 0")
-        # the memory comb plan always follows the active source modes
+        # the memory prepares one pit per source mode; overlapping pits are
+        # refused, since the nearest-mode pick cannot tell them apart
         try:
-            offsets = tuple(self.source.mode_offsets())
+            modes = self.source.mode_offsets()
         except ValueError as exc:
             raise ScenarioError("source.n_modes", str(exc)) from exc
-        try:
-            afc = replace(self.memory.afc, mode_offsets=offsets)
-        except ValueError as exc:  # overlapping pits, which the nearest-mode pick cannot tell apart
-            raise ScenarioError("memory.afc.pit_halfwidth", str(exc)) from exc
-        object.__setattr__(self, "memory", replace(self.memory, afc=afc))
+        if len(modes) > 1 and np.diff(modes).min() <= 2 * self.memory.afc.pit_halfwidth:
+            raise ScenarioError("memory.afc.pit_halfwidth",
+                                "adjacent mode pits overlap; reduce pit_halfwidth or respace modes")
         # the signal reach covers one dead time of shadowing; chains of
         # dead times are second order in click rate x dead time (Mueller,
         # Nucl. Instrum. Methods 112, 1973, 47), so that product must stay
@@ -140,13 +139,14 @@ class ScenarioConfig:
                                           "(storage time plus slow-light delay)")
         # the engine runs batches of cycles independently; that drops nothing
         # only while the preparation phase between two outlasts the signal
-        # reach plus a herald dead time
+        # reach plus a herald dead time, and the delay margin of a pair delay
         lo, hi = self.signal_reach
         reach = hi - lo + self.detectors.herald.dead_time
-        if not self.shutter.prep_duration > reach:
+        if not self.shutter.prep_duration > max(reach, self.delay_margin):
             raise ScenarioError(
                 "shutter.prep_duration",
-                f"must exceed the {reach:.4g} s signal reach plus herald dead time",
+                f"must exceed both the {reach:.4g} s signal reach plus herald dead time "
+                f"and the {self.delay_margin:.4g} s delay margin",
             )
 
     @property
@@ -160,6 +160,11 @@ class ScenarioConfig:
         """8 signal-detector jitter sigmas: the farthest the engine takes a
         signal click's jitter to move it."""
         return _REACH_SIGMAS * self.detectors.signal.jitter_sigma
+
+    @property
+    def delay_margin(self) -> float:
+        """36 pair coherence times, which a Laplace pair delay exceeds with chance e^-36."""
+        return 36.0 * self.source.coherence_time
 
     @property
     def signal_reach(self) -> tuple[float, float]:
@@ -186,11 +191,6 @@ class ScenarioConfig:
 _type_hints = functools.cache(typing.get_type_hints)
 
 
-def _input_fields(cls) -> dict[str, dataclasses.Field]:
-    """Fields a document sets: all but those marked as derived from others."""
-    return {f.name: f for f in dataclasses.fields(cls) if "derived" not in f.metadata}
-
-
 def _reject(path: str, expected: str, value: Any) -> typing.NoReturn:
     got = json.dumps(value, default=repr)[:40]
     raise ScenarioError(path or "<document>", f"expected {expected}, got {got}")
@@ -205,8 +205,8 @@ def _decode(tp, value: Any, path: str):
     if dataclasses.is_dataclass(tp) or origin is Mapping:
         if not isinstance(value, dict):
             _reject(path, "an object", value)
-        # a dataclass is keyed by its input fields, a Mapping by an enum
-        keys = _input_fields(tp) if origin is None else {m.value: m for m in args[0]}
+        # a dataclass is keyed by its fields, a Mapping by an enum
+        keys = {m.value: m for m in args[0]} if origin else {f.name: f for f in dataclasses.fields(tp)}
         for k in value:
             if k not in keys:
                 raise ScenarioError(f"{path}.{k}" if path else k,
@@ -233,12 +233,12 @@ def _decode(tp, value: Any, path: str):
 
 
 def _build(cls, d: dict, path: str):
-    """Construct dataclass ``cls`` from a JSON object ``d`` of its input fields."""
+    """Construct dataclass ``cls`` from a JSON object ``d`` of its fields."""
     kwargs = {}
-    for name, f in _input_fields(cls).items():
-        sub = f"{path}.{name}" if path else name
-        if name in d:
-            kwargs[name] = _decode(_type_hints(cls)[name], d[name], sub)
+    for f in dataclasses.fields(cls):
+        sub = f"{path}.{f.name}" if path else f.name
+        if f.name in d:
+            kwargs[f.name] = _decode(_type_hints(cls)[f.name], d[f.name], sub)
         elif f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
             raise ScenarioError(sub, "missing required key")
     try:
@@ -256,7 +256,7 @@ def scenario_from_dict(d: dict) -> ScenarioConfig:
 def scenario_to_dict(cfg: ScenarioConfig) -> dict:
     def enc(obj):
         if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-            return {name: enc(getattr(obj, name)) for name in _input_fields(type(obj))}
+            return {f.name: enc(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
         if isinstance(obj, dict):
             return {enc(k): enc(v) for k, v in obj.items()}
         if isinstance(obj, tuple):

@@ -199,6 +199,14 @@ class CoincidenceHistogram(HistogramLayout):
         return "tau_ns,counts,smoothed\n" + ("%.4f,%d,%.6f\n" * n) % tuple(flat)
 
 
+def heralds_in_range(heralds: np.ndarray, clicks: np.ndarray, lo: float, hi: float):
+    """Per click at ``t``: the index of the first herald ``h`` with ``lo <= t - h < hi``
+    and how many consecutive heralds meet it, compared as ``t - hi < h <= t - lo``.
+    Both inputs must be sorted, and ``lo <= hi``."""
+    first = np.searchsorted(heralds, clicks - hi, side="right")
+    return first, np.searchsorted(heralds, clicks - lo, side="right") - first
+
+
 def accumulate_histogram(
     hist: CoincidenceHistogram,
     heralds: np.ndarray,
@@ -215,9 +223,7 @@ def accumulate_histogram(
     """
     heralds = np.asarray(heralds, dtype=np.float64)
     signals = np.asarray(signals, dtype=np.float64)
-    lo = np.searchsorted(heralds, signals - hist.tau_max, side="right")
-    hi = np.searchsorted(heralds, signals - hist.tau_min, side="right")
-    counts = np.maximum(hi - lo, 0)
+    lo, counts = heralds_in_range(heralds, signals, hist.tau_min, hist.tau_max)
     s_idx = np.repeat(np.arange(len(signals)), counts)
     h_idx = iv.ragged_ranges(lo, counts)
     tau = signals[s_idx] - heralds[h_idx]

@@ -7,7 +7,7 @@ Coordinate convention
 The state stores per-laser frequency *errors* in Hz: the deviation of each
 driven laser from its nominal lock design point.  In this frame the nominal
 beat between the monitoring upconversion light and the memory control laser
-equals ``rf.f_beat`` by construction, so all derived frequencies are affine
+equals ``rf.f_beat`` by construction, so all other frequencies are affine
 functions of the three driven errors:
 
     nu_qm        = 2 * err(qm_master_1212)

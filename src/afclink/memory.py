@@ -29,7 +29,7 @@ fourfold.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,16 +70,13 @@ class InhomogeneousProfile:
 
 @dataclass(frozen=True)
 class AFCConfig:
-    """Comb preparation parameters shared by every multiplexed mode."""
+    """Comb preparation parameters shared by every pit of the source's mode plan."""
 
     tooth_spacing: float = 1.15e6
     finesse: float = 4.0
     tooth_peak_depth: float = 2.0
     background_depth: float = 0.2
     pit_halfwidth: float = 9e6
-    mode_offsets: tuple[float, ...] = field(
-        default=(0.0,), metadata={"derived": "ScenarioConfig sets it from the source modes"}
-    )
 
     def __post_init__(self):
         if self.tooth_spacing <= 0:
@@ -90,11 +87,6 @@ class AFCConfig:
             raise ValueError("depths must be >= 0")
         if self.pit_halfwidth <= 2 * self.tooth_spacing:
             raise ValueError("pit_halfwidth must span several tooth spacings")
-        object.__setattr__(
-            self, "mode_offsets", tuple(float(m) for m in sorted(self.mode_offsets))
-        )
-        if len(self.mode_offsets) > 1 and min(np.diff(self.mode_offsets)) <= 2 * self.pit_halfwidth:
-            raise ValueError("adjacent mode pits overlap; reduce pit_halfwidth or respace modes")
 
     @property
     def tooth_fwhm(self) -> float:
@@ -160,16 +152,15 @@ def _teeth(f: np.ndarray, centers: np.ndarray, fwhm: float) -> np.ndarray:
     return out
 
 
-def prepare_afc(inh: InhomogeneousProfile, cfg: AFCConfig) -> AbsorptionSpectrum:
+def prepare_afc(inh: InhomogeneousProfile, cfg: AFCConfig, modes: np.ndarray) -> AbsorptionSpectrum:
     """Burn the multiplexed comb pattern into the inhomogeneous profile.
 
-    For each mode offset the pit is emptied, the residual background depth is
-    laid in, and Gaussian teeth (peak ``tooth_peak_depth``, FWHM
-    spacing/finesse) are placed at every multiple of the spacing inside the
-    pit.  Outside the pits the profile is untouched.  The grid spans every
+    For each offset of ``modes``, the source's ascending mode plan, the pit
+    is emptied, the residual background depth is laid in, and Gaussian teeth
+    (peak ``tooth_peak_depth``, FWHM spacing/finesse) are placed at every
+    multiple of the spacing inside the pit.  Outside the pits the profile is untouched.  The grid spans every
     pit and four tooth spacings beyond, at eight points per tooth FWHM.
     """
-    modes = np.asarray(cfg.mode_offsets)
     span = cfg.pit_halfwidth + 4 * cfg.tooth_spacing
     grid = SpectralGrid(modes.min() - span, modes.max() + span, cfg.tooth_spacing / (4.0 * cfg.finesse) / 2.0)
 
@@ -288,8 +279,9 @@ def afc_efficiency_oracle(spectrum: AbsorptionSpectrum, mode: float, spacing: fl
     return float(np.sum(np.abs(e_out[window]) ** 2) / np.sum(np.abs(e_in) ** 2))
 
 
-def _branch_chances(offsets: np.ndarray, cfg: AFCConfig, inh: InhomogeneousProfile):
-    """The comb's outcome chances at ``offsets`` as thresholds on one
+def _branch_chances(offsets: np.ndarray, modes: np.ndarray, cfg: AFCConfig, inh: InhomogeneousProfile):
+    """The outcome chances at ``offsets`` of the comb with one pit per mode
+    of ``modes``, the source's ascending mode plan, as thresholds on one
     uniform: echo below ``echo_below``, prompt below ``prompt_below``, else
     lost.  Returns the in-band mask, for each in-band photon in order the row
     of the threshold table that holds its chances, and the table's two
@@ -307,10 +299,9 @@ def _branch_chances(offsets: np.ndarray, cfg: AFCConfig, inh: InhomogeneousProfi
     """
     in_band = inh.in_band(offsets)
     off = offsets[in_band]
-    modes = np.asarray(cfg.mode_offsets)
     # the nearest comb mode, the upper one from each midpoint on: a photon
     # within rounding of a midpoint lies outside both pits (which
-    # AFCConfig keeps apart), so either mode gives it the same chances
+    # ScenarioConfig keeps apart), so either mode gives it the same chances
     detune = off - modes[np.searchsorted(0.5 * (modes[1:] + modes[:-1]), off, side="right")]
     in_pit = np.abs(detune) <= cfg.pit_halfwidth
     tooth_miss = np.abs(detune - cfg.tooth_spacing * np.round(detune / cfg.tooth_spacing))
@@ -329,11 +320,12 @@ def _branch_chances(offsets: np.ndarray, cfg: AFCConfig, inh: InhomogeneousProfi
 
 def storage_branches(
     offsets: np.ndarray,
+    modes: np.ndarray,
     cfg: AFCConfig,
     inh: InhomogeneousProfile,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Vectorized outcome draw for photons at the given mode offsets.
+    """Vectorized outcome draw for photons at ``offsets`` in the comb of ``modes``.
 
     Returns an array of outcome codes (KIND_*): out of band beyond the
     inhomogeneous support, else one uniform per photon against the chances
@@ -341,7 +333,7 @@ def storage_branches(
     """
     offsets = np.asarray(offsets, dtype=np.float64)
     out = np.full(len(offsets), KIND_OUT_OF_BAND, dtype=np.uint8)
-    in_band, row, echo_below, prompt_below = _branch_chances(offsets, cfg, inh)
+    in_band, row, echo_below, prompt_below = _branch_chances(offsets, modes, cfg, inh)
     u = rng.random(len(row))
     res = np.full(len(u), KIND_LOST, dtype=np.uint8)
     res[u < prompt_below[row]] = KIND_PROMPT
@@ -353,17 +345,19 @@ def storage_branches(
 def branch_counts(
     counts: np.ndarray,
     offsets: np.ndarray,
+    modes: np.ndarray,
     cfg: AFCConfig,
     inh: InhomogeneousProfile,
     rng: np.random.Generator,
 ) -> np.ndarray:
     """Outcome totals, one per KIND_* code, of ``counts[i]`` photons at
-    ``offsets[i]``: one multinomial per row of ``_branch_chances``' table,
-    the chances that ``storage_branches`` draws photon by photon.  The
-    offsets that share a row (every one on a tooth, say) pool their photons.
+    ``offsets[i]`` in the comb of ``modes``: one multinomial per row of
+    ``_branch_chances``' table, the chances that ``storage_branches`` draws
+    photon by photon.  The offsets that share a row (every one on a tooth,
+    say) pool their photons.
     """
     counts = np.asarray(counts, dtype=np.int64)
-    in_band, row, echo_below, prompt_below = _branch_chances(np.asarray(offsets, dtype=np.float64), cfg, inh)
+    in_band, row, echo_below, prompt_below = _branch_chances(np.asarray(offsets, dtype=np.float64), modes, cfg, inh)
     n = np.bincount(row, weights=counts[in_band], minlength=len(echo_below)).astype(np.int64)
     drawn = np.zeros(3, dtype=np.int64)
     # a scalar multinomial per row that holds photons: under a locked chain

@@ -51,10 +51,10 @@ therefore materializes noise exactly where it can matter:
 The signal-only pairs (62 % of the pairs with a surviving photon) are
 independent of every herald, so they too are drawn only where a herald can
 see them.  ``inner_f`` is each window less the jitter margin (8 sigma) plus
-a delay margin m = 36 tau_c at its start, and less the echo delay plus both
-margins at its end.  A Laplace pair delay exceeds m with chance
-e^-36 = 2.3e-16, so inside inner_f their photons' memory-entry intensity
-is flat.  Their entry times fall in three sets:
+the delay margin m = 36 tau_c (``ScenarioConfig.delay_margin``) at its
+start, and less the echo delay plus both margins at its end.  A Laplace
+pair delay exceeds m with chance e^-36 = 2.3e-16, so inside inner_f their
+photons' memory-entry intensity is flat.  Their entry times fall in three sets:
 
 - **P1**, inner_f inside the reach: the noise draw on the reach runs at the
   summed rate, and one uniform per point marks it noise or mode k;
@@ -125,6 +125,7 @@ from .detection import (
     CoincidenceHistogram,
     accumulate_histogram,
     detect,
+    heralds_in_range,
 )
 from .lockchain import LockRunResult, simulate_lock_run
 from .memory import (
@@ -190,7 +191,7 @@ def _counters(vec: np.ndarray) -> dict:
     }
 
 
-def _derived_seed(base_seed: int, tag: int, index: int) -> int:
+def _spawn_seed(base_seed: int, tag: int, index: int) -> int:
     """One integer seed from ``base_seed`` for the (tag, index) spawn key."""
     return int(np.random.SeedSequence(entropy=base_seed, spawn_key=(tag, index)).generate_state(1)[0])
 
@@ -214,7 +215,7 @@ class RawRunResult:
     histogram: CoincidenceHistogram
     counts: dict
     transmission_time: float
-    lock_result: LockRunResult | None  # None under an ideal lock, which has no telemetry
+    lock_result: LockRunResult  # the run's lock realisation, a zero residual under an ideal lock
 
 
 def lock_run(cfg: ScenarioConfig, duration: float) -> LockRunResult:
@@ -225,7 +226,7 @@ def lock_run(cfg: ScenarioConfig, duration: float) -> LockRunResult:
     lock = cfg.lock
     if lock.mode == "ideal":
         return LockRunResult(lock.dt, np.zeros(round(duration / lock.dt) + 1), {})
-    return simulate_lock_run(lock.config, duration, lock.dt, _derived_seed(cfg.seed, _S_LOCK, 0))
+    return simulate_lock_run(lock.config, duration, lock.dt, _spawn_seed(cfg.seed, _S_LOCK, 0))
 
 
 class _Engine:
@@ -245,7 +246,7 @@ class _Engine:
         self.reach_rate = float(self.signal_only.total_pair_rate + cfg.converter.arm_noise_rate)
         self.pair_marks = np.cumsum(self.signal_only_rates) / (self.reach_rate or 1.0)
         # inner_f and its core, shrunk by the delay margin m (module docstring)
-        m = 36.0 * cfg.source.coherence_time
+        m = cfg.delay_margin
         margin = cfg.jitter_margin + m
         self.inner_guard = np.array([margin, -(cfg.memory.echo_delay + margin)])
         self.core_guard = self.inner_guard + [m, -m]
@@ -286,11 +287,8 @@ class _Engine:
 
         # histogram and the per-herald noise flux into the echo window
         accumulate_histogram(hist, h_times, det_t)
-        w0, w1 = cfg.shutter.echo_window
-        noise_t = det_t[det_org == ORIGIN_CONVERSION_NOISE]
-        lo_i = np.searchsorted(h_times, noise_t - w1, side="right")
-        hi_i = np.searchsorted(h_times, noise_t - w0, side="right")
-        vec[_NOISE_IN_ECHO] += int(np.sum(hi_i - lo_i))
+        _, n = heralds_in_range(h_times, det_t[det_org == ORIGIN_CONVERSION_NOISE], *cfg.shutter.echo_window)
+        vec[_NOISE_IN_ECHO] += int(n.sum())
 
     def zones(self, windows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``inner_f`` of ``windows`` and their edge zones: each window less
@@ -362,7 +360,7 @@ class _Engine:
 
         mem = cfg.memory
         mem_rng = _stream(cfg.seed, _S_MEMORY, b)
-        kinds = storage_branches(entry_off, mem.afc, mem.inhomogeneous, mem_rng)
+        kinds = storage_branches(entry_off, self.mode_offsets, mem.afc, mem.inhomogeneous, mem_rng)
         exits = exit_times(entry_t, kinds, mem.afc, mem.slow_light_delay)
         _tally(vec, _MEMORY_KIND, _N_KIND, kinds[entry_org == ORIGIN_PAIR])
         self.far_outcomes(first, far, mem_rng, vec)
@@ -399,9 +397,9 @@ class _Engine:
         per group of alike chances (``branch_counts``), then one binomial
         per detectable kind for the signal detector's efficiency."""
         counts = rng.poisson(lengths[:, None] * self.signal_only_rates)
-        offsets = self.lock_result.residual[first:first + len(lengths), None] + self.mode_offsets
+        offsets = (self.lock_result.residual[first:first + len(lengths), None] + self.mode_offsets).ravel()
         mem = self.cfg.memory
-        stored = branch_counts(counts.ravel(), offsets.ravel(), mem.afc, mem.inhomogeneous, rng)
+        stored = branch_counts(counts.ravel(), offsets, self.mode_offsets, mem.afc, mem.inhomogeneous, rng)
         eff = self.cfg.detectors.signal.efficiency
         detected = [rng.binomial(k, eff) for k in stored[:KIND_LOST].tolist()]
         vec[_MEMORY_KIND:_MEMORY_KIND + _N_KIND] += stored
@@ -434,7 +432,7 @@ class _Engine:
             histogram=CoincidenceHistogram(**asdict(cfg.histogram), counts=sum(p[0] for p in parts)),
             counts=_counters(sum(p[1] for p in parts)),
             transmission_time=iv.total_length(windows),
-            lock_result=self.lock_result if cfg.lock.mode == "simulated" else None,
+            lock_result=self.lock_result,
         )
 
 

@@ -113,7 +113,7 @@ class RunReport(RawRunResult):
             "degenerate": self.degenerate,
             "peak": self.peak,
             "counts": self.counts,
-            "lock": None if self.lock_result is None else self.lock_result.summary(),
+            "lock": self.lock_result.summary() if self.cfg.lock.mode == "simulated" else None,
         }
 
     def to_json(self) -> str:
@@ -132,7 +132,7 @@ class RunReport(RawRunResult):
         write_text(out_dir, "report.json", self.to_json())
         write_text(out_dir, "histogram.csv", self.histogram.to_csv(self.smoothed))
         write_text(out_dir, "summary.csv", self.summary_csv())
-        if self.lock_result is not None:
+        if self.cfg.lock.mode == "simulated":
             write_text(out_dir, "lock_telemetry.csv", self.lock_result.to_csv())
 
 

@@ -16,6 +16,7 @@ from afclink.detection import (
     compute_snr,
     dead_time_filter,
     detect,
+    heralds_in_range,
     moving_average,
 )
 
@@ -246,6 +247,24 @@ def test_accumulate_histogram_matches_double_loop(heralds, signals):
     assert np.array_equal(hist.counts, want)
     accumulate_histogram(hist, h, s)  # accumulates in place
     assert np.array_equal(hist.counts, 2 * want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    heralds=st.lists(st.integers(-40, 40), max_size=30),
+    clicks=st.lists(st.integers(-40, 40), max_size=30),
+    lo=st.integers(-10, 10),
+    width=st.integers(0, 10),
+)
+@example(heralds=[0, 1, 1, 2, 3], clicks=[3], lo=1, width=2)  # a tie on each bound
+def test_heralds_in_range_matches_double_loop(heralds, clicks, lo, width):
+    # integer times keep every delay exact, so a delay on a bound is a tie
+    h = np.sort(np.array(heralds, dtype=float))
+    t = np.sort(np.array(clicks, dtype=float))
+    first, n = heralds_in_range(h, t, float(lo), float(lo + width))
+    for i, ti in enumerate(t):
+        inside = [j for j, hj in enumerate(h) if lo <= ti - hj < lo + width]
+        assert list(range(first[i], first[i] + n[i])) == inside
 
 
 def test_histogram_merge_elementwise():

@@ -68,6 +68,32 @@ def test_json_round_trip():
         assert config_hash(again) == config_hash(cfg) == want, name
 
 
+def _keys_match_fields(obj, doc, path):
+    """Check that, at ``path`` and below, the keys of the document ``doc``
+    are the fields of the dataclass ``obj``."""
+    if dataclasses.is_dataclass(obj):
+        names = [f.name for f in dataclasses.fields(obj)]
+        assert sorted(doc) == sorted(names), path
+        for name in names:
+            _keys_match_fields(getattr(obj, name), doc[name], f"{path}.{name}")
+    elif isinstance(obj, dict):  # keyed by an enum, encoded as its value
+        assert sorted(doc) == sorted(getattr(k, "value", k) for k in obj), path
+        for k, v in obj.items():
+            key = getattr(k, "value", k)
+            _keys_match_fields(v, doc[key], f"{path}.{key}")
+    elif isinstance(obj, tuple):
+        for i, (o, d) in enumerate(zip(obj, doc)):
+            _keys_match_fields(o, d, f"{path}[{i}]")
+
+
+def test_document_keys_are_the_dataclass_fields():
+    # documents map 1:1 onto the dataclasses: at every level, a scenario's
+    # encoding holds exactly the fields of the dataclass there
+    for name in bundled_scenarios():
+        cfg = load_bundled_scenario(name)
+        _keys_match_fields(cfg, scenario_to_dict(cfg), name)
+
+
 def test_unknown_key_rejected_with_path():
     d = scenario_to_dict(load_bundled_scenario("multiplexed_25mode_10km"))
     d["shutter"]["extinctoin"] = 0.5
@@ -227,7 +253,8 @@ def test_prep_phase_shorter_than_batch_edge_reach_rejected():
     # batches run independently, which is exact only while the preparation
     # phase between them outlasts the signal reach (tau_max - tau_min +
     # memory delay + signal dead time + 16 jitter sigmas) plus the herald
-    # dead time, about 2.72 us here
+    # dead time, about 2.72 us here, and the delay margin of 36 coherence
+    # times, 0.81 us at the shipped 7.1 MHz linewidth
     d = scenario_to_dict(load_bundled_scenario("multiplexed_25mode_10km"))
     d["shutter"]["prep_duration"] = 2e-6
     with pytest.raises(ScenarioError) as err:
@@ -235,6 +262,26 @@ def test_prep_phase_shorter_than_batch_edge_reach_rejected():
     assert err.value.field == "shutter.prep_duration"
     d["shutter"]["prep_duration"] = 4e-6
     assert scenario_from_dict(d).shutter.prep_duration == 4e-6
+    # a 1 Hz linewidth stretches the delay margin to 5.7 s, far past the
+    # smoke document's 0.3 s preparation phase: a photon delayed across a
+    # batch edge would be gated as if it entered during preparation
+    d = scenario_to_dict(load_bundled_scenario("multiplexed_25mode_10km_smoke"))
+    d["source"]["linewidth"] = 1.0
+    with pytest.raises(ScenarioError) as err:
+        scenario_from_dict(d)
+    assert err.value.field == "shutter.prep_duration"
+
+
+def test_scenario_rejects_overlapping_pits():
+    # the memory prepares one pit per source mode: 10 MHz between modes
+    # holds two pits of 4.9 MHz half-width, but not two of 9 MHz
+    d = scenario_to_dict(load_bundled_scenario("multiplexed_25mode_10km_smoke"))
+    d["source"]["fsr"] = 10e6
+    with pytest.raises(ScenarioError, match="pits overlap") as err:
+        scenario_from_dict(d)
+    assert err.value.field == "memory.afc.pit_halfwidth"
+    d["memory"]["afc"]["pit_halfwidth"] = 4.9e6
+    assert scenario_from_dict(d).memory.afc.pit_halfwidth == 4.9e6
 
 
 @pytest.mark.parametrize("dead_time", [1e-6, 5e-6])
@@ -266,8 +313,7 @@ def test_bundled_scenarios_load():
         assert expected in names
     assert len(names) == 5
     for n in names:
-        cfg = load_bundled_scenario(n)
-        assert cfg.source.n_modes == len(cfg.memory.afc.mode_offsets)
+        load_bundled_scenario(n)
 
 
 def test_few_mode_scenarios_match_mode_plan():
@@ -512,7 +558,7 @@ def test_noise_floor_matches_analytic_expectation():
     def transmit(f):
         if abs(f) > inh.fwhm:
             return 1.0
-        modes = np.asarray(afc.mode_offsets)
+        modes = cfg.source.mode_offsets()
         if np.min(np.abs(f - modes)) <= afc.pit_halfwidth:
             # echo also reaches the detector, just delayed
             return math.exp(-afc.mean_comb_depth) + afc.echo_efficiency
@@ -607,7 +653,6 @@ def test_sweep_mode_count_scales_rate_and_plan(monkeypatch):
     assert five.source.n_modes == 5
     assert five.source.total_pair_rate == pytest.approx(cfg.source.total_pair_rate / 5)
     assert five.source.mode_weights is None
-    assert len(five.memory.afc.mode_offsets) == 5
 
 
 def test_sweep_mode_count_rescales_rate():
@@ -649,7 +694,7 @@ def test_calibrate_steps_on_pooled_slope(monkeypatch):
     rates = [c[0] for c in calls]
     peaks = [model(r) for r in rates]
     assert len(calls) > 2
-    assert [c[1] for c in calls] == [calibrate._derived_seed(5, 7001, k) for k in range(len(calls))]
+    assert [c[1] for c in calls] == [calibrate._spawn_seed(5, 7001, k) for k in range(len(calls))]
     assert all(c[2:] == (30.0, 3) for c in calls)
     assert all(abs(m - 74.0) > 0.005 * 74.0 for m in peaks[:-1])
     assert abs(peaks[-1] - 74.0) <= 0.005 * 74.0

@@ -24,10 +24,11 @@ from afclink.spectral import SpectralGrid, tpc_mode_offsets
 
 INH = InhomogeneousProfile()
 CFG = AFCConfig()
+MODES = np.zeros(1)  # a single-mode source plan
 
 
 def test_prepare_single_mode_tooth_count():
-    spec = prepare_afc(INH, CFG)
+    spec = prepare_afc(INH, CFG, MODES)
     f = spec.frequencies()
     d = spec.optical_depth
     in_pit = np.abs(f) <= CFG.pit_halfwidth
@@ -41,9 +42,9 @@ def test_prepare_single_mode_tooth_count():
 
 
 def test_prepare_multiplexed_replicas_are_identical():
-    modes = tuple(tpc_mode_offsets(25, 117.2e6))
-    cfg = AFCConfig(mode_offsets=modes)
-    spec = prepare_afc(INH, cfg)
+    modes = tpc_mode_offsets(25, 117.2e6)
+    cfg = AFCConfig()
+    spec = prepare_afc(INH, cfg, modes)
     f = spec.frequencies()
 
     # 25 disjoint pits, each carrying the same comb pattern; compare
@@ -64,20 +65,14 @@ def test_prepare_multiplexed_replicas_are_identical():
 
 def test_prepare_without_teeth_leaves_flat_background():
     cfg = AFCConfig(tooth_peak_depth=0.0)
-    spec = prepare_afc(INH, cfg)
+    spec = prepare_afc(INH, cfg, MODES)
     f = spec.frequencies()
     in_pit = np.abs(f) <= cfg.pit_halfwidth
     assert np.allclose(spec.optical_depth[in_pit], cfg.background_depth)
 
 
-def test_afc_config_rejects_overlapping_pits():
-    with pytest.raises(ValueError, match="pits overlap"):
-        AFCConfig(mode_offsets=(10e6, 0.0), pit_halfwidth=9e6)
-    assert AFCConfig(mode_offsets=(10e6, 0.0), pit_halfwidth=4.9e6).mode_offsets == (0.0, 10e6)
-
-
 def test_prepared_comb_is_periodic_inside_pit():
-    spec = prepare_afc(INH, CFG)
+    spec = prepare_afc(INH, CFG, MODES)
     f = spec.frequencies()
     sel = np.abs(f) <= 6e6
     d = spec.optical_depth[sel] - np.mean(spec.optical_depth[sel])
@@ -87,7 +82,7 @@ def test_prepared_comb_is_periodic_inside_pit():
 
 
 def test_prepared_mean_depth_matches_analytic():
-    spec = prepare_afc(INH, CFG)
+    spec = prepare_afc(INH, CFG, MODES)
     f = spec.frequencies()
     sel = np.abs(f) <= 7 * CFG.tooth_spacing / 2  # whole periods around center
     measured = np.mean(spec.optical_depth[sel])
@@ -164,12 +159,12 @@ def test_oracle_rejects_coarse_grid():
         afc_efficiency_oracle(flat, 0.0, 1.15e6)
 
 
-SPEC = prepare_afc(INH, CFG)
+SPEC = prepare_afc(INH, CFG, MODES)
 
 
 def _store(offset, rng, t=1.0):
     """Outcome code and exit time of one photon sent into the memory."""
-    kinds = storage_branches(np.array([offset]), CFG, INH, rng)
+    kinds = storage_branches(np.array([offset]), MODES, CFG, INH, rng)
     return int(kinds[0]), float(exit_times(np.array([t]), kinds, CFG, 150e-9)[0])
 
 
@@ -191,7 +186,7 @@ def test_out_of_band_transmits_without_delay():
 def test_echo_probability_matches_formula():
     rng = np.random.default_rng(2)
     n = 100_000
-    kinds = storage_branches(np.zeros(n), CFG, INH, rng)
+    kinds = storage_branches(np.zeros(n), MODES, CFG, INH, rng)
     eta = CFG.echo_efficiency
     p_hat = np.mean(kinds == KIND_ECHO)
     sigma = math.sqrt(eta * (1 - eta) / n)
@@ -217,7 +212,7 @@ def test_on_tooth_chances_sum_to_at_most_one(peak, finesse, background):
 def test_outcome_probabilities_cover_all_events():
     rng = np.random.default_rng(3)
     offsets = rng.uniform(-20e9, 20e9, 20000)
-    kinds = storage_branches(offsets, CFG, INH, rng)
+    kinds = storage_branches(offsets, MODES, CFG, INH, rng)
     assert np.all(np.isin(kinds, [KIND_ECHO, KIND_PROMPT, KIND_OUT_OF_BAND, KIND_LOST]))
     # out of band exactly where beyond the inhomogeneous support
     assert np.array_equal(kinds == KIND_OUT_OF_BAND, np.abs(offsets) > INH.fwhm)
@@ -228,10 +223,10 @@ def test_detuned_photon_cannot_echo():
     # teeth and removes the echo branch entirely
     rng = np.random.default_rng(4)
     detune = 10 * CFG.tooth_spacing / CFG.finesse  # 2.5 tooth spacings
-    kinds = storage_branches(np.full(30000, detune), CFG, INH, rng)
+    kinds = storage_branches(np.full(30000, detune), MODES, CFG, INH, rng)
     assert np.sum(kinds == KIND_ECHO) == 0
     # exactly one tooth spacing away still echoes (the comb is periodic)
-    kinds2 = storage_branches(np.full(30000, CFG.tooth_spacing), CFG, INH, rng)
+    kinds2 = storage_branches(np.full(30000, CFG.tooth_spacing), MODES, CFG, INH, rng)
     assert np.sum(kinds2 == KIND_ECHO) > 0
 
 
@@ -239,14 +234,14 @@ def test_in_band_off_pit_absorption():
     rng = np.random.default_rng(5)
     offset = 3e9  # in band, far from every pit
     n = 50_000
-    kinds = storage_branches(np.full(n, offset), CFG, INH, rng)
+    kinds = storage_branches(np.full(n, offset), MODES, CFG, INH, rng)
     p_pass = math.exp(-float(INH.depth_at(offset)))
     sigma = math.sqrt(p_pass * (1 - p_pass) / n)
     assert np.mean(kinds == KIND_PROMPT) == pytest.approx(p_pass, abs=4 * sigma)
     assert np.sum(kinds == KIND_ECHO) == 0
 
 
-def _storage_branch_per_photon(offsets, cfg, inh, u):
+def _storage_branch_per_photon(offsets, modes, cfg, inh, u):
     """Per-photon reference of ``storage_branches`` given its uniforms, one
     per in-band photon in order."""
     eta = cfg.echo_efficiency
@@ -259,7 +254,7 @@ def _storage_branch_per_photon(offsets, cfg, inh, u):
             out.append(KIND_OUT_OF_BAND)
             continue
         v = next(u)
-        nearest = min(cfg.mode_offsets, key=lambda m: (abs(f - m), -m))  # upper on a tie
+        nearest = min(modes, key=lambda m: (abs(f - m), -m))  # upper on a tie
         d = f - nearest
         if abs(d) <= cfg.pit_halfwidth:
             miss = abs(d - cfg.tooth_spacing * round(d / cfg.tooth_spacing))
@@ -271,8 +266,8 @@ def _storage_branch_per_photon(offsets, cfg, inh, u):
 
 
 def test_storage_branches_match_per_photon_reference():
-    cfg = AFCConfig(mode_offsets=tuple(tpc_mode_offsets(5, 117.2e6)))
-    modes = np.array(cfg.mode_offsets)
+    cfg = AFCConfig()
+    modes = tpc_mode_offsets(5, 117.2e6)
     rng = np.random.default_rng(12)
     k = rng.integers(-8, 9, 4000) * cfg.tooth_spacing
     offsets = np.concatenate([
@@ -284,9 +279,9 @@ def test_storage_branches_match_per_photon_reference():
         [-INH.fwhm, INH.fwhm, np.nextafter(INH.fwhm, np.inf), 3e9, -15e9],
     ], axis=None)
     offsets = rng.permutation(offsets)
-    kinds = storage_branches(offsets, cfg, INH, np.random.default_rng(99))
+    kinds = storage_branches(offsets, modes, cfg, INH, np.random.default_rng(99))
     u = np.random.default_rng(99).random(int(np.sum(np.abs(offsets) <= INH.fwhm)))
-    assert np.array_equal(kinds, _storage_branch_per_photon(offsets, cfg, INH, u))
+    assert np.array_equal(kinds, _storage_branch_per_photon(offsets, modes, cfg, INH, u))
     assert set(np.unique(kinds)) == {KIND_ECHO, KIND_PROMPT, KIND_OUT_OF_BAND, KIND_LOST}
 
 

@@ -87,7 +87,7 @@ def test_gate_thinned_signal_noise_matches_gate_strata(monkeypatch):
 def test_every_stage_draws_from_its_own_stream():
     # two stages that share a stage id would share draws without any error:
     # every _S_* id must be distinct and name the stage of exactly one
-    # _stream or _derived_seed call, and every such call must name one
+    # _stream or _spawn_seed call, and every such call must name one
     tree = ast.parse(Path(pipeline.__file__).read_text(encoding="utf-8"))
     ids = {
         target.id: node.value.value
@@ -97,7 +97,7 @@ def test_every_stage_draws_from_its_own_stream():
     assert len(ids) >= 2 and len(set(ids.values())) == len(ids), ids
     stages = [
         node.args[1] for node in ast.walk(tree)
-        if isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("_stream", "_derived_seed")
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("_stream", "_spawn_seed")
     ]
     assert all(isinstance(s, ast.Name) for s in stages), [ast.dump(s) for s in stages]
     assert sorted(s.id for s in stages) == sorted(ids)
@@ -233,7 +233,7 @@ def test_grouped_far_draws_match_per_photon_draws():
         t, mode_idx = sample_pairs(eng.signal_only, np.stack([steps, steps + lengths[steps]], axis=1), rng)
         off = eng.mode_offsets[mode_idx] + eng.lock_result.residual_at(t)
         mem = cfg.memory
-        kinds = storage_branches(off, mem.afc, mem.inhomogeneous, rng)
+        kinds = storage_branches(off, eng.mode_offsets, mem.afc, mem.inhomogeneous, rng)
         clicks = (kinds != KIND_LOST) & (rng.random(len(kinds)) < cfg.detectors.signal.efficiency)
         per_photon[0] += np.bincount(kinds, minlength=4)
         per_photon[1] += np.bincount(kinds[clicks], minlength=4)

@@ -43,6 +43,7 @@ from afclink.detection import (
     CoincidenceHistogram,
     accumulate_histogram,
     detect,
+    heralds_in_range,
 )
 from afclink.memory import KIND_ECHO, KIND_LOST, KIND_OUT_OF_BAND, KIND_PROMPT, exit_times, storage_branches
 from afclink.source import pair_delays, sample_pairs
@@ -141,7 +142,7 @@ def reference_run(cfg, rng: np.random.Generator) -> tuple[np.ndarray, dict]:
     entry_off = entry_off + pipeline.lock_run(cfg, cfg.duration).residual_at(entry_t)
 
     mem = cfg.memory
-    kinds = storage_branches(entry_off, mem.afc, mem.inhomogeneous, rng)
+    kinds = storage_branches(entry_off, offsets, mem.afc, mem.inhomogeneous, rng)
     exits = exit_times(entry_t, kinds, mem.afc, mem.slow_light_delay)
     stored = kinds[entry_org == ORIGIN_PAIR]
     alive = kinds != KIND_LOST
@@ -153,9 +154,7 @@ def reference_run(cfg, rng: np.random.Generator) -> tuple[np.ndarray, dict]:
 
     hist = CoincidenceHistogram(**asdict(cfg.histogram))
     accumulate_histogram(hist, h_t, s_t)
-    w0, w1 = cfg.shutter.echo_window
-    tau_lo = np.searchsorted(h_t, s_t[s_org == ORIGIN_CONVERSION_NOISE] - w1, side="right")
-    tau_hi = np.searchsorted(h_t, s_t[s_org == ORIGIN_CONVERSION_NOISE] - w0, side="right")
+    _, in_echo = heralds_in_range(h_t, s_t[s_org == ORIGIN_CONVERSION_NOISE], *cfg.shutter.echo_window)
     pair_kind = s_kind[s_org == ORIGIN_PAIR]
     counters = {
         "pairs_generated": len(herald_t),
@@ -169,7 +168,7 @@ def reference_run(cfg, rng: np.random.Generator) -> tuple[np.ndarray, dict]:
         "signal_dark": np.sum(s_org == ORIGIN_DARK_COUNT),
         "detected_echo": np.sum(pair_kind == KIND_ECHO),
         "detected_prompt": np.sum(pair_kind == KIND_PROMPT),
-        "noise_in_echo_window": np.sum(tau_hi - tau_lo),
+        "noise_in_echo_window": np.sum(in_echo),
     }
     return hist.counts, {k: int(v) for k, v in counters.items()}
 
