@@ -82,8 +82,6 @@ class LockSettings:
             raise ValueError("lock mode must be 'ideal' or 'simulated'")
         if self.mode == "ideal" and self.config is not None:
             raise ScenarioError("lock.config", "must be null for an ideal lock, which runs no chain")
-        if self.mode == "simulated" and self.config is None:
-            object.__setattr__(self, "config", LockChainConfig())
         if self.dt <= 0:
             raise ValueError("lock dt must be > 0")
 

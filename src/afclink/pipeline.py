@@ -105,6 +105,20 @@ Randomness is split into one stream per (stage, batch): an SFC64 generator
 seeded from its own ``SeedSequence`` spawn key ``(stage, batch)``.  Toggling
 one stage never perturbs another stage's draws, the order in which the arms
 run does not matter, and batched execution is reproducible event for event.
+
+Memory
+------
+A batch's working set, 1.1-1.6 MB at the shipped points (tracemalloc
+peak), is freed when the batch ends.  glibc's malloc returns the top of its
+heap to the kernel once more than its trim threshold (128 kB at start-up)
+is free there, so each batch would fault the same pages in again, about
+380 minor faults per 6 s batch.  ``run_range`` therefore allocates and
+frees one ``_HEAP_FLOOR_BYTES`` (2 MiB) block before its batches: glibc
+then raises its dynamic mmap threshold to that size and its trim threshold
+to twice it (mallopt(3), ``M_MMAP_THRESHOLD``), so up to 4 MiB of freed
+batch memory stays mapped; a larger working set is trimmed as before.
+Fixing a threshold instead would switch the dynamic adjustment off.  On
+other allocators the block is a plain allocation.
 """
 
 from __future__ import annotations
@@ -127,7 +141,7 @@ from .detection import (
     detect,
     heralds_in_range,
 )
-from .lockchain import LockRunResult, simulate_lock_run
+from .lockchain import LockChainConfig, LockRunResult, simulate_lock_run
 from .memory import (
     KIND_ECHO,
     KIND_LOST,
@@ -149,6 +163,10 @@ _S_SIGNAL_NOISE = 5
 _S_GATE_LEAK = 6  # the one gate test of pair photons and signal-arm noise
 _S_MEMORY = 7
 _S_SIGNAL_DETECT = 8
+
+# freed once before a chunk's batches, it raises glibc's heap-trim floor to
+# twice its size (module docstring, Memory)
+_HEAP_FLOOR_BYTES = 2 << 20
 
 # slots of a chunk's count vector: two blocks indexed by the ORIGIN_* codes,
 # two indexed by the KIND_* codes, then two scalars
@@ -222,11 +240,13 @@ def lock_run(cfg: ScenarioConfig, duration: float) -> LockRunResult:
     """The document's lock realisation over ``duration`` seconds, at its
     ``lock.dt``: the residual every run of ``cfg`` adds to its photons and
     ``afclink lockcheck`` writes.  An ideal lock is a zero residual on the
-    lock grid and runs no chain."""
+    lock grid and runs no chain; a simulated lock with a null chain runs
+    the default ``LockChainConfig()``."""
     lock = cfg.lock
     if lock.mode == "ideal":
         return LockRunResult(lock.dt, np.zeros(round(duration / lock.dt) + 1), {})
-    return simulate_lock_run(lock.config, duration, lock.dt, _spawn_seed(cfg.seed, _S_LOCK, 0))
+    chain = LockChainConfig() if lock.config is None else lock.config
+    return simulate_lock_run(chain, duration, lock.dt, _spawn_seed(cfg.seed, _S_LOCK, 0))
 
 
 class _Engine:
@@ -412,6 +432,7 @@ class _Engine:
         """Histogram counts and count vector of batches ``chunk[0] .. chunk[1] - 1``."""
         hist = CoincidenceHistogram(**asdict(self.cfg.histogram))
         vec = np.zeros(_N_SLOTS, dtype=np.int64)
+        np.empty(_HEAP_FLOOR_BYTES, dtype=np.uint8)  # freed at once: raises the trim floor
         for b in range(*chunk):
             self.run_batch(b, hist, vec)
         return hist.counts, vec

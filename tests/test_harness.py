@@ -94,6 +94,22 @@ def test_document_keys_are_the_dataclass_fields():
         _keys_match_fields(cfg, scenario_to_dict(cfg), name)
 
 
+def test_simulated_lock_with_a_null_chain_keeps_its_null(tmp_path):
+    # a null chain stays null in the loaded object and in its document, and
+    # the run takes the default chain, which every bundled document spells out
+    spelled = scenario_to_dict(load_bundled_scenario("multiplexed_25mode_10km_smoke"))
+    spelled["duration"] = 12.0
+    null = json.loads(json.dumps(spelled))
+    null["lock"]["config"] = None
+    cfg = scenario_from_dict(null)
+    assert cfg.lock.config is None
+    assert scenario_to_dict(cfg)["lock"]["config"] is None
+    for name, doc in (("null", null), ("spelled", spelled)):
+        run_scenario(scenario_from_dict(doc), out_dir=str(tmp_path / name), workers=1)
+    for f in ("lock_telemetry.csv", "histogram.csv"):
+        assert (tmp_path / "null" / f).read_bytes() == (tmp_path / "spelled" / f).read_bytes(), f
+
+
 def test_unknown_key_rejected_with_path():
     d = scenario_to_dict(load_bundled_scenario("multiplexed_25mode_10km"))
     d["shutter"]["extinctoin"] = 0.5

@@ -3,6 +3,10 @@
 import ast
 import functools
 import math
+import os
+import platform
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -255,3 +259,29 @@ def test_grouped_far_draws_match_per_photon_draws():
     z = (a - b) / np.sqrt(a + b)
     assert np.all(np.abs(z) < 4), (grouped, per_photon, z)
 
+
+# one chunk of the smoke document: faults per batch of batches 1-5, after
+# batch 0 has grown the heap to the batch working set
+_BATCH_FAULTS = """
+import resource
+from afclink.config import load_bundled_scenario
+from afclink.pipeline import _Engine
+engine = _Engine(load_bundled_scenario("multiplexed_25mode_10km_smoke"))
+engine.run_range((0, 1))
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+engine.run_range((1, 6))
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 5)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the heap-trim floor is glibc's")
+def test_a_chunk_keeps_its_batch_memory():
+    # without the raised trim floor glibc hands each batch's freed working set
+    # back to the kernel, and the next batch faults it in again (~380 faults);
+    # a fresh interpreter, since an earlier test's large free could have
+    # raised the floor for this process already
+    src = Path(__file__).resolve().parent.parent / "src"
+    pythonpath = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", _BATCH_FAULTS], env={**os.environ, "PYTHONPATH": pythonpath},
+                         capture_output=True, text=True, check=True)
+    assert float(out.stdout) < 20
