@@ -28,8 +28,8 @@ spectrum = prepare_afc(inh, cfg, tpc_mode_offsets(25, 117.2e6))
 path = os.path.join(out_dir, "afc_spectrum.csv")
 with open(path, "w") as fh:
     fh.write(spectrum.to_csv())
-print(f"{spectrum.grid.n_points} spectrum points over "
-      f"[{spectrum.grid.f_min/1e9:.2f}, {spectrum.grid.f_max/1e9:.2f}] GHz -> {path}")
+f = spectrum.frequencies()
+print(f"{len(f)} spectrum points over [{f[0]/1e9:.2f}, {f[-1]/1e9:.2f}] GHz -> {path}")
 print(f"tooth spacing {cfg.tooth_spacing/1e6:.2f} MHz -> storage time {cfg.storage_time*1e9:.2f} ns")
 
 print("\n  d      F    analytic   filter-oracle   ratio")
@@ -51,7 +51,6 @@ try:
     matplotlib.use("Agg")
     import matplotlib.pyplot as plt
 
-    f = spectrum.frequencies()
     fig, (ax1, ax2) = plt.subplots(1, 2, figsize=(10, 4))
     ax1.plot(f / 1e9, spectrum.optical_depth, lw=0.3)
     ax1.set_xlabel("offset from comb reference (GHz)")

@@ -5,7 +5,6 @@ GPS-comb-referenced lock chain, and a herald-synchronized noise shutter."""
 __version__ = "0.1.0"
 
 from .spectral import (  # noqa: F401
-    SpectralGrid,
     eom_sideband_offsets,
     tpc_mode_offsets,
 )

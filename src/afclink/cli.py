@@ -81,7 +81,7 @@ def _cmd_afc_plot(args) -> int:
     csv_text = spectrum.to_csv()
     if args.out:
         write_text(args.out, "afc_spectrum.csv", csv_text)
-        print(json.dumps({"points": spectrum.grid.n_points, "out": os.path.join(args.out, "afc_spectrum.csv")}))
+        print(json.dumps({"points": len(spectrum.optical_depth), "out": os.path.join(args.out, "afc_spectrum.csv")}))
     else:
         print(csv_text, end="")
     return 0

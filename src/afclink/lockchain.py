@@ -125,20 +125,13 @@ class ServoModel:
 
 @dataclass(frozen=True)
 class LaserNetworkState:
-    """Frequency errors of the driven lasers (Hz)."""
+    """Frequency errors of the driven lasers (Hz); a laser that ``errors``
+    does not name is on frequency."""
 
-    errors: Mapping[LaserId, float] = field(
-        default_factory=lambda: {laser: 0.0 for laser in DRIVEN_LASERS}
-    )
-
-    def __post_init__(self):
-        errs = dict(self.errors)
-        for laser in DRIVEN_LASERS:
-            errs.setdefault(laser, 0.0)
-        object.__setattr__(self, "errors", errs)
+    errors: Mapping[LaserId, float] = field(default_factory=dict)
 
     def error(self, laser: LaserId) -> float:
-        return self.errors[laser]
+        return self.errors.get(laser, 0.0)
 
 
 def _residual(rf: RfOffsets, errors):

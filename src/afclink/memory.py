@@ -33,8 +33,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import SpectralGrid
-
 _FOUR_LN2 = 4.0 * math.log(2.0)
 #: integral of a unit-peak Gaussian in units of its FWHM
 _GAUSS_AREA_PER_FWHM = math.sqrt(math.pi / _FOUR_LN2)
@@ -115,29 +113,36 @@ class AFCConfig:
 
 @dataclass(frozen=True)
 class AbsorptionSpectrum:
-    """Optical depth on a uniform frequency grid, and the tooth spacing of its comb."""
+    """Optical depth at the points f_min + step * k, one per depth value,
+    and the tooth spacing of its comb."""
 
-    grid: SpectralGrid
+    f_min: float
+    step: float
     optical_depth: np.ndarray
     tooth_spacing: float
 
     def __post_init__(self):
         depth = np.asarray(self.optical_depth, dtype=np.float64)
-        if depth.shape != (self.grid.n_points,):
-            raise ValueError("optical_depth length must match grid point count")
+        if self.step <= 0:
+            raise ValueError("grid step must be > 0")
         if np.any(depth < 0):
             raise ValueError("optical depth must be nonnegative")
         object.__setattr__(self, "optical_depth", depth)
 
     def frequencies(self) -> np.ndarray:
-        return self.grid.frequencies()
+        return self.f_min + self.step * np.arange(len(self.optical_depth))
 
     def to_csv(self) -> str:
-        n = self.grid.n_points
+        n = len(self.optical_depth)
         flat = [None] * (2 * n)
         flat[0::2] = self.frequencies().tolist()
         flat[1::2] = self.optical_depth.tolist()
         return "offset_hz,optical_depth\n" + ("%.3f,%.9e\n" * n) % tuple(flat)
+
+
+def _grid(lo: float, hi: float, step: float) -> np.ndarray:
+    """The points lo, lo + step, ... up to hi."""
+    return lo + step * np.arange(math.floor((hi - lo) / step) + 1)
 
 
 def _teeth(f: np.ndarray, centers: np.ndarray, fwhm: float) -> np.ndarray:
@@ -162,9 +167,8 @@ def prepare_afc(inh: InhomogeneousProfile, cfg: AFCConfig, modes: np.ndarray) ->
     pit and four tooth spacings beyond, at eight points per tooth FWHM.
     """
     span = cfg.pit_halfwidth + 4 * cfg.tooth_spacing
-    grid = SpectralGrid(modes.min() - span, modes.max() + span, cfg.tooth_spacing / (4.0 * cfg.finesse) / 2.0)
-
-    f = grid.frequencies()
+    step = cfg.tooth_spacing / (4.0 * cfg.finesse) / 2.0
+    f = _grid(modes.min() - span, modes.max() + span, step)
     depth = inh.depth_at(f)
     half = math.floor(cfg.pit_halfwidth / cfg.tooth_spacing)
     offsets = np.arange(-half, half + 1) * cfg.tooth_spacing
@@ -173,7 +177,7 @@ def prepare_afc(inh: InhomogeneousProfile, cfg: AFCConfig, modes: np.ndarray) ->
         teeth = _teeth(f[in_pit], m + offsets, cfg.tooth_fwhm)
         depth[in_pit] = cfg.background_depth + cfg.tooth_peak_depth * teeth
 
-    return AbsorptionSpectrum(grid=grid, optical_depth=depth, tooth_spacing=cfg.tooth_spacing)
+    return AbsorptionSpectrum(f_min=f[0], step=step, optical_depth=depth, tooth_spacing=cfg.tooth_spacing)
 
 
 def afc_efficiency(d: float, F: float, d0: float = 0.0) -> float:
@@ -208,9 +212,9 @@ def comb_spectrum(
     half = (n_teeth - 1) // 2
     span = 2.0 * half * spacing
     step = fwhm / points_per_tooth
-    grid = SpectralGrid(-span, span, step)
-    depth = peak * _teeth(grid.frequencies(), np.arange(-half, half + 1) * spacing, fwhm)
-    return AbsorptionSpectrum(grid=grid, optical_depth=depth, tooth_spacing=spacing)
+    f = _grid(-span, span, step)
+    depth = peak * _teeth(f, np.arange(-half, half + 1) * spacing, fwhm)
+    return AbsorptionSpectrum(f_min=f[0], step=step, optical_depth=depth, tooth_spacing=spacing)
 
 
 def _minimum_phase(attenuation: np.ndarray) -> np.ndarray:
@@ -247,7 +251,7 @@ def afc_efficiency_oracle(spectrum: AbsorptionSpectrum, mode: float, spacing: fl
     """
     if spacing != spectrum.tooth_spacing:
         raise ValueError(f"spacing {spacing} is not the spectrum's tooth spacing {spectrum.tooth_spacing}")
-    if spectrum.grid.step > spacing / 8.0:
+    if spectrum.step > spacing / 8.0:
         raise ValueError("grid too coarse for the echo oracle (need step <= spacing/8)")
     input_fwhm = 6.0 * spacing
 
@@ -270,7 +274,7 @@ def afc_efficiency_oracle(spectrum: AbsorptionSpectrum, mode: float, spacing: fl
     e_in = np.fft.ifft(pulse)
     e_out = np.fft.ifft(pulse * transfer)
 
-    dt = 1.0 / (n * spectrum.grid.step)
+    dt = 1.0 / (n * spectrum.step)
     t = dt * np.arange(n)  # causal times; the echo sits at +1/spacing
     t_echo = 1.0 / spacing
     window = (t >= t_echo - 0.25 / spacing) & (t <= t_echo + 0.25 / spacing)

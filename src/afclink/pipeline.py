@@ -467,13 +467,6 @@ def _effective_workers(workers: int | None, n_batches: int) -> int:
     return max(1, min(workers, n_batches))
 
 
-_FORK_ENGINE: "_Engine | None" = None
-
-
-def _run_chunk(chunk: tuple[int, int]):
-    return _FORK_ENGINE.run_range(chunk)
-
-
 def _map_chunks(engine: _Engine, chunks: list[tuple[int, int]]) -> list:
     """``engine.run_range`` over the chunks: in this process for one chunk,
     else on a fork pool with one worker per chunk."""
@@ -481,13 +474,8 @@ def _map_chunks(engine: _Engine, chunks: list[tuple[int, int]]) -> list:
         return list(map(engine.run_range, chunks))
     import multiprocessing
 
-    global _FORK_ENGINE
-    _FORK_ENGINE = engine
-    try:
-        with multiprocessing.get_context("fork").Pool(len(chunks)) as pool:
-            return pool.map(_run_chunk, chunks)
-    finally:
-        _FORK_ENGINE = None
+    with multiprocessing.get_context("fork").Pool(len(chunks)) as pool:
+        return pool.map(engine.run_range, chunks)
 
 
 def run_raw(cfg: ScenarioConfig, workers: int | None = None) -> RawRunResult:

@@ -1,4 +1,4 @@
-"""Frequency and spectrum primitives shared by every other module.
+"""Mode plans: the frequency offsets of the source comb and of the EOM sidebands.
 
 Conventions
 -----------
@@ -11,41 +11,15 @@ Conventions
   than ``MERGE_TOL_HZ`` (all plan frequencies are specified to 0.1 MHz, so
   1 Hz is far below any physical distinction in the model).
 
-All types are immutable values and all functions are pure; everything here
-is safe to share across threads.
+All functions are pure; everything here is safe to share across threads.
 """
 
 from __future__ import annotations
-
-import math
-from dataclasses import dataclass
 
 import numpy as np
 
 #: Absolute tolerance (Hz) for treating two frequency offsets as equal.
 MERGE_TOL_HZ = 1.0
-
-
-@dataclass(frozen=True)
-class SpectralGrid:
-    """Uniform frequency grid: points f_min, f_min+step, ... up to f_max."""
-
-    f_min: float
-    f_max: float
-    step: float
-
-    def __post_init__(self):
-        if self.step <= 0:
-            raise ValueError("grid step must be > 0")
-        if not self.f_min < self.f_max:
-            raise ValueError("grid requires f_min < f_max")
-
-    @property
-    def n_points(self) -> int:
-        return int(math.floor((self.f_max - self.f_min) / self.step)) + 1
-
-    def frequencies(self) -> np.ndarray:
-        return self.f_min + self.step * np.arange(self.n_points)
 
 
 def tpc_mode_offsets(n_modes: int, fsr: float) -> np.ndarray:

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +36,6 @@ from afclink.lockchain import LockRunResult, RfOffsets
 from afclink.memory import AbsorptionSpectrum
 from afclink.reporting import RunReport, analyze, run_scenario
 from afclink.source import SourceConfig
-from afclink.spectral import SpectralGrid
 
 
 def small_cfg(duration=60.0, rate=500.0, seed=777, **kw):
@@ -550,8 +550,7 @@ def test_csv_writers_match_per_row_format():
         )
     # negative offsets that no decimal writes exactly, a zero depth, a depth
     # near the bottom of the float range and whole and repeating ones
-    grid = SpectralGrid(-2.5e6 - 1 / 3, 2.5e6, 1.25e6)
-    spectrum = AbsorptionSpectrum(grid, np.array([0.0, 1e-300, 5.0, 1 / 3, 0.0]), 1e6)
+    spectrum = AbsorptionSpectrum(-2.5e6 - 1 / 3, 1.25e6, np.array([0.0, 1e-300, 5.0, 1 / 3, 0.0]), 1e6)
     assert spectrum.to_csv() == "offset_hz,optical_depth\n" + "".join(
         f"{f:.3f},{d:.9e}\n" for f, d in zip(spectrum.frequencies(), spectrum.optical_depth)
     )
@@ -872,6 +871,22 @@ def test_cli_afc_plot(tmp_path, capsys):
     assert text.startswith("offset_hz,optical_depth\n")
 
 
+# SHA-256 of ``afc-plot``'s spectrum for a comb of 25, 5 and 1 pits: a change
+# to how the spectrum lays out its grid or writes its rows must move no byte
+_AFC_PLOT_HASHES = {
+    "multiplexed_25mode_10km": "b050860ea6a42351e4e8ee3854965189790db8aabc53bbf13e5dc4df18fa5ff2",
+    "multiplexed_5mode_5m": "d7cfd7708e92ceec89ca0cf36e24da483fbcdd8a416178cfb1a67c5b2d48ed10",
+    "single_mode_5m": "cd09781d1d08eddb8644d7c3e70d045a0feb9124359d9fa9f3a077bca309d9e9",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_AFC_PLOT_HASHES))
+def test_afc_plot_is_pinned(tmp_path, capsys, name):
+    assert cli_main(["afc-plot", "--config", name, "--out", str(tmp_path)]) == 0
+    got = hashlib.sha256((tmp_path / "afc_spectrum.csv").read_bytes()).hexdigest()
+    assert got == _AFC_PLOT_HASHES[name]
+
+
 @pytest.mark.parametrize("argv", [["lockcheck", "--hours", "1"], ["afc-plot"]], ids=["lockcheck", "afc-plot"])
 def test_cli_workers_only_where_the_engine_runs(argv):
     # neither subcommand runs the engine, so neither takes --workers
@@ -937,6 +952,30 @@ def test_every_export_is_used_outside_tests():
                 names.discard(top.name)
             used |= names
     assert sorted(public - used) == []
+
+
+def test_every_public_member_is_used_outside_tests():
+    # the same rule for each public method and property of a public class:
+    # some file ``_package_and_users`` counts reads an attribute of its name
+    # outside the member's own definition
+    modules, users = _package_and_users()
+    public = set()
+    for path in modules:
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(top, ast.ClassDef) and not top.name.startswith("_"):
+                public |= {
+                    f"{top.name}.{fn.name}"
+                    for fn in top.body
+                    if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_")
+                }
+    reads = Counter()
+    for path in users:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        reads.update(n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute))
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef):
+                reads.subtract(n.attr for n in ast.walk(fn) if isinstance(n, ast.Attribute) and n.attr == fn.name)
+    assert sorted(m for m in public if reads[m.split(".")[1]] <= 0) == []
 
 
 # ``main(argv)`` is the one defaulted parameter that only tests pass: the

@@ -20,7 +20,7 @@ from afclink.memory import (
     KIND_OUT_OF_BAND,
     KIND_PROMPT,
 )
-from afclink.spectral import SpectralGrid, tpc_mode_offsets
+from afclink.spectral import tpc_mode_offsets
 
 INH = InhomogeneousProfile()
 CFG = AFCConfig()
@@ -38,7 +38,23 @@ def test_prepare_single_mode_tooth_count():
     peaks, _ = find_peaks(d * in_pit, height=CFG.tooth_peak_depth * 0.5)
     assert len(peaks) == 15
     centers = f[peaks]
-    assert np.allclose(np.diff(centers), CFG.tooth_spacing, atol=2 * spec.grid.step)
+    assert np.allclose(np.diff(centers), CFG.tooth_spacing, atol=2 * spec.step)
+
+
+def test_spectrum_points_cover_the_requested_span():
+    # each builder asks for a span: the first point is its low end, the step
+    # is uniform and the last point lies within one step of its high end
+    modes = tpc_mode_offsets(25, 117.2e6)
+    pit = CFG.pit_halfwidth + 4 * CFG.tooth_spacing
+    teeth = 2 * 30 * 1.15e6  # comb_spectrum's 61 teeth, twice their extent
+    for spec, lo, hi in [
+        (prepare_afc(INH, CFG, modes), modes[0] - pit, modes[-1] + pit),
+        (comb_spectrum(2.0, 4.0), -teeth, teeth),
+    ]:
+        f = spec.frequencies()
+        assert f[0] == lo
+        assert np.allclose(np.diff(f), spec.step, rtol=1e-9, atol=0)
+        assert hi - spec.step < f[-1] <= hi
 
 
 def test_prepare_multiplexed_replicas_are_identical():
@@ -76,7 +92,7 @@ def test_prepared_comb_is_periodic_inside_pit():
     f = spec.frequencies()
     sel = np.abs(f) <= 6e6
     d = spec.optical_depth[sel] - np.mean(spec.optical_depth[sel])
-    lag = int(round(CFG.tooth_spacing / spec.grid.step))
+    lag = int(round(CFG.tooth_spacing / spec.step))
     ac = np.correlate(d, d, mode="full")[len(d) - 1 :]
     assert ac[lag] > 0.9 * ac[0]
 
@@ -117,8 +133,7 @@ def test_efficiency_monotone_rise_then_fall():
 
 
 def test_oracle_flat_spectrum_has_no_echo():
-    g = SpectralGrid(-30e6, 30e6, 1.15e6 / 64)
-    flat = AbsorptionSpectrum(g, np.zeros(g.n_points), 1.15e6)
+    flat = AbsorptionSpectrum(-30e6, 1.15e6 / 64, np.zeros(3340), 1.15e6)
     assert afc_efficiency_oracle(flat, 0.0, 1.15e6) < 1e-6
 
 
@@ -153,8 +168,7 @@ def test_oracle_rejects_another_spacing():
 
 
 def test_oracle_rejects_coarse_grid():
-    g = SpectralGrid(-30e6, 30e6, 1e6)
-    flat = AbsorptionSpectrum(g, np.zeros(g.n_points), 1.15e6)
+    flat = AbsorptionSpectrum(-30e6, 1e6, np.zeros(61), 1.15e6)
     with pytest.raises(ValueError):
         afc_efficiency_oracle(flat, 0.0, 1.15e6)
 
@@ -296,4 +310,4 @@ def test_spectrum_csv_format():
     text = SPEC.to_csv()
     lines = text.strip().split("\n")
     assert lines[0] == "offset_hz,optical_depth"
-    assert len(lines) == SPEC.grid.n_points + 1
+    assert len(lines) == len(SPEC.optical_depth) + 1

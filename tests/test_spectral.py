@@ -4,18 +4,10 @@ import numpy as np
 import pytest
 
 from afclink.spectral import (
-    SpectralGrid,
     eom_sideband_offsets,
     merge_offsets,
     tpc_mode_offsets,
 )
-
-
-def test_spectral_grid_points():
-    g = SpectralGrid(-1e6, 1e6, 1e3)
-    assert g.n_points == 2001
-    f = g.frequencies()
-    assert f[0] == -1e6 and f[-1] == pytest.approx(1e6)
 
 
 def test_tpc_single_mode():
