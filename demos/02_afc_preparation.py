@@ -18,7 +18,7 @@ from afclink.memory import (
     comb_spectrum,
     prepare_afc,
 )
-from afclink.spectral import tpc_mode_offsets
+from afclink.source import tpc_mode_offsets
 
 out_dir = os.path.dirname(os.path.abspath(__file__))
 

@@ -4,10 +4,6 @@ GPS-comb-referenced lock chain, and a herald-synchronized noise shutter."""
 
 __version__ = "0.1.0"
 
-from .spectral import (  # noqa: F401
-    eom_sideband_offsets,
-    tpc_mode_offsets,
-)
 from .lockchain import (  # noqa: F401
     DriftModel,
     LaserId,
@@ -18,7 +14,7 @@ from .lockchain import (  # noqa: F401
     matching_residual,
     simulate_lock_run,
 )
-from .source import SourceConfig, pair_delays, sample_pairs  # noqa: F401
+from .source import SourceConfig, pair_delays, sample_pairs, tpc_mode_offsets  # noqa: F401
 from .channel import (  # noqa: F401
     ConverterConfig,
     FiberLink,
@@ -33,6 +29,7 @@ from .memory import (  # noqa: F401
     afc_efficiency,
     afc_efficiency_oracle,
     comb_spectrum,
+    eom_sideband_offsets,
     exit_times,
     prepare_afc,
     storage_branches,

@@ -107,12 +107,15 @@ def sweep(
     a document, all before the first run, so an unknown path or a refused
     value raises ``ScenarioError`` naming the field without running anything.
     Each run uses a seed spawned from (scenario seed, value index), so
-    toggling a value does not perturb the others.  Sweeping
+    toggling a value does not perturb the others; ``seed`` itself is refused,
+    since a swept seed would be replaced by the spawned one.  Sweeping
     ``source.n_modes`` reconfigures the whole multiplexing plan with uniform
     mode weights and scales the pair rate proportionally (constant rate per
     mode), mirroring how a multiplexed source is pumped harder as modes are
     added.
     """
+    if parameter_path == "seed":
+        raise ScenarioError("seed", "each run's seed is spawned from the scenario seed")
     *parents, key = parameter_path.split(".")
     rescale = parameter_path == "source.n_modes"
     run_cfgs = []

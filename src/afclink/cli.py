@@ -61,6 +61,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_lockcheck(args) -> int:
+    if not args.hours > 0:
+        raise ScenarioError("--hours", "must be > 0")
     cfg = _load_config(args.config)
     lock = cfg.lock
     if lock.mode == "ideal":

@@ -37,6 +37,9 @@ _FOUR_LN2 = 4.0 * math.log(2.0)
 #: integral of a unit-peak Gaussian in units of its FWHM
 _GAUSS_AREA_PER_FWHM = math.sqrt(math.pi / _FOUR_LN2)
 
+#: offsets closer than this (Hz) are one frequency; plans are set to 0.1 MHz
+_MERGE_TOL_HZ = 1.0
+
 KIND_ECHO = 0
 KIND_PROMPT = 1
 KIND_OUT_OF_BAND = 2
@@ -178,6 +181,22 @@ def prepare_afc(inh: InhomogeneousProfile, cfg: AFCConfig, modes: np.ndarray) ->
         depth[in_pit] = cfg.background_depth + cfg.tooth_peak_depth * teeth
 
     return AbsorptionSpectrum(f_min=f[0], step=step, optical_depth=depth, tooth_spacing=cfg.tooth_spacing)
+
+
+def eom_sideband_offsets(f1: float, f2: float, max_order: int) -> np.ndarray:
+    """Offsets (Hz) reachable with two phase modulators driven at f1 and f2:
+    {i*f1 + j*f2 : |i|,|j| <= max_order}, sorted ascending, where an offset
+    less than ``_MERGE_TOL_HZ`` above the one below merges into it.  With f1
+    the source free spectral range, f2 = 5*f1 and max_order 2, the 25
+    combinations cover k*f1 for k = -12..12 exactly once: the layout of the
+    25 memory comb copies."""
+    if f1 <= 0 or f2 <= 0:
+        raise ValueError("modulation frequencies must be > 0")
+    if max_order < 0:
+        raise ValueError("max_order must be >= 0")
+    orders = np.arange(-max_order, max_order + 1, dtype=np.float64)
+    values = np.sort((orders[:, None] * f1 + orders[None, :] * f2).ravel())
+    return values[np.diff(values, prepend=-np.inf) >= _MERGE_TOL_HZ]
 
 
 def afc_efficiency(d: float, F: float, d0: float = 0.0) -> float:

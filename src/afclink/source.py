@@ -22,7 +22,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import intervals as iv
-from .spectral import tpc_mode_offsets
 
 
 @dataclass(frozen=True)
@@ -87,6 +86,21 @@ class SourceConfig:
         return dataclasses.replace(
             self, total_pair_rate=self.total_pair_rate * total, mode_weights=tuple(w / total)
         )
+
+
+def tpc_mode_offsets(n_modes: int, fsr: float) -> np.ndarray:
+    """Offsets (Hz, from the memory's comb reference) of the active source
+    comb modes, k*fsr for k symmetric around 0, sorted ascending; ``n_modes``
+    must be odd.  Offsets rather than optical frequencies (~490 THz) keep the
+    arithmetic in the MHz-GHz range, where floats are exact well below 1 Hz."""
+    if n_modes < 1:
+        raise ValueError("n_modes must be >= 1")
+    if n_modes % 2 == 0:
+        raise ValueError("n_modes must be odd: modes are placed symmetrically around mode 0")
+    if fsr <= 0:
+        raise ValueError("fsr must be > 0")
+    half = (n_modes - 1) // 2
+    return fsr * np.arange(-half, half + 1, dtype=np.float64)
 
 
 def sample_pairs(

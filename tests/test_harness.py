@@ -629,6 +629,15 @@ def test_sweep_decodes_every_value_before_the_first_run(monkeypatch):
     assert err.value.field == "link"
 
 
+def test_sweep_refuses_the_seed(monkeypatch):
+    # each run's seed is spawned from the scenario seed, so a swept one would
+    # label a row with a seed the row never ran at
+    _refuse_runs(monkeypatch)
+    with pytest.raises(ScenarioError) as err:
+        sweep(small_cfg(), "seed", [1, 2])
+    assert err.value.field == "seed"
+
+
 def test_sweep_rows_and_csv():
     cfg = small_cfg(duration=30.0, rate=2000.0)
     rows = sweep(cfg, "converter.pump_power", [70.0, 140.0], workers=2)
@@ -808,8 +817,12 @@ _SWEEP = ["sweep", "--config", "multiplexed_25mode_10km_smoke", "--param"]
     (_SWEEP + ["source.n_modes", "--values", "1,4"], "source.n_modes"),
     (_SWEEP + ["link.loss", "--values", "0.2,x"], "--values"),
     (_SWEEP + ["memory.afc.tooth_spacing", "--values", "1.15e6,2e6"], "histogram.signal_window"),
+    (_SWEEP + ["seed", "--values", "1,2"], "seed"),
+    (["lockcheck", "--config", "lock_12h", "--hours", "0"], "--hours"),
+    (["lockcheck", "--config", "lock_12h", "--hours", "-1"], "--hours"),
 ], ids=["source_not_an_object", "negative_seed", "unknown_sweep_path", "refused_sweep_value",
-        "fractional_mode_count", "even_mode_count", "unparsed_sweep_values", "echo_off_the_window"])
+        "fractional_mode_count", "even_mode_count", "unparsed_sweep_values", "echo_off_the_window",
+        "swept_seed", "zero_lock_hours", "negative_lock_hours"])
 def test_cli_config_error_names_field(tmp_path, capsys, monkeypatch, argv, field):
     _refuse_runs(monkeypatch)
     bad = tmp_path / "bad.json"

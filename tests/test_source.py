@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from afclink import intervals as iv
-from afclink.source import SourceConfig, _invert_cdf, pair_delays, sample_pairs
+from afclink.source import SourceConfig, _invert_cdf, pair_delays, sample_pairs, tpc_mode_offsets
 
 
 def _span(t0, t1):
@@ -150,3 +150,33 @@ def test_config_validation():
         SourceConfig(total_pair_rate=1.0, n_modes=2, mode_weights=(0.5, 0.4))
     with pytest.raises(ValueError):
         SourceConfig(total_pair_rate=1.0, linewidth=0.0)
+
+
+# -- the comb's mode plan ------------------------------------------------------
+
+def test_tpc_single_mode():
+    assert list(tpc_mode_offsets(1, 117.2e6)) == [0.0]
+
+
+def test_tpc_25_modes_span():
+    offs = tpc_mode_offsets(25, 117.2e6)
+    assert len(offs) == 25
+    assert offs[0] == pytest.approx(-1406.4e6)
+    assert offs[-1] == pytest.approx(1406.4e6)
+    assert np.allclose(np.diff(offs), 117.2e6)
+
+
+def test_tpc_five_modes():
+    offs = tpc_mode_offsets(5, 117.2e6)
+    assert np.allclose(offs, [-234.4e6, -117.2e6, 0.0, 117.2e6, 234.4e6])
+
+
+def test_tpc_even_mode_count_rejected():
+    with pytest.raises(ValueError):
+        tpc_mode_offsets(4, 117.2e6)
+
+
+@pytest.mark.parametrize("n_modes, fsr, message", [(0, 117.2e6, "n_modes"), (25, 0.0, "fsr")])
+def test_tpc_refuses_empty_plan_and_zero_fsr(n_modes, fsr, message):
+    with pytest.raises(ValueError, match=message):
+        tpc_mode_offsets(n_modes, fsr)
