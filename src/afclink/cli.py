@@ -90,6 +90,8 @@ def _cmd_afc_plot(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
+    if args.calibration_duration is not None and not args.calibration_duration > 0:
+        raise ScenarioError("--calibration-duration", "must be > 0")
     cfg = _load_config(args.config)
     calibrated = calibrate_rate(
         cfg,
@@ -144,6 +146,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "workers", None) is not None and args.workers < 1:
+            raise ScenarioError("--workers", "must be >= 1")
         return args.func(args)
     except ScenarioError as exc:
         print(json.dumps({"error": {"kind": "config", "field": exc.field, "message": str(exc)}}))

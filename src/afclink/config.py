@@ -31,7 +31,7 @@ from .source import SourceConfig
 
 
 _REACH_SIGMAS = 8  # jitter sigmas of margin on both sides of the signal reach
-_MAX_RATE_DEAD_TIME = 1e-2  # largest signal click rate x dead time the reach covers
+_MAX_RATE_DEAD_TIME = 1e-2  # largest click rate x dead time of either detector
 
 
 class ScenarioError(ValueError):
@@ -114,20 +114,22 @@ class ScenarioConfig:
         if len(modes) > 1 and np.diff(modes).min() <= 2 * self.memory.afc.pit_halfwidth:
             raise ScenarioError("memory.afc.pit_halfwidth",
                                 "adjacent mode pits overlap; reduce pit_halfwidth or respace modes")
-        # the signal reach covers one dead time of shadowing; chains of
-        # dead times are second order in click rate x dead time (Mueller,
+        # the signal reach covers one dead time of shadowing, and the sparse
+        # herald stream one herald dead time around each drawn herald; chains
+        # of dead times are second order in click rate x dead time (Mueller,
         # Nucl. Instrum. Methods 112, 1973, 47), so that product must stay
-        # small at the signal detector's highest click rate
-        det = self.detectors.signal
-        r_max = det.efficiency * (
-            self.converter.arm_noise_rate + self.source.total_pair_rate * self.signal_survival.max()
-        ) + det.dark_rate
-        if r_max * det.dead_time > _MAX_RATE_DEAD_TIME:
-            raise ScenarioError(
-                "detectors.signal.dead_time",
-                f"highest click rate {r_max:.4g}/s x dead time is {r_max * det.dead_time:.3g}, "
-                f"above {_MAX_RATE_DEAD_TIME:g}",
-            )
+        # small at each detector's highest click rate
+        for name in ("signal", "herald"):
+            det = getattr(self.detectors, name)
+            r_max = det.efficiency * (
+                self.converter.arm_noise_rate + self.source.total_pair_rate * self.signal_survival.max()
+            ) + det.dark_rate
+            if r_max * det.dead_time > _MAX_RATE_DEAD_TIME:
+                raise ScenarioError(
+                    f"detectors.{name}.dead_time",
+                    f"highest click rate {r_max:.4g}/s x dead time is {r_max * det.dead_time:.3g}, "
+                    f"above {_MAX_RATE_DEAD_TIME:g}",
+                )
         # the echo must land where the histogram counts it and the gate holds
         echo = self.memory.echo_delay
         for path, (a, b) in (("histogram.signal_window", self.histogram.signal_window),

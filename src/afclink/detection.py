@@ -1,7 +1,7 @@
 """Single-photon detection and start-stop coincidence analysis.
 
-Detection applies Gaussian timing jitter, Poisson dark counts, and a
-non-paralyzable dead time (a click within the dead time of the previous
+Detection applies Gaussian timing jitter, Poisson dark counts (drawn by
+the caller), and a non-paralyzable dead time (a click within the dead time of the previous
 *registered* click is discarded) to photons the caller has already thinned
 by the detector efficiency.
 
@@ -84,24 +84,26 @@ def dead_time_filter(times: np.ndarray, dead_time: float) -> np.ndarray:
 def detect(
     times: np.ndarray,
     spd: SPDConfig,
-    windows: np.ndarray,
+    darks: np.ndarray,
     rng: np.random.Generator,
     *cols: np.ndarray,
     noise: np.ndarray = np.empty(0),
 ) -> tuple[np.ndarray, ...]:
-    """Detection records of one detector whose dark counts fall on the
-    interval set ``windows``, for photons at ``times`` that are already
-    thinned by ``spd.efficiency`` (each arm draws that thinning itself).
+    """Detection records of one detector for photons at ``times`` that are
+    already thinned by ``spd.efficiency`` (each arm draws that thinning
+    itself), together with its dark counts ``darks``, drawn by the caller
+    at ``spd.dark_rate`` on the transmission windows (the engine draws them
+    early, before the photons they join exist).
 
-    Draw order is fixed (jitter, dark counts), then the stream is
-    time-sorted and dead-time filtered.  The companion columns
-    ``cols`` stay aligned with the times; dark counts get ORIGIN_DARK_COUNT
-    in the first column (which must be the origin column) and NO_OUTCOME in
-    the others.  Returns ``(times, *cols)``, sorted by time.
+    The photons take the jitter, the one draw, then the stream is
+    time-sorted and dead-time filtered.  The companion columns ``cols`` stay
+    aligned with the times; dark counts get ORIGIN_DARK_COUNT in the first
+    column (which must be the origin column) and NO_OUTCOME in the others.
+    Returns ``(times, *cols)``, sorted by time.
 
     ``noise`` is an optional run of converter-noise clicks that are already
-    thinned and take no jitter.  The herald arm passes its noise this way: a
-    jittered Poisson process on the windows is again Poisson, with the
+    thinned and take no jitter.  The herald arm passes its N0 noise this
+    way: a jittered Poisson process on the windows is again Poisson, with the
     window indicator convolved with the jitter kernel (displacement
     theorem), so skipping the jitter changes only the clicks within a few
     jitter widths of a window edge, about 1e-10 of them at the flagship
@@ -113,7 +115,6 @@ def detect(
     t = times
     if spd.jitter_fwhm > 0:
         t = t + spd.jitter_sigma * rng.standard_normal(len(t))
-    darks = iv.sample_poisson(windows, spd.dark_rate, rng)
     origin = np.repeat([ORIGIN_DARK_COUNT, ORIGIN_CONVERSION_NOISE], [len(darks), len(noise)])
     t = np.concatenate([t, darks, noise])
     cols = [

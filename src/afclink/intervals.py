@@ -3,8 +3,9 @@
 An interval set is an (n, 2) float array of [start, end) rows of positive
 length, sorted by start and non-overlapping.  ``as_interval_set`` builds one
 from rows at two constant offsets from a sorted stream (the closures of
-``channel.as_closures`` and the engine's herald reach), whose starts and
-ends are non-decreasing.  Used by the shutter gate (transmission windows
+``channel.as_closures``), whose starts and ends are non-decreasing;
+``length_below`` measures such a union of rows of one width without
+building it (the engine's set U of the sparse herald stream).  Used by the shutter gate (transmission windows
 and herald-commanded closures), by the Poisson samplers of the pairs, the
 noise and the dark counts, and by the histogram's coincidence pairing.
 """
@@ -40,15 +41,19 @@ def total_length(intervals: np.ndarray) -> float:
     return float(np.sum(intervals[:, 1] - intervals[:, 0]))
 
 
-def length_below(intervals: np.ndarray, cum: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """The set's length below each time ``t``, from its cumulative length
-    ``cum`` (``sample_poisson`` fills it): the rows that start at or before
-    t, less the part past t of the last."""
-    if len(intervals) == 0:
+def length_below(centres: np.ndarray, half: float, t: np.ndarray) -> np.ndarray:
+    """The length below each time ``t`` of the union of the rows
+    [c - half, c + half) around the sorted ``centres``: from the first row's
+    start to t, or to the end of the last row that starts before t, less the
+    gaps between the rows up to that one.  Rows of one width need no merge:
+    sorted starts make their ends sorted too."""
+    t = np.asarray(t, dtype=np.float64)
+    if len(centres) == 0:
         return np.zeros(t.shape)
-    i = np.searchsorted(intervals[:, 0], t, side="right")
-    past = np.maximum(intervals[np.maximum(i - 1, 0), 1] - t, 0.0)
-    return cum[i] - np.where(i > 0, past, 0.0)
+    gaps = np.diff(centres, prepend=centres[0]) - 2.0 * half
+    gaps = np.cumsum(np.maximum(gaps, 0.0, out=gaps), out=gaps)
+    i = np.searchsorted(centres, t + half) - 1
+    return np.where(i < 0, 0.0, np.minimum(t, centres[i] + half) - (centres[0] - half) - gaps[i])
 
 
 def complement(intervals: np.ndarray, span: tuple[float, float]) -> np.ndarray:
@@ -97,9 +102,7 @@ def contains(intervals: np.ndarray, t: np.ndarray) -> np.ndarray:
     return (np.searchsorted(edges, t, side="right") & 1).astype(bool)
 
 
-def sample_poisson(
-    intervals: np.ndarray, rate: float, rng: np.random.Generator, cum: np.ndarray | None = None
-) -> np.ndarray:
+def sample_poisson(intervals: np.ndarray, rate: float, rng: np.random.Generator) -> np.ndarray:
     """Sorted Poisson points of the given rate restricted to the interval set.
 
     The points come out sorted in O(n): the partial sums of n + 1
@@ -109,11 +112,9 @@ def sample_poisson(
     also takes a u rounded past the end).  Both sequences being sorted, the
     shorter one is searched in the longer: a few windows holding many points
     are filled by counting the points per row, while one search per point
-    serves the many short rows of a herald-relative set.  ``cum``, when
-    given (n + 1 entries), receives cum[k], the length of rows 0 .. k - 1.
+    serves many short rows.
     """
-    if cum is None:
-        cum = np.empty(len(intervals) + 1)
+    cum = np.empty(len(intervals) + 1)
     cum[0] = 0.0
     np.cumsum(intervals[:, 1] - intervals[:, 0], out=cum[1:])
     L = cum[-1]

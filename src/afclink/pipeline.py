@@ -26,28 +26,57 @@ batch.
 A long run at realistic rates also carries ~1e9 converter-noise photons;
 almost none of them can ever enter the histogram, which only pairs signal
 detections with heralds inside the configured delay range.  The engine
-therefore materializes noise exactly where it can matter:
+therefore materializes noise exactly where it can matter.
 
-- herald-arm noise is generated directly at its detected rate (thinning a
-  Poisson stream is exact), sorted as ``sample_poisson`` returns it and
-  without timing jitter.  Jitter is an i.i.d. displacement, and a displaced
-  Poisson process is again Poisson, with the window indicator convolved with
-  the jitter kernel (displacement theorem; Kingman, *Poisson Processes*,
-  1993, sec. 5.5).  That differs from the undisplaced process only within a
-  few jitter widths (sigma = 42 ps at 100 ps FWHM) of a window edge.  Jitter
-  carries rate * sigma / sqrt(2 pi) points across each edge on average;
-  with about 20 edges per 6 s batch against 3 s of windows that is a
-  relative effect near 20 * 0.4 * 42 ps / 3 s = 1e-10.  ``detect``
-  therefore jitters only the pair heralds, appends the darks and the noise
-  run to them and sorts the stream once.  The draws on the
-  herald-detection stream are, in order, pair jitter, darks.
-  Signal-arm noise keeps its jitter: there the intensity has edges every
-  microsecond (the reach and the gate), aligned with the histogram's.
-- signal-arm noise is generated at full rate on the reach ``windows ∩ rel``,
-  the transmission windows restricted to ``ScenarioConfig.signal_reach``
-  around each herald, and joins the pair photons in one gate test (pass
-  where the gate is open, else with probability ``extinction``).
+The reach
+---------
+Signal-arm noise is drawn on the reach: the windows within
+``ScenarioConfig.signal_reach`` = [lo, hi) of each detected herald, about
+2.7 us.  Each detected herald h carries its own Poisson draw PP_h on
+[h + lo, h + hi) at the reach rate lambda_x (the arm's noise plus the
+signal-only pairs), and ``reach_points`` keeps each point x inside the
+windows with chance 1/k(x), k(x) the detected heralds whose reach holds x:
+exactly a Poisson process at lambda_x on the union of the reaches
+(superposition, then independent thinning; Kingman, *Poisson Processes*,
+1993, sec. 2.2 and 5.1).  The points join the pair photons in one gate test
+(pass where the gate is open, else with probability ``extinction``) and
+keep their jitter at the signal detector, where the intensity has edges
+every microsecond (the reach and the gate), aligned with the histogram's.
 
+The sparse herald stream
+------------------------
+Herald-arm noise arrives at its detected rate lambda (thinning by the
+detector efficiency is exact).  At the flagship it is 98 % of the heralds,
+and lambda_x (hi - lo) = 0.054, so 95 % of the noise heralds' own draws are
+empty.  Marked by whether its PP_h, taken on the whole reach, holds a
+point, the noise splits into independent Poisson processes N1, at
+lambda (1 - e^-lambda_x (hi - lo)), and N0 (Kingman 1993, sec. 5.1).
+``herald_arm`` draws the pair heralds, the darks and N1 in full, and N0
+only on the set U where an N0 herald can meet something drawn:
+
+- a dead time and a reach around each drawn herald, and for a pair herald
+  its signal photon's inverse reach, within the delay margin;
+- the inverse reach [x - hi, x - lo] of each P2 photon (below);
+- the inverse histogram range of each signal dark, so the signal darks are
+  drawn ahead of the memory, first on the signal-detection stream.
+
+U is a union of rows of one width (``intervals.length_below`` measures it),
+and N0 is independent of everything that decides U, so drawing it on U
+alone is exact: one draw on every row, each point kept with chance
+1/(the rows that hold it).  ``reach_points`` then draws PP_h: Poisson for a
+pair herald or a dark, Poisson given that it holds a point for N1 (a first
+point at a truncated exponential offset, Poisson after it), and empty for
+N0.  A herald lost to dead time has no reach, and its PP_h is dropped.  The
+pair heralds and N1 take the jitter in ``detect``; the darks and N0 enter
+unjittered.  A jittered Poisson process is again Poisson, with the window
+indicator convolved with the jitter kernel (displacement theorem; Kingman
+1993, sec. 5.5): with about 20 window edges per 6 s batch against 3 s of
+windows, rate * sigma / sqrt(2 pi) points crossing each edge are a
+relative effect near 20 * 0.4 * 42 ps / 3 s = 1e-10.  A flagship batch
+draws about 2.3 k heralds instead of 30 k.
+
+The signal-only pairs
+---------------------
 The signal-only pairs (62 % of the pairs with a surviving photon) are
 independent of every herald, so they too are drawn only where a herald can
 see them.  ``inner_f`` is each window less the jitter margin (8 sigma) plus
@@ -56,15 +85,15 @@ start, and less the echo delay plus both margins at its end.  A Laplace
 pair delay exceeds m with chance e^-36 = 2.3e-16, so inside inner_f their
 photons' memory-entry intensity is flat.  Their entry times fall in three sets:
 
-- **P1**, inner_f inside the reach: the noise draw on the reach runs at the
-  summed rate, and one uniform per point marks it noise or mode k;
+- **P1**, inner_f inside the reach: the reach draw runs at the summed rate,
+  and one uniform per point marks it noise or mode k;
 - **P2**, outside inner_f: pair times drawn in the edge zones (``zones``, the
   windows less inner_f shrunk by m) take their delays, and those whose
   photon lands outside inner_f join the photon-level path;
-- **P3**, inner_f outside the reach: ``far_lengths`` measures it per lock
-  step from the reach's cumulative length at the cuts ``dt * k`` (the
-  convention of ``LockRunResult.step_at``), and ``far_outcomes`` draws one
-  Poisson count per (lock step, mode).
+- **P3**, inner_f outside every reach: ``far_lengths`` gives its expected
+  length per lock step, cut at ``dt * k`` (the convention of
+  ``LockRunResult.step_at``), and ``far_outcomes`` draws one Poisson count
+  per (lock step, mode).
 
 A P3 photon does not need its photon-level path:
 
@@ -84,16 +113,36 @@ detector efficiency, on the memory stream after the photon-level uniforms.
 An ideal lock is a zero residual on the lock grid, so one path serves every
 lock.  The counts join ``memory_outcomes``, ``detected_outcomes`` and
 ``signal_by_origin.pair``.  Every photon the engine draws takes the one
-photon-level path.  Besides the e^-36 delay tail, P3 clicks take no part in
-dead time, neither lost to an earlier click nor shadowing a later one; that
-raises ``signal_detected`` by at most the signal click rate during the
-windows x the dead time (2.3e3/s x 50 ns = 1.1e-4 at 14 mW pump and 2e4
-pairs/s).
+photon-level path.
 
-Besides the window-edge effect, the delay tail and the P3 clicks' dead time, the only
-approximation this leaves is a dead-time chain longer than the one dead time
-the reach covers, second order in click rate x dead time (Müller 1973),
-which ``ScenarioConfig`` caps at 1e-2 (flagship: 5.2e-4).
+Approximations
+--------------
+Besides the window-edge effect of the unjittered N0 and the e^-36 delay
+tail, these remain:
+
+- P3 clicks take no part in dead time, neither lost to an earlier click nor
+  shadowing a later one; that raises ``signal_detected`` by at most the
+  signal click rate during the windows x the dead time (2.3e3/s x 50 ns =
+  1.1e-4 at 14 mW pump and 2e4 pairs/s).
+- A dead-time chain longer than the one dead time the reach covers, or than
+  U's padding around a drawn herald, is cut.  That is second order in click
+  rate x dead time (Müller 1973), which ``ScenarioConfig`` caps at 1e-2 for
+  either detector (flagship: 5.2e-4 signal, 5.1e-4 herald).
+- N0 outside U is only counted, at the rate lambda0 / (1 + lambda0 tau) of a
+  non-paralyzable detector that sees N0 alone.  An arrival outside U that
+  an N0 herald inside U would silence, or the reverse, is missed: a bias of
+  order (lambda tau)^2, 2.5e-7 per herald at the flagship.
+- P3 takes its expected length.  A point x of inner_f lies outside every
+  reach while no herald arrives in [x - hi, x - lo], with chance
+  exp(-r ov(x)), r the herald arrival rate (pairs, noise and darks) and ov
+  the overlap of that interval with x's window (Poisson coverage; Hall,
+  *Introduction to the Theory of Coverage Processes*, 1988).  The mean is
+  exact but for a dead time that hides every arrival of the interval, of
+  order (r tau)^2.  The count drops the variance term rate^2 Var(L) of the
+  uncovered length L, and P1 and P3 lose their anticorrelation of the same
+  size; against P3's Poisson variance that is about rate r (hi - lo)^2:
+  1.0e-5 at the flagship, 1.9e-4 at 14 mW pump and 2e4 pairs/s.
+
 ``tests/test_reference.py`` checks these shortcuts against a brute-force run
 that materializes every noise photon and carries every pair photon through
 the gate, the lock residual, the memory and the detector.  Detection is
@@ -108,17 +157,20 @@ run does not matter, and batched execution is reproducible event for event.
 
 Memory
 ------
-A batch's working set, 1.1-1.6 MB at the shipped points (tracemalloc
-peak), is freed when the batch ends.  glibc's malloc returns the top of its
-heap to the kernel once more than its trim threshold (128 kB at start-up)
-is free there, so each batch would fault the same pages in again, about
-380 minor faults per 6 s batch.  ``run_range`` therefore allocates and
-frees one ``_HEAP_FLOOR_BYTES`` (2 MiB) block before its batches: glibc
-then raises its dynamic mmap threshold to that size and its trim threshold
-to twice it (mallopt(3), ``M_MMAP_THRESHOLD``), so up to 4 MiB of freed
-batch memory stays mapped; a larger working set is trimmed as before.
-Fixing a threshold instead would switch the dynamic adjustment off.  On
-other allocators the block is a plain allocation.
+A batch's working set (tracemalloc peak) is 0.2 MB at the noise-bound
+bundled points and 0.95 MB at 14 mW pump and 2e4 pairs/s, where pair
+heralds dominate; it is freed when the batch ends.  glibc's malloc returns
+the top of its heap to the kernel once more than its trim threshold (128 kB
+at start-up) is free there, so each batch would fault the same pages in
+again, about 120 minor faults per 6 s batch at that pair-rich point.
+``run_range`` therefore allocates and frees one ``_HEAP_FLOOR_BYTES``
+(2 MiB) block before its batches: glibc then raises its dynamic mmap
+threshold to that size and its trim threshold to twice it (mallopt(3),
+``M_MMAP_THRESHOLD``), so up to 4 MiB of freed batch memory stays mapped; a
+larger working set is trimmed as before.  A 1 MiB block would still hold the
+pair-rich batch, but with more faults (3.3 against 2.0 per batch).  Fixing
+a threshold instead would switch the dynamic adjustment off.  On other
+allocators the block is a plain allocation.
 """
 
 from __future__ import annotations
@@ -131,7 +183,7 @@ import numpy as np
 
 from . import intervals as iv
 from .channel import as_closures, gate_passes
-from .config import ScenarioConfig
+from .config import _REACH_SIGMAS, ScenarioConfig
 from .detection import (
     ORIGIN_CONVERSION_NOISE,
     ORIGIN_DARK_COUNT,
@@ -163,6 +215,11 @@ _S_SIGNAL_NOISE = 5
 _S_GATE_LEAK = 6  # the one gate test of pair photons and signal-arm noise
 _S_MEMORY = 7
 _S_SIGNAL_DETECT = 8
+
+# the herald arm's origin code of an N1 noise herald, whose own reach draw
+# holds a point (module docstring); it is tallied as conversion noise, and
+# ORIGIN_CONVERSION_NOISE marks N0, whose reach draw is empty
+_ORIGIN_N1 = 3
 
 # freed once before a chunk's batches, it raises glibc's heap-trim floor to
 # twice its size (module docstring, Memory)
@@ -265,6 +322,23 @@ class _Engine:
         # chance pair_marks[k], else noise (a link with neither draws none)
         self.reach_rate = float(self.signal_only.total_pair_rate + cfg.converter.arm_noise_rate)
         self.pair_marks = np.cumsum(self.signal_only_rates) / (self.reach_rate or 1.0)
+        # the sparse herald stream (module docstring): a herald's own reach
+        # draw holds a point with chance reach_hit, which splits the herald
+        # noise into N1 and N0
+        lo, hi = cfg.signal_reach
+        det = cfg.detectors.herald
+        noise = cfg.converter.arm_noise_rate * det.efficiency
+        self.reach_hit = -math.expm1(-self.reach_rate * (hi - lo))
+        self.n1_rate = noise * self.reach_hit
+        self.n0_rate = noise * math.exp(-self.reach_rate * (hi - lo))
+        # U's half-width around a drawn herald, before its jitter: its dead
+        # time, the inverse reach of its reach points and, for a pair
+        # herald, that of its signal photon, within the delay margin
+        self.herald_pad = (
+            max(hi - lo, det.dead_time, max(hi, -lo) + cfg.delay_margin) + _REACH_SIGMAS * det.jitter_sigma
+        )
+        # every herald arrival, at which P3's coverage is taken
+        self.herald_arrival_rate = self.herald_source.total_pair_rate + noise + det.dark_rate
         # inner_f and its core, shrunk by the delay margin m (module docstring)
         m = cfg.delay_margin
         margin = cfg.jitter_margin + m
@@ -301,9 +375,14 @@ class _Engine:
         signal_mode = np.concatenate([mode_idx[both], edge_mode])
         # an edge pair's photon that lands in inner_f is left to the draws there
         keep = np.concatenate([np.ones(n_both, dtype=bool), ~iv.contains(inner, signal_t[n_both:])])
+        signal_t, signal_mode = signal_t[keep], signal_mode[keep]
+        # the signal darks go ahead of the memory: the heralds they can pair
+        # with must be drawn
+        det_rng = _stream(cfg.seed, _S_SIGNAL_DETECT, b)
+        darks = iv.sample_poisson(windows, cfg.detectors.signal.dark_rate, det_rng)
 
-        h_times = self.herald_arm(b, windows, t_pairs, vec)
-        det_t, det_org = self.signal_arm(b, windows, inner, h_times, signal_t[keep], signal_mode[keep], vec)
+        h_times, h_org = self.herald_arm(b, windows, t_pairs, signal_t[n_both:], darks, vec)
+        det_t, det_org = self.signal_arm(b, windows, inner, h_times, h_org, signal_t, signal_mode, darks, det_rng, vec)
 
         # histogram and the per-herald noise flux into the echo window
         accumulate_histogram(hist, h_times, det_t)
@@ -322,44 +401,99 @@ class _Engine:
             np.maximum(z[:, 1], z[:, 0], out=z[:, 1])
         return inner, np.stack([windows[:, 0], core[:, 0], core[:, 1], windows[:, 1]], axis=1).reshape(-1, 2)
 
-    def herald_arm(self, b, windows, pair_t, vec) -> np.ndarray:
-        """Herald-arm noise and detection of the pair heralds that survived
-        the fiber, the converter and the detector efficiency; the sorted
-        detected herald times."""
+    def herald_arm(self, b, windows, pair_t, edge_t, signal_darks, vec):
+        """The sparse herald stream: the pair heralds that survived the
+        fiber, the converter and the detector efficiency, the darks and N1
+        in full, N0 on the set U where something drawn can see it, and only
+        counted elsewhere (module docstring).  ``edge_t`` are the P2
+        photons' memory-entry times.  Returns the sorted detected herald
+        times and their origins, with ``_ORIGIN_N1`` for N1."""
         cfg = self.cfg
         det = cfg.detectors.herald
-        # herald-arm noise is drawn directly at its detected rate (exact
-        # thinning of the beam-splitter share by the detector efficiency),
-        # sorted and without jitter (see the module docstring)
-        rate = cfg.converter.arm_noise_rate * det.efficiency
-        noise = iv.sample_poisson(windows, rate, _stream(cfg.seed, _S_HERALD_NOISE, b))
-        rng = _stream(cfg.seed, _S_HERALD_DETECT, b)
-        h_times, h_org = detect(pair_t, det, windows, rng, _origins(pair_t), noise=noise)
-        _tally(vec, _HERALD_ORIGIN, _N_ORIGIN, h_org)
-        return h_times
+        lo, hi = cfg.signal_reach
+        rng = _stream(cfg.seed, _S_HERALD_NOISE, b)
+        n1 = iv.sample_poisson(windows, self.n1_rate, rng)
+        det_rng = _stream(cfg.seed, _S_HERALD_DETECT, b)
+        darks = iv.sample_poisson(windows, det.dark_rate, det_rng)
+        # U: rows [c - pad, c + pad) around every drawn herald, every P2
+        # photon's inverse reach [x - hi, x - lo] and every signal dark's
+        # inverse histogram range
+        h, pad = cfg.histogram, self.herald_pad
+        centres = np.concatenate([
+            pair_t, darks, n1, edge_t - 0.5 * (lo + hi), signal_darks - 0.5 * (h.tau_min + h.tau_max)
+        ])
+        centres.sort(kind="stable")
+        # N0 on U: a Poisson draw on each row, one row of the rows of one
+        # length picked per point, each point kept inside the windows with
+        # chance 1/(the rows that hold it) (superposition, then thinning)
+        n = len(centres)
+        n0 = centres[rng.integers(0, max(n, 1), rng.poisson(self.n0_rate * 2 * pad * n))]
+        n0 += pad * (2 * rng.random(len(n0)) - 1)
+        n0 = n0[iv.contains(windows, n0)]
+        k = np.searchsorted(centres, n0 + pad, side="right") - np.searchsorted(centres, n0 - pad, side="right")
+        n0 = n0[rng.random(len(n0)) * k < 1.0]
+        # N0 outside U sees only itself: its registered count, at the rate of
+        # a non-paralyzable detector
+        below = iv.length_below(centres, pad, windows)
+        outside = max(0.0, iv.total_length(windows) - (below[:, 1] - below[:, 0]).sum())
+        vec[_HERALD_ORIGIN + ORIGIN_CONVERSION_NOISE] += rng.poisson(
+            self.n0_rate * outside / (1.0 + self.n0_rate * det.dead_time)
+        )
+        # N1 joins the pair heralds' jittered run
+        org = np.repeat(np.array([ORIGIN_PAIR, _ORIGIN_N1], np.uint8), [len(pair_t), len(n1)])
+        h_times, h_org = detect(np.concatenate([pair_t, n1]), det, darks, det_rng, org, noise=n0)
+        counts = np.bincount(h_org, minlength=_ORIGIN_N1 + 1)
+        vec[_HERALD_ORIGIN:_HERALD_ORIGIN + _N_ORIGIN] += counts[:_N_ORIGIN]
+        vec[_HERALD_ORIGIN + ORIGIN_CONVERSION_NOISE] += counts[_ORIGIN_N1]
+        return h_times, h_org
 
-    def signal_arm(self, b, windows, inner, h_times, signal_t, mode_idx, vec):
+    def reach_points(self, heralds, origins, windows, rng) -> np.ndarray:
+        """The sorted signal-arm points on the reach of the sorted detected
+        ``heralds``: each herald's own Poisson draw PP_h at the reach rate on
+        [h + lo, h + hi), given that it holds a point where ``origins`` is
+        ``_ORIGIN_N1`` and empty where it is ORIGIN_CONVERSION_NOISE; then
+        the points inside ``windows``, each kept with chance 1/k(x), k(x) the
+        number of ``heralds`` whose reach holds x.  The kept points are a
+        Poisson process at the reach rate on the windows within the union of
+        the reaches (superposition, then independent thinning)."""
+        lo, hi = self.cfg.signal_reach
+        rate, n = self.reach_rate, len(heralds)
+        # PP_h on every reach, of one length: one herald picked per point
+        # (an N0 herald's points are dropped below)
+        row = rng.integers(0, max(n, 1), rng.poisson(rate * (hi - lo) * n))
+        x = heralds[row] + (lo + (hi - lo) * rng.random(len(row)))
+        # given that it holds a point, an N1 herald's PP_h has its first
+        # point at a truncated exponential offset, and is Poisson after it
+        n1 = np.flatnonzero(origins == _ORIGIN_N1)
+        offset = np.full(n, lo)
+        offset[n1] -= np.log1p(-self.reach_hit * rng.random(len(n1))) / rate
+        keep = (x >= heralds[row] + offset[row]) & (origins[row] != ORIGIN_CONVERSION_NOISE)
+        x = np.concatenate([heralds[n1] + offset[n1], x[keep]])
+        row = np.concatenate([n1, row[keep]])
+        inside = iv.contains(windows, x)
+        x, row = x[inside], row[inside]
+        # k(x) is 1 where x's herald has no other within a reach length;
+        # only the others search the herald stream
+        near = np.diff(heralds) < hi - lo
+        crowded = np.concatenate([near, [False]]) | np.concatenate([[False], near])
+        k = np.ones(len(x))
+        sel = crowded[row]
+        k[sel] = heralds_in_range(heralds, x[sel], lo, hi)[1]
+        return np.sort(x[rng.random(len(x)) * k < 1.0])
+
+    def signal_arm(self, b, windows, inner, h_times, h_org, signal_t, mode_idx, darks, det_rng, vec):
         """Signal-arm noise, gate, lock residual, memory and detection of the
         signal photons the source drew (``signal_t``, memory-entry times),
         the signal-only pairs of P1 and the converter noise on the reach;
         the in-window detection times (sorted) and origins.  The P3 photons
         are only counted, by ``far_outcomes`` (see the module docstring)."""
         cfg = self.cfg
-        lo, hi = cfg.signal_reach
-        reach = iv.intersect(windows, iv.as_interval_set(h_times + lo, h_times + hi))
-        # one draw on the reach at the summed rate of the converter noise
-        # (beam-splitter share) and the signal-only pairs, which also measures
-        # the reach
-        cum = np.empty(len(reach) + 1)
         rng = _stream(cfg.seed, _S_SIGNAL_NOISE, b)
-        points = iv.sample_poisson(reach, self.reach_rate, rng, cum)
-        # P3's lengths per lock step; the reach, as long as the herald stream,
-        # is let go before the gate and the memory
-        first, last = self.batch_steps[b]
-        far = self.far_lengths(inner, first, last, reach, cum)
-        del reach, cum
-        # each point is noise or a pair of mode k; a pair point outside
-        # inner_f is left to the edge draws
+        # one draw on the reach at the summed rate of the converter noise
+        # (beam-splitter share) and the signal-only pairs; each point is
+        # noise or a pair of mode k, and a pair point outside inner_f is left
+        # to the edge draws
+        points = self.reach_points(h_times, h_org, windows, rng)
         u = rng.random(len(points))
         pair = u < self.pair_marks[-1]
         mark = np.searchsorted(self.pair_marks, u[pair], side="right")
@@ -383,13 +517,13 @@ class _Engine:
         kinds = storage_branches(entry_off, self.mode_offsets, mem.afc, mem.inhomogeneous, mem_rng)
         exits = exit_times(entry_t, kinds, mem.afc, mem.slow_light_delay)
         _tally(vec, _MEMORY_KIND, _N_KIND, kinds[entry_org == ORIGIN_PAIR])
-        self.far_outcomes(first, far, mem_rng, vec)
+        first, last = self.batch_steps[b]
+        self.far_outcomes(first, self.far_lengths(windows, inner, first, last), mem_rng, vec)
         det = cfg.detectors.signal
-        rng = _stream(cfg.seed, _S_SIGNAL_DETECT, b)
         # the detector efficiency thins the photons that leave the memory
         clicks = kinds != KIND_LOST
-        clicks[clicks] = rng.random(np.count_nonzero(clicks)) < det.efficiency
-        det_t, det_org, det_kind = detect(exits[clicks], det, windows, rng, entry_org[clicks], kinds[clicks])
+        clicks[clicks] = det_rng.random(np.count_nonzero(clicks)) < det.efficiency
+        det_t, det_org, det_kind = detect(exits[clicks], det, darks, det_rng, entry_org[clicks], kinds[clicks])
         in_win = iv.contains(windows, det_t)
         # still sorted by time, as accumulate_histogram requires
         det_t, det_org, det_kind = det_t[in_win], det_org[in_win], det_kind[in_win]
@@ -397,16 +531,36 @@ class _Engine:
         _tally(vec, _DETECTED_KIND, _N_KIND, det_kind[det_org == ORIGIN_PAIR])
         return det_t, det_org
 
-    def far_lengths(self, inner, first, last, reach, cum) -> np.ndarray:
-        """The length of P3, ``inner`` outside ``reach``, in each lock step
-        ``first .. last``: the inner rows are cut at the grid points
-        ``dt * k`` between the steps (the convention of ``step_at``), and the
-        reach's length below each cut is read from its cumulative length
-        ``cum``, with no pass over the reach."""
+    def far_lengths(self, windows, inner, first, last) -> np.ndarray:
+        """P3's expected length in each lock step ``first .. last``: the
+        ``inner`` rows outside every herald's reach.  A point x lies in no
+        reach while no herald arrives in [x - hi, x - lo], which meets only
+        x's own window (the preparation phase outlasts the reach), with
+        chance exp(-r ov(x)), r the herald arrival rate and ov(x) that
+        interval's overlap with the window (Poisson coverage; Hall, 1988).
+        The inner rows are cut at the grid points ``dt * k`` between the
+        steps (the convention of ``step_at``) and the closed-form integral
+        of that chance is read at each cut."""
         cuts = self.lock_result.dt * np.arange(first, last + 2, dtype=np.float64)
         cuts[[0, -1]] = -np.inf, np.inf
         x = np.minimum(np.maximum(cuts[:, None], inner[:, 0]), inner[:, 1])
-        below = (x - inner[:, 0]).sum(axis=1) - iv.length_below(reach, cum, x).sum(axis=1)
+        lo, hi = self.cfg.signal_reach
+        r = self.herald_arrival_rate
+
+        def vacant(s):  # the integral of exp(-r t) over [0, s]
+            return -np.expm1(-r * s) / r if r > 0 else s
+
+        # ov rises from w0 + lo to c2, stays at m until c3 and falls to 0 at
+        # w1 + hi; inner starts after w0 + lo and ends before w1 + hi
+        c1, c4 = windows[:, 0] + lo, windows[:, 1] + hi
+        c2 = np.minimum(windows[:, 0] + hi, windows[:, 1] + lo)
+        c3 = np.maximum(windows[:, 0] + hi, windows[:, 1] + lo)
+        m = c2 - c1
+        below = (
+            vacant(np.minimum(x, c2) - c1)
+            + np.exp(-r * m) * (np.clip(x, c2, c3) - c2)
+            + vacant(m) - vacant(c4 - np.maximum(x, c3))
+        ).sum(axis=1)
         # a difference of lengths may round a step's zero length below zero
         return np.maximum(np.diff(below), 0.0)
 
@@ -464,7 +618,7 @@ def _effective_workers(workers: int | None, n_batches: int) -> int:
         workers = min(2, multiprocessing.cpu_count())
     if n_batches < 4 or not hasattr(os, "fork"):
         return 1
-    return max(1, min(workers, n_batches))
+    return min(workers, n_batches)
 
 
 def _map_chunks(engine: _Engine, chunks: list[tuple[int, int]]) -> list:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from afclink import intervals as iv
 from afclink.detection import (
     NO_OUTCOME,
     ORIGIN_CONVERSION_NOISE,
@@ -21,8 +22,9 @@ from afclink.detection import (
 )
 
 
-def _span(t0, t1):
-    return np.array([[t0, t1]])
+def _darks(spd, t0, t1, rng):
+    """The detector's dark counts on the one window [t0, t1)."""
+    return iv.sample_poisson(np.array([[t0, t1]]), spd.dark_rate, rng)
 
 
 def _detect(times, spd, window, rng):
@@ -30,7 +32,7 @@ def _detect(times, spd, window, rng):
     detector efficiency first on the same stream, as the signal arm does."""
     t = np.asarray(times, dtype=float)
     t = t[rng.random(len(t)) < spd.efficiency]
-    return detect(t, spd, _span(*window), rng)[0]
+    return detect(t, spd, _darks(spd, *window, rng), rng)[0]
 
 
 def test_ideal_detector_is_identity():
@@ -90,10 +92,10 @@ def test_dark_counts_poisson():
     spd = SPDConfig(efficiency=1.0, dark_rate=5000.0, dead_time=0.0, jitter_fwhm=0.0)
     rng = np.random.default_rng(4)
     empty = np.empty(0)
-    counts = [len(detect(empty, spd, _span(0.0, 1.0), rng)[0]) for _ in range(40)]
+    counts = [len(detect(empty, spd, _darks(spd, 0.0, 1.0, rng), rng)[0]) for _ in range(40)]
     assert np.mean(counts) == pytest.approx(5000, abs=3 * math.sqrt(5000 / 40))
     t, origin, kind = detect(
-        empty, spd, _span(0.0, 1.0), rng, np.empty(0, np.uint8), np.empty(0, np.uint8)
+        empty, spd, _darks(spd, 0.0, 1.0, rng), rng, np.empty(0, np.uint8), np.empty(0, np.uint8)
     )
     assert np.all(origin == ORIGIN_DARK_COUNT)
     assert np.all(kind == NO_OUTCOME)
@@ -103,8 +105,9 @@ def test_detect_keeps_companion_columns_aligned():
     spd = SPDConfig(efficiency=0.6, dark_rate=2000.0, dead_time=50e-9, jitter_fwhm=0.0)
     t = np.sort(np.random.default_rng(13).uniform(0, 1, 3000))
     label = np.arange(len(t), dtype=np.int64)
+    rng = np.random.default_rng(14)
     out_t, org, lab = detect(
-        t, spd, _span(0.0, 1.0), np.random.default_rng(14),
+        t, spd, _darks(spd, 0.0, 1.0, rng), rng,
         np.full(len(t), ORIGIN_PAIR, np.uint8), label,
     )
     assert np.all(np.diff(out_t) >= 0)
@@ -121,12 +124,14 @@ def test_detect_merges_unjittered_noise_run():
     t = np.sort(gen.uniform(0, 1, 3000))
     noise = np.sort(gen.uniform(0, 1, 20000))
     label = np.arange(len(t), dtype=np.int64)
+    rng = np.random.default_rng(16)
     got = detect(
-        t, spd, _span(0.0, 1.0), np.random.default_rng(16),
+        t, spd, _darks(spd, 0.0, 1.0, rng), rng,
         np.full(len(t), ORIGIN_PAIR, np.uint8), label, noise=noise,
     )
+    rng = np.random.default_rng(16)
     want = detect(
-        np.concatenate([t, noise]), spd, _span(0.0, 1.0), np.random.default_rng(16),
+        np.concatenate([t, noise]), spd, _darks(spd, 0.0, 1.0, rng), rng,
         np.repeat(np.array([ORIGIN_PAIR, ORIGIN_CONVERSION_NOISE], np.uint8), [len(t), len(noise)]),
         np.concatenate([label, np.full(len(noise), NO_OUTCOME)]),
     )
@@ -138,8 +143,9 @@ def test_detect_photon_wins_a_tie_with_noise():
     # on equal times the photon sorts before the noise click, so the dead
     # time keeps the photon
     spd = SPDConfig(efficiency=1.0, dark_rate=0.0, dead_time=50e-9, jitter_fwhm=0.0)
+    rng = np.random.default_rng(17)
     t, org = detect(
-        np.array([0.5]), spd, _span(0.0, 1.0), np.random.default_rng(17),
+        np.array([0.5]), spd, _darks(spd, 0.0, 1.0, rng), rng,
         np.array([ORIGIN_PAIR], np.uint8), noise=np.array([0.5]),
     )
     assert t.tolist() == [0.5]
@@ -151,8 +157,9 @@ def test_detect_jitters_photons_but_not_noise():
     gen = np.random.default_rng(18)
     t = np.sort(gen.uniform(0, 1, 2000))
     noise = np.sort(gen.uniform(0, 1, 5000))
+    rng = np.random.default_rng(19)
     out_t, org = detect(
-        t, spd, _span(0.0, 1.0), np.random.default_rng(19),
+        t, spd, _darks(spd, 0.0, 1.0, rng), rng,
         np.full(len(t), ORIGIN_PAIR, np.uint8), noise=noise,
     )
     assert np.array_equal(out_t[org == ORIGIN_CONVERSION_NOISE], noise)

@@ -175,6 +175,9 @@ _MALFORMED = [
     ("converter.noise_rate_ref", 40e3, "converter.noise_rate_ref"),
     ("converter.reference_power", 140.0, "converter.reference_power"),
     ("converter.noise_rate_per_mw", -1.0, "converter"),
+    # 10 kHz of herald clicks x 2 us is 2e-2: herald dead-time chains the
+    # sparse herald stream cuts would no longer be second order
+    ("detectors.herald.dead_time", 2e-6, "detectors.herald.dead_time"),
 ]
 
 
@@ -356,19 +359,19 @@ def test_run_deterministic_byte_identical():
 # report format) updates the constants and says so in CHANGES.md.
 _PINNED_PAYLOADS = {
     "smoke": {
-        "report.json": "618f2e177cdd2bc92a695672f4cde6ab24b1d40492a4c845d7e5d50ac3d564af",
-        "histogram.csv": "c4d7264aa6c81ebe0777ae2359eae0bfa4dd0d1366176321dd80c45184f41c6e",
-        "summary.csv": "e23263a1d450e505f0368adf4ac07319ff11aa2a0aafb64f31b323689376cf44",
+        "report.json": "d1bbd6cdd7e64fb05823bc728524a58fa0bb1dd118686071b946d0a661215a58",
+        "histogram.csv": "37df2c440e64fcfcefd65f00dfdbb22eec8c27ffde3fd94017663a3e6168ca91",
+        "summary.csv": "0ee08b4f27ab1264f57e5d9edaca87376596134cf72656455aacf30bd929d8e2",
     },
     "pair_rich_30s": {
-        "report.json": "66b495f06daebaf1c871d59774736f12bffa3f7de169809145c00d5e9ab82ed6",
-        "histogram.csv": "1889cb35c9961ac399ba753b755e6453455d5bd5ffbe1d68e01f3c6f7b343535",
-        "summary.csv": "4dc63885ca034c8038cd04a3dd43e2be7352b177a29554321a00df03d9c30a92",
+        "report.json": "a4661f959aacd16d649e87418b9ff9bae94e21766c8eb9e27925e96b4dc82698",
+        "histogram.csv": "b357c6b99a49c132da2d5e5d538945376c660c82230115221dfb855432b910e2",
+        "summary.csv": "3c32c7a07f05b6eb784f5d59ad090741bc0b29bfa5c2991d8942e666cad23e98",
     },
     "ideal_lock_30s": {
-        "report.json": "b697c450718fc30c29929bf8b45133e74cc29a56ca03922c067489c6fe229610",
-        "histogram.csv": "cda914ce8b001522f905fc548be4846f62ef146b346a662fc9e84914bd7937cc",
-        "summary.csv": "4a5f1a45922024446f577dd718c42a37e401df4276bf1653e18a23392ad14463",
+        "report.json": "d775de3780c62576d021c5653699c0c0dae3d6762e027e819199d7b965edf09c",
+        "histogram.csv": "bf6050efd5a5f889c92eab62e283030584ab5fd4452bfac4482c0c10cb07322f",
+        "summary.csv": "d8635d0575279b353f5b5ec250c8a21f8e0cc0f78dd06d26beb84d78239de07f",
     },
 }
 
@@ -820,9 +823,13 @@ _SWEEP = ["sweep", "--config", "multiplexed_25mode_10km_smoke", "--param"]
     (_SWEEP + ["seed", "--values", "1,2"], "seed"),
     (["lockcheck", "--config", "lock_12h", "--hours", "0"], "--hours"),
     (["lockcheck", "--config", "lock_12h", "--hours", "-1"], "--hours"),
+    (["simulate", "--config", "multiplexed_25mode_10km_smoke", "--workers", "0"], "--workers"),
+    (["calibrate", "--config", "multiplexed_25mode_10km_smoke", "--target-peak", "74",
+      "--calibration-duration", "-1"], "--calibration-duration"),
 ], ids=["source_not_an_object", "negative_seed", "unknown_sweep_path", "refused_sweep_value",
         "fractional_mode_count", "even_mode_count", "unparsed_sweep_values", "echo_off_the_window",
-        "swept_seed", "zero_lock_hours", "negative_lock_hours"])
+        "swept_seed", "zero_lock_hours", "negative_lock_hours", "zero_workers",
+        "negative_calibration_duration"])
 def test_cli_config_error_names_field(tmp_path, capsys, monkeypatch, argv, field):
     _refuse_runs(monkeypatch)
     bad = tmp_path / "bad.json"

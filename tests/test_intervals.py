@@ -224,12 +224,17 @@ def test_sample_poisson_placement_matches_per_point_search_on_draws(s, rate, see
 
 
 @settings(max_examples=200, deadline=None)
-@given(s=_interval_sets)
-def test_length_below_matches_a_loop_over_rows(s):
-    # on the 1/16 grid every length is an exact float, so the two agree exactly
-    cum = np.empty(len(s) + 1)
-    iv.sample_poisson(s, 0.0, np.random.default_rng(0), cum)
-    assert np.array_equal(cum, np.concatenate([[0.0], np.cumsum(s[:, 1] - s[:, 0])]))
-    got = iv.length_below(s, cum, _probes)
-    want = [sum(max(0.0, min(b, t) - a) for a, b in s) for t in _probes]
-    assert np.array_equal(got, want)
+@given(rows=_herald_rows())
+def test_length_below_matches_a_loop_over_rows(rows):
+    # the union of rows of one width around sorted centres, measured below
+    # each probe without merging, against a loop over the merged rows; on the
+    # 1/16 grid every length is an exact float, so the two agree exactly
+    half = (rows[0, 1] - rows[0, 0]) / 2 if len(rows) else 1.0
+    merged = []
+    for a, b in rows.tolist():
+        if merged and a <= merged[-1][1]:
+            merged[-1][1] = max(merged[-1][1], b)
+        else:
+            merged.append([a, b])
+    want = [sum(max(0.0, min(b, t) - a) for a, b in merged) for t in _probes]
+    assert np.array_equal(iv.length_below(rows.mean(axis=1), half, _probes), want)

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from afclink import intervals as iv
 from afclink import pipeline
-from afclink.channel import ShutterSchedule, as_closures
+from afclink.channel import ConverterConfig, ShutterSchedule, as_closures
 from afclink.config import (
     DetectorSettings,
     LockSettings,
@@ -25,29 +25,36 @@ from afclink.config import (
     bundled_scenarios,
     load_bundled_scenario,
 )
-from afclink.detection import SPDConfig
+from afclink.detection import (
+    ORIGIN_CONVERSION_NOISE,
+    ORIGIN_DARK_COUNT,
+    ORIGIN_PAIR,
+    SPDConfig,
+    dead_time_filter,
+    heralds_in_range,
+)
 from afclink.lockchain import DriftModel, LaserId, LockChainConfig, RfOffsets
 from afclink.memory import KIND_ECHO, KIND_LOST, KIND_OUT_OF_BAND, KIND_PROMPT, InhomogeneousProfile, storage_branches
 from afclink.source import SourceConfig, sample_pairs
 
 
 def test_gate_thinned_signal_noise_matches_gate_strata(monkeypatch):
-    # The engine samples signal-arm noise on windows ∩ rel at the full arm
-    # rate and thins it by the gate.  That must reproduce the stratified
-    # process: rate on open ∩ rel, extinction * rate on the closed set, and
-    # nothing elsewhere.  With no pairs every memory entry is noise.
-    heralds, entries = [], []
-    real_closures, real_exit_times = pipeline.as_closures, pipeline.exit_times
-
-    def spy_closures(h, schedule):
-        heralds.append(np.array(h))
-        return real_closures(h, schedule)
+    # The engine draws signal-arm noise on the reach of the detected heralds
+    # at the full arm rate and thins it by the gate.  That must reproduce the
+    # stratified process: on open ∩ rel the rate the heralds' reach draws give
+    # there, extinction times it on the closed set, and nothing elsewhere.
+    # A reach draw is Poisson, or Poisson given that it holds a point (N1),
+    # or empty (N0), and a point is kept with chance 1 / (the reaches that
+    # hold it), so at x the rate is the arm rate times the mean of the
+    # heralds' weights 1, 1 / reach_hit and 0 over the reaches that hold x.
+    # With no pairs every memory entry is noise.
+    heralds, origins, entries = [], [], []
+    real_exit_times = pipeline.exit_times
 
     def spy_exit_times(entry_t, *args):
         entries.append(np.array(entry_t))
         return real_exit_times(entry_t, *args)
 
-    monkeypatch.setattr(pipeline, "as_closures", spy_closures)
     monkeypatch.setattr(pipeline, "exit_times", spy_exit_times)
 
     totals = np.zeros((2, 2))  # rows open/closed, columns observed/expected
@@ -60,13 +67,22 @@ def test_gate_thinned_signal_noise_matches_gate_strata(monkeypatch):
         )
         rate = cfg.converter.arm_noise_rate
         engine = pipeline._Engine(cfg)
+        real_reach_points = engine.reach_points
+
+        def spy_reach_points(h, org, *args):
+            heralds.append(np.array(h))
+            origins.append(np.array(org))
+            return real_reach_points(h, org, *args)
+
+        engine.reach_points = spy_reach_points
         heralds.clear()
+        origins.clear()
         entries.clear()
         engine.run_range((0, len(engine.batches)))
         assert len(heralds) == len(entries) == len(engine.batches)
 
         counts = np.zeros((2, 2))
-        for (lo, hi), h, t in zip(engine.batches, heralds, entries):
+        for (lo, hi), h, org, t in zip(engine.batches, heralds, origins, entries):
             windows = cfg.shutter.transmission_windows(lo, hi, cfg.duration)
             span = (float(windows[0, 0]), float(windows[-1, 1]))
             closed = iv.intersect(windows, as_closures(h, cfg.shutter))
@@ -75,9 +91,17 @@ def test_gate_thinned_signal_noise_matches_gate_strata(monkeypatch):
             open_rel = iv.intersect(iv.intersect(windows, rel), iv.complement(closed, span))
             in_open, in_closed = iv.contains(open_rel, t), iv.contains(closed, t)
             assert np.all(in_open ^ in_closed)
-            counts[0] += (in_open.sum(), rate * iv.total_length(open_rel))
+            # the reach draws' rate on each piece between the strata's and
+            # the reaches' edges
+            weight = np.select([org == pipeline._ORIGIN_N1, org == ORIGIN_CONVERSION_NOISE], [1 / engine.reach_hit, 0.0], 1.0)
+            edges = np.unique(np.concatenate([h + lo, h + hi, open_rel.ravel(), closed.ravel()]))
+            mid = 0.5 * (edges[1:] + edges[:-1])
+            first, k = heralds_in_range(h, mid, lo, hi)
+            cum = np.concatenate([[0.0], np.cumsum(weight)])
+            expected = rate * np.diff(edges) * (cum[first + k] - cum[first]) / np.maximum(k, 1)
+            counts[0] += (in_open.sum(), expected[iv.contains(open_rel, mid)].sum())
             counts[1] += (
-                in_closed.sum(), cfg.shutter.extinction * rate * iv.total_length(closed)
+                in_closed.sum(), cfg.shutter.extinction * expected[iv.contains(closed, mid)].sum()
             )
         z = (counts[:, 0] - counts[:, 1]) / np.sqrt(counts[:, 1])
         assert np.all(np.abs(z) < 4), (seed, counts, z)
@@ -88,10 +112,12 @@ def test_gate_thinned_signal_noise_matches_gate_strata(monkeypatch):
     assert totals[1, 1] > 1000  # the closed stratum is resolved
 
 
-def test_every_stage_draws_from_its_own_stream():
+def test_every_stage_draws_from_its_own_stream(monkeypatch):
     # two stages that share a stage id would share draws without any error:
     # every _S_* id must be distinct and name the stage of exactly one
-    # _stream or _spawn_seed call, and every such call must name one
+    # _stream or _spawn_seed call, and every such call must name one.  A
+    # stream costs about 23 us to create, so one batch creates at most
+    # eight; a new draw takes an existing stage's stream
     tree = ast.parse(Path(pipeline.__file__).read_text(encoding="utf-8"))
     ids = {
         target.id: node.value.value
@@ -105,6 +131,13 @@ def test_every_stage_draws_from_its_own_stream():
     ]
     assert all(isinstance(s, ast.Name) for s in stages), [ast.dump(s) for s in stages]
     assert sorted(s.id for s in stages) == sorted(ids)
+
+    made = []
+    real_stream = pipeline._stream
+    monkeypatch.setattr(pipeline, "_stream", lambda *key: made.append(key) or real_stream(*key))
+    engine = pipeline._Engine(load_bundled_scenario("multiplexed_25mode_10km_smoke"))
+    engine.run_range((1, 2))
+    assert len(made) <= 8, made
 
 
 def test_signal_reach_covers_a_gate_that_outlasts_the_histogram():
@@ -128,11 +161,16 @@ def test_signal_reach_covers_a_gate_that_outlasts_the_histogram():
 
 
 @functools.lru_cache(maxsize=None)
-def _far_engine(duration: float, gate_end: float, jitter_fwhm: float, dt: float) -> pipeline._Engine:
+def _far_engine(duration: float, gate_end: float, jitter_fwhm: float, dt: float, noise: float) -> pipeline._Engine:
+    # no dead time, so that any herald arrival rate is a valid document
     return pipeline._Engine(ScenarioConfig(
         name="far", seed=0, duration=duration, source=SourceConfig(total_pair_rate=500.0, n_modes=25),
+        converter=ConverterConfig(noise_rate_per_mw=noise),
         shutter=ShutterSchedule(echo_window=(900e-9, gate_end)),
-        detectors=DetectorSettings(signal=SPDConfig(dark_rate=300.0, jitter_fwhm=jitter_fwhm)),
+        detectors=DetectorSettings(
+            herald=SPDConfig(dead_time=0.0),
+            signal=SPDConfig(dark_rate=300.0, dead_time=0.0, jitter_fwhm=jitter_fwhm),
+        ),
         lock=LockSettings(mode="ideal", dt=dt),
     ))
 
@@ -149,56 +187,130 @@ def _overlap(*rows) -> float:
     gate_end=st.sampled_from([1.2e-6, 1.5e-6]),
     jitter_fwhm=st.sampled_from([100e-12, 300e-9]),
     dt=st.sampled_from([1.0, 0.1, 0.05, 1e-3]),
-    heralds=st.lists(st.tuples(st.integers(0, 9), st.floats(-4e-6, 4e-6)), min_size=1, max_size=8),
+    # herald arrival rates times reach length of about 0.03 and 2.7
+    noise=st.sampled_from([40e3 / 140.0, 4e6 / 140.0]),
     photons=st.lists(st.tuples(st.integers(0, 9), st.floats(-4e-6, 4e-6)), min_size=1, max_size=40),
 )
 def test_far_path_takes_no_photon_a_herald_or_a_window_edge_can_see(
-    duration, short_first, gate_end, jitter_fwhm, dt, heralds, photons
+    duration, short_first, gate_end, jitter_fwhm, dt, noise, photons
 ):
-    # In each lock step, P1 (inner_f in the reach of a herald), P3 (inner_f
-    # outside every reach, whose length far_lengths gives) and the window
-    # time outside inner_f add up to the window time, against a naive loop
-    # over rows and steps; and an edge zone holds every pair time whose
-    # photon can enter outside inner_f.  Heralds and probes sit near the
-    # window edges and the lock-step cuts.
-    eng = _far_engine(duration, gate_end, jitter_fwhm, dt)
+    # In each lock step, P3's expected length (far_lengths) is the inner_f
+    # time, each point x weighted by the chance exp(-r ov(x)) that none of
+    # the heralds, arriving at rate r, lands in x's inverse reach
+    # [x - hi, x - lo], ov(x) its overlap with every window, against a naive
+    # loop over rows, steps and the pieces on which ov is linear; and an edge
+    # zone holds every pair time whose photon can enter outside inner_f.
+    # Probes sit near the window edges and the lock-step cuts.
+    eng = _far_engine(duration, gate_end, jitter_fwhm, dt, noise)
     cfg = eng.cfg
     windows = cfg.shutter.transmission_windows(0, 2, cfg.duration)
     if short_first is not None:
         windows[0, 1] = windows[0, 0] + short_first
     k0 = math.ceil(0.3 / dt)
     anchors = np.concatenate([windows.ravel(), dt * np.arange(k0, k0 + 6)])
-    h = np.sort([anchors[i] + x for i, x in heralds])
     lo, hi = cfg.signal_reach
-    reach = iv.intersect(windows, iv.as_interval_set(h + lo, h + hi))
-    cum = np.empty(len(reach) + 1)
-    iv.sample_poisson(reach, 0.0, np.random.default_rng(0), cum)
     inner, edges = eng.zones(windows)
     first, last = eng.batch_steps[0]
-    far = eng.far_lengths(inner, first, last, reach, cum)
+    far = eng.far_lengths(windows, inner, first, last)
     assert len(far) == last - first + 1 and np.all(far >= 0)
 
     m = 36 * cfg.source.coherence_time
     start, end = cfg.jitter_margin + m, -(cfg.memory.echo_delay + (cfg.jitter_margin + m))
     inner_rows = [(w0 + start, w1 + end) for w0, w1 in windows if w1 + end > w0 + start]
-    reach_rows = [(max(t + lo, w0), min(t + hi, w1)) for t in h for w0, w1 in windows if _overlap((t + lo, t + hi), (w0, w1))]
-    merged = []
-    for r0, r1 in sorted(reach_rows):
-        if merged and r0 <= merged[-1][1]:
-            merged[-1] = (merged[-1][0], max(merged[-1][1], r1))
-        else:
-            merged.append((r0, r1))
+    det = cfg.detectors.herald
+    r = cfg.source.total_pair_rate * (det.efficiency * eng.p_signal * cfg.source.weights()).sum()
+    r += cfg.converter.arm_noise_rate * det.efficiency + det.dark_rate
+
+    def ov(x):
+        return sum(_overlap((x - hi, x - lo), w) for w in windows)
+
+    kinks = sorted(w + d for w in windows.ravel() for d in (lo, hi))
     for i, k in enumerate(range(first, last + 1)):
         step = (-math.inf if k == first else dt * k, math.inf if k == last else dt * (k + 1))
-        win = sum(_overlap(w, step) for w in windows)
-        p1 = sum(_overlap(a, r, step) for a in inner_rows for r in merged)
-        edge = win - sum(_overlap(a, step) for a in inner_rows)
-        assert p1 + far[i] + edge == pytest.approx(win, abs=1e-12), (k, p1, far[i], edge, win)
+        want = 0.0
+        for a in inner_rows:
+            p0, p1 = max(a[0], step[0]), min(a[1], step[1])
+            cuts = [p0] + [c for c in kinks if p0 < c < p1] + [p1]
+            for x0, x1 in zip(cuts[:-1], cuts[1:]):
+                if x1 > x0:
+                    d = r * (ov(x1) - ov(x0))
+                    want += (x1 - x0) * math.exp(-r * ov(x0)) * (-math.expm1(-d) / d if d else 1.0)
+        assert far[i] == pytest.approx(want, rel=1e-9, abs=1e-15), (k, far[i], want)
 
     t = np.array([anchors[i] + x for i, x in photons])
     in_window = np.array([any(w0 <= x < w1 for w0, w1 in windows) for x in t])
     core = np.array([any(a + m <= x < b - m for a, b in inner_rows) for x in t])
     assert np.array_equal(iv.contains(edges, t), in_window & ~core)
+
+
+@functools.cache
+def _reach_engine() -> pipeline._Engine:
+    # the reach rate times reach length is about 1.1, so that a noise
+    # herald's reach draw holds a point (N1) about two times in three; no
+    # dead time, so that the document is valid at that noise
+    return pipeline._Engine(ScenarioConfig(
+        name="reach", seed=0, duration=12.0, source=SourceConfig(total_pair_rate=500.0, n_modes=25),
+        converter=ConverterConfig(noise_rate_per_mw=8e5 / 140.0),
+        detectors=DetectorSettings(herald=SPDConfig(dead_time=0.0), signal=SPDConfig(dead_time=0.0)),
+        lock=LockSettings(mode="ideal"),
+    ))
+
+
+# bound on |z| of every count compared below, fixed before the first run
+_REACH_Z = 5.0
+_REACH_DRAWS = 300
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    # herald arrivals on a grid of an eighth of the reach, near and across
+    # the edges of two windows, with ties
+    arrivals=st.lists(
+        st.tuples(st.sampled_from([ORIGIN_PAIR, ORIGIN_DARK_COUNT, ORIGIN_CONVERSION_NOISE]), st.integers(-2, 30)),
+        min_size=1, max_size=8,
+    ),
+    # a dead time of three eighths of the reach loses some of them
+    dead=st.sampled_from([0.0, 3 / 8]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_reach_points_are_a_poisson_draw_on_the_union_of_reaches(arrivals, dead, seed):
+    # The mark-and-thin kernel: each detected herald's own reach draw
+    # (Poisson for a pair or a dark; for noise, Poisson given that it holds
+    # a point with chance reach_hit, else empty), kept inside the windows,
+    # each point then kept with chance 1 / (the reaches that hold it).
+    # Pooled over draws, its points must be a Poisson process at the reach
+    # rate on the windows within the union of the reaches of the heralds the
+    # dead time leaves, which a naive loop over the heralds builds.
+    eng = _reach_engine()
+    lo, hi = eng.cfg.signal_reach
+    unit = (hi - lo) / 8
+    windows = np.array([[0.0, 12.0], [18.0, 27.0]]) * unit
+    order = sorted(arrivals, key=lambda a: a[1])
+    t = np.array([k for _, k in order], dtype=float) * unit
+    org = np.array([o for o, _ in order], dtype=np.uint8)
+    alive = dead_time_filter(t, dead * unit)
+    h, org = t[alive], org[alive]
+
+    cuts = np.unique(np.concatenate([h + lo, h + hi, windows.ravel()]))
+    mid = 0.5 * (cuts[1:] + cuts[:-1])
+    covered = np.array([
+        any(x0 + lo <= x < x0 + hi for x0 in h) and any(w0 <= x < w1 for w0, w1 in windows) for x in mid
+    ])
+    rng = np.random.default_rng(seed)
+    got = np.zeros(len(mid))
+    for _ in range(_REACH_DRAWS):
+        marked = org.copy()
+        marked[(org == ORIGIN_CONVERSION_NOISE) & (rng.random(len(org)) < eng.reach_hit)] = pipeline._ORIGIN_N1
+        x = eng.reach_points(h, marked, windows, rng)
+        assert np.all((x >= cuts[0]) & (x < cuts[-1]))
+        got += np.histogram(x, bins=cuts)[0]
+    assert np.all(got[~covered] == 0)
+    want = _REACH_DRAWS * eng.reach_rate * np.diff(cuts)[covered]
+    got = got[covered]
+    resolved = want >= 25
+    z = (got - want) / np.sqrt(want)
+    assert abs((got.sum() - want.sum()) / math.sqrt(want.sum())) < _REACH_Z, (got, want)
+    assert np.all(np.abs(z[resolved]) < _REACH_Z), (got, want, z)
 
 
 def test_grouped_far_draws_match_per_photon_draws():
@@ -260,13 +372,16 @@ def test_grouped_far_draws_match_per_photon_draws():
     assert np.all(np.abs(z) < 4), (grouped, per_photon, z)
 
 
-# one chunk of the smoke document: faults per batch of batches 1-5, after
-# batch 0 has grown the heap to the batch working set
+# one chunk of the flagship at 14 mW pump and 2e4 pairs/s, whose batches
+# hold the largest working set: faults per batch of batches 1-5, after batch
+# 0 has grown the heap to the batch working set
 _BATCH_FAULTS = """
-import resource
+import dataclasses, resource
 from afclink.config import load_bundled_scenario
 from afclink.pipeline import _Engine
-engine = _Engine(load_bundled_scenario("multiplexed_25mode_10km_smoke"))
+flagship = load_bundled_scenario("multiplexed_25mode_10km")
+converter = dataclasses.replace(flagship.converter, pump_power=14.0)
+engine = _Engine(dataclasses.replace(flagship, duration=240.0, converter=converter).with_rate(2e4))
 engine.run_range((0, 1))
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 engine.run_range((1, 6))
@@ -277,7 +392,7 @@ print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 5)
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the heap-trim floor is glibc's")
 def test_a_chunk_keeps_its_batch_memory():
     # without the raised trim floor glibc hands each batch's freed working set
-    # back to the kernel, and the next batch faults it in again (~380 faults);
+    # back to the kernel, and the next batch faults it in again (~120 faults);
     # a fresh interpreter, since an earlier test's large free could have
     # raised the floor for this process already
     src = Path(__file__).resolve().parent.parent / "src"

@@ -9,19 +9,20 @@ kernels and, of ``pipeline``, only the document's lock realisation,
 ``lock_run``: every photon past the gate takes the residual ``residual_at``
 gives at its entry time, as in the engine.
 
-``pipeline.run_raw`` takes five shortcuts on the same link: herald noise
-drawn at its detected rate (and sorted, without jitter), signal-arm noise
-drawn only on the reach ``windows ∩ rel``, independent batches, a source
+``pipeline.run_raw`` takes six shortcuts on the same link: herald noise
+drawn at its detected rate, and of the noise heralds whose own reach draw is
+empty only those something drawn can see (the rest counted), signal-arm
+noise drawn only on the reach ``windows ∩ rel``, independent batches, a source
 thinned to the pairs whose herald photon gets past the fiber, the converter
 and the detector efficiency, the others only counted, and the signal-only
 pairs drawn only where a herald or a window edge can see them: on the reach
 well inside a window, marked among the signal-arm noise drawn there at the
 summed rate, and near a window edge, drawn with their delays; elsewhere
-they are Poisson counts per (lock step, mode) from the lengths.  On each link
-of ``LINKS``, pooled over several seeds, the histogram in each delay band,
-the echo-window noise count, the pair count, the pair photons' memory
-outcomes and the origin counters of both must agree within the bound fixed
-below, which was chosen before any comparison was run.
+they are Poisson counts per (lock step, mode) from the expected lengths.
+On each link of ``LINKS``, pooled over several seeds, the histogram in each
+delay band, the echo-window noise count, the pair count, the pair photons'
+memory outcomes and the origin counters of both must agree within the bound
+fixed below, which was chosen before any comparison was run.
 """
 
 import dataclasses
@@ -75,10 +76,13 @@ _OPEN_FAST = dataclasses.replace(
 #: that dropped the residual would keep echoes the reference loses; and the
 #: locked chain with its beat 120 kHz high, just inside the 144 kHz half
 #: tooth width, so that every (lock step, mode) group has its own offset.
-#: Last, 10 us transmission windows every 20 us, whose edge zones (within
+#: Then 10 us transmission windows every 20 us, whose edge zones (within
 #: the jitter and delay margins of a window's start, or the echo delay plus
 #: them of its end) hold 26 % of the window time, so that the signal-only
-#: pairs drawn there carry weight
+#: pairs drawn there carry weight.  Last, twice the converter noise per mW
+#: (10x the shipped noise in all): a herald rate times reach length of about
+#: 0.27, where points that two reaches hold and N0 heralds that something can
+#: see occur often, at a herald click rate times dead time of 5e-3
 LINKS = {
     "shipped": ({}, _IDEAL),
     "signal_jitter_300ns": ({"detectors.signal.jitter_fwhm": 300e-9}, _IDEAL),
@@ -87,6 +91,7 @@ LINKS = {
     "open_loop_fast": ({}, LockSettings("simulated", _OPEN_FAST)),
     "beat_120khz_high": ({}, LockSettings("simulated", _BEAT_HIGH)),
     "short_windows": ({"shutter.cycle_period": 20e-6, "shutter.prep_duration": 10e-6}, _IDEAL),
+    "noise_10x": ({"converter.noise_rate_per_mw": 2 * 40e3 / 140.0}, _IDEAL),
 }
 
 
@@ -127,7 +132,7 @@ def reference_run(cfg, rng: np.random.Generator) -> tuple[np.ndarray, dict]:
     noise = iv.sample_poisson(windows, arm_rate, rng)
     det = cfg.detectors.herald
     keep = rng.random(len(pair) + len(noise)) < det.efficiency
-    h_t, h_org = detect(np.concatenate([pair, noise])[keep], det, windows, rng, _origins(pair, noise)[keep])
+    h_t, h_org = detect(np.concatenate([pair, noise])[keep], det, _darks(det, windows, rng), rng, _origins(pair, noise)[keep])
 
     # signal arm: pair photons and every noise photon through one gate test
     closed = as_closures(h_t, cfg.shutter)
@@ -148,7 +153,7 @@ def reference_run(cfg, rng: np.random.Generator) -> tuple[np.ndarray, dict]:
     alive = kinds != KIND_LOST
     det = cfg.detectors.signal
     alive[alive] = rng.random(np.count_nonzero(alive)) < det.efficiency
-    s_t, s_org, s_kind = detect(exits[alive], det, windows, rng, entry_org[alive], kinds[alive])
+    s_t, s_org, s_kind = detect(exits[alive], det, _darks(det, windows, rng), rng, entry_org[alive], kinds[alive])
     in_win = iv.contains(windows, s_t)
     s_t, s_org, s_kind = s_t[in_win], s_org[in_win], s_kind[in_win]
 
@@ -171,6 +176,11 @@ def reference_run(cfg, rng: np.random.Generator) -> tuple[np.ndarray, dict]:
         "noise_in_echo_window": np.sum(in_echo),
     }
     return hist.counts, {k: int(v) for k, v in counters.items()}
+
+
+def _darks(det, windows: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """The detector's dark counts on every transmission window."""
+    return iv.sample_poisson(windows, det.dark_rate, rng)
 
 
 def _origins(pair: np.ndarray, noise: np.ndarray) -> np.ndarray:
