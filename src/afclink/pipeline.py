@@ -472,13 +472,7 @@ class _Engine:
         row = np.concatenate([n1, row[keep]])
         inside = iv.contains(windows, x)
         x, row = x[inside], row[inside]
-        # k(x) is 1 where x's herald has no other within a reach length;
-        # only the others search the herald stream
-        near = np.diff(heralds) < hi - lo
-        crowded = np.concatenate([near, [False]]) | np.concatenate([[False], near])
-        k = np.ones(len(x))
-        sel = crowded[row]
-        k[sel] = heralds_in_range(heralds, x[sel], lo, hi)[1]
+        k = heralds_in_range(heralds, x, lo, hi)[1]
         return np.sort(x[rng.random(len(x)) * k < 1.0])
 
     def signal_arm(self, b, windows, inner, h_times, h_org, signal_t, mode_idx, darks, det_rng, vec):

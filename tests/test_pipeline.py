@@ -162,14 +162,17 @@ def test_signal_reach_covers_a_gate_that_outlasts_the_histogram():
 
 @functools.lru_cache(maxsize=None)
 def _far_engine(duration: float, gate_end: float, jitter_fwhm: float, dt: float, noise: float) -> pipeline._Engine:
-    # no dead time, so that any herald arrival rate is a valid document
+    # the shipped dead times, whose signal one widens the reach, at the low
+    # noise rate; none at the high one, which they would make an invalid
+    # document (click rate x dead time above its cap)
+    dead = {"dead_time": 0.0} if noise > 1e3 else {}
     return pipeline._Engine(ScenarioConfig(
         name="far", seed=0, duration=duration, source=SourceConfig(total_pair_rate=500.0, n_modes=25),
         converter=ConverterConfig(noise_rate_per_mw=noise),
         shutter=ShutterSchedule(echo_window=(900e-9, gate_end)),
         detectors=DetectorSettings(
-            herald=SPDConfig(dead_time=0.0),
-            signal=SPDConfig(dark_rate=300.0, dead_time=0.0, jitter_fwhm=jitter_fwhm),
+            herald=SPDConfig(**dead),
+            signal=SPDConfig(dark_rate=300.0, jitter_fwhm=jitter_fwhm, **dead),
         ),
         lock=LockSettings(mode="ideal", dt=dt),
     ))
@@ -311,6 +314,75 @@ def test_reach_points_are_a_poisson_draw_on_the_union_of_reaches(arrivals, dead,
     z = (got - want) / np.sqrt(want)
     assert abs((got.sum() - want.sum()) / math.sqrt(want.sum())) < _REACH_Z, (got, want)
     assert np.all(np.abs(z[resolved]) < _REACH_Z), (got, want, z)
+
+
+def _covers(rows: list, a: float, b: float) -> bool:
+    """Whether the union of the half-open ``rows``, sorted by start, holds
+    all of [a, b)."""
+    reached = a
+    for r0, r1 in rows:
+        if r0 > reached:
+            break
+        reached = max(reached, r1)
+    return reached >= b
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(
+    n_pairs=st.integers(0, 6),
+    n_edge=st.integers(1, 6),
+    n_darks=st.integers(0, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_sparse_rows_hold_every_herald_arrival_something_drawn_can_see(n_pairs, n_edge, n_darks, seed):
+    # The rows U on which herald_arm draws N0 (the centres and half-width it
+    # hands to length_below) must hold, within the herald jitter margin J,
+    # every arrival a drawn herald can reach through its dead time or a
+    # shared reach point, or its pair photon within the delay margin m; the
+    # inverse reach [x - hi, x - lo] of every P2 photon x; and the inverse
+    # histogram range of every signal dark.  Checked against a walk over
+    # the rows, at the flagship document on a short run.
+    base = load_bundled_scenario("multiplexed_25mode_10km")
+    eng = pipeline._Engine(base.__class__(**{**base.__dict__, "duration": 12.0}))
+    cfg = eng.cfg
+    lo, hi = cfg.signal_reach
+    det = cfg.detectors.herald
+    j, m, h = 8 * det.jitter_sigma, cfg.delay_margin, cfg.histogram
+    windows = cfg.shutter.transmission_windows(0, 3, cfg.duration)
+    rng = np.random.default_rng(seed)
+
+    def times(n):
+        w = windows[rng.integers(0, len(windows), n)]
+        return np.sort(w[:, 0] + (w[:, 1] - w[:, 0]) * rng.random(n))
+
+    pair_t, edge_t, darks = times(n_pairs), times(n_edge), times(n_darks)
+    seen = {}
+    length_below = iv.length_below
+
+    def spy(centres, half, t):
+        seen.update(centres=centres.copy(), half=half)
+        return length_below(centres, half, t)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(iv, "length_below", spy)
+        h_times, h_org = eng.herald_arm(0, windows, pair_t, edge_t, darks, np.zeros(pipeline._N_SLOTS, np.int64))
+    half = seen["half"]
+    rows = [(c - half, c + half) for c in seen["centres"]]
+
+    def must_hold(t, widen):
+        # dead time, a shared reach point, the pair photon's inverse reach
+        for a, b in ((-det.dead_time, det.dead_time), (lo - hi, hi - lo), (-hi - m, m - lo)):
+            assert _covers(rows, t + a - widen, t + b + widen), (t, a, b)
+
+    for t in pair_t:
+        must_hold(t, j)
+    # an N1 herald or a herald dark is detected within J of its arrival
+    for t in h_times[(h_org == pipeline._ORIGIN_N1) | (h_org == ORIGIN_DARK_COUNT)]:
+        must_hold(t, 0.0)
+    for x in edge_t:
+        assert _covers(rows, x - hi - j, x - lo + j), x
+    for d in darks:
+        assert _covers(rows, d - h.tau_max - j, d - h.tau_min + j), d
 
 
 def test_grouped_far_draws_match_per_photon_draws():
