@@ -1,6 +1,7 @@
 """Engine-level checks of the noise shortcuts in ``pipeline._Engine``."""
 
 import ast
+import dataclasses
 import functools
 import math
 import os
@@ -342,8 +343,7 @@ def test_sparse_rows_hold_every_herald_arrival_something_drawn_can_see(n_pairs, 
     # inverse reach [x - hi, x - lo] of every P2 photon x; and the inverse
     # histogram range of every signal dark.  Checked against a walk over
     # the rows, at the flagship document on a short run.
-    base = load_bundled_scenario("multiplexed_25mode_10km")
-    eng = pipeline._Engine(base.__class__(**{**base.__dict__, "duration": 12.0}))
+    eng = pipeline._Engine(dataclasses.replace(load_bundled_scenario("multiplexed_25mode_10km"), duration=12.0))
     cfg = eng.cfg
     lo, hi = cfg.signal_reach
     det = cfg.detectors.herald
