@@ -70,10 +70,10 @@ N0.  A herald lost to dead time has no reach, and its PP_h is dropped.  The
 pair heralds and N1 take the jitter in ``detect``; the darks and N0 enter
 unjittered.  A jittered Poisson process is again Poisson, with the window
 indicator convolved with the jitter kernel (displacement theorem; Kingman
-1993, sec. 5.5): with about 20 window edges per 6 s batch against 3 s of
+1993, sec. 5.5): with about 40 window edges per 12 s batch against 6 s of
 windows, rate * sigma / sqrt(2 pi) points crossing each edge are a
-relative effect near 20 * 0.4 * 42 ps / 3 s = 1e-10.  A flagship batch
-draws about 2.3 k heralds instead of 30 k.
+relative effect near 40 * 0.4 * 42 ps / 6 s = 1e-10.  A flagship batch
+draws about 4.5 k heralds instead of 61 k.
 
 The signal-only pairs
 ---------------------
@@ -157,18 +157,23 @@ run does not matter, and batched execution is reproducible event for event.
 
 Memory
 ------
-A batch's working set (tracemalloc peak) is 0.2 MB at the noise-bound
-bundled points and 0.95 MB at 14 mW pump and 2e4 pairs/s, where pair
-heralds dominate; it is freed when the batch ends.  glibc's malloc returns
-the top of its heap to the kernel once more than its trim threshold (128 kB
-at start-up) is free there, so each batch would fault the same pages in
-again, about 120 minor faults per 6 s batch at that pair-rich point.
-``run_range`` therefore allocates and frees one ``_HEAP_FLOOR_BYTES``
-(2 MiB) block before its batches: glibc then raises its dynamic mmap
-threshold to that size and its trim threshold to twice it (mallopt(3),
-``M_MMAP_THRESHOLD``), so up to 4 MiB of freed batch memory stays mapped; a
-larger working set is trimmed as before.  A 1 MiB block would still hold the
-pair-rich batch, but with more faults (3.3 against 2.0 per batch).  Fixing
+A batch's working set (tracemalloc peak) is 0.3 MB at the noise-bound
+bundled points and 1.2 MB at 14 mW pump and 2e4 pairs/s, where pair
+heralds dominate; it is freed when the batch ends.  ``run_batch`` and the
+arms drop each array once its last reader is done, and ``signal_arm``
+builds the gate's closures before the photons' arrays join them: the
+pair-rich peak of a 12 s batch would be 1.9 MB without that.  glibc's
+malloc returns the top of its heap to the kernel once more than its trim
+threshold (128 kB at start-up) is free there, so each batch would fault the
+same pages in again, about 200 minor faults per 12 s batch at that
+pair-rich point.  ``run_range`` therefore allocates and frees one
+``_HEAP_FLOOR_BYTES`` (2 MiB) block before its batches: glibc then raises
+its dynamic mmap threshold to that size and its trim threshold to twice it
+(mallopt(3), ``M_MMAP_THRESHOLD``), so up to 4 MiB of freed batch memory
+stays mapped, and a batch faults in about 15 pages while the heap settles;
+a larger working set is trimmed as before.  A 1 MiB block holds the
+pair-rich batch as well (14.4 against 14.6 faults per batch), but its 2 MiB
+trim threshold leaves that working set less than 2x of headroom.  Fixing
 a threshold instead would switch the dynamic adjustment off.  On other
 allocators the block is a plain allocation.
 """
@@ -224,6 +229,13 @@ _ORIGIN_N1 = 3
 # freed once before a chunk's batches, it raises glibc's heap-trim floor to
 # twice its size (module docstring, Memory)
 _HEAP_FLOOR_BYTES = 2 << 20
+
+# a batch's shutter cycles span this long: 20 cycles at the bundled 0.6 s
+# cycle, so a simulated hour is 300 whole batches.  A longer batch spreads
+# its fixed cost (a stream per stage and a few dozen array calls) over more
+# cycles; at 12 s the pair-rich working set is a third of the heap-trim
+# floor (module docstring, Memory)
+_BATCH_SECONDS = 12.0
 
 # slots of a chunk's count vector: two blocks indexed by the ORIGIN_* codes,
 # two indexed by the KIND_* codes, then two scalars
@@ -345,7 +357,7 @@ class _Engine:
         self.inner_guard = np.array([margin, -(cfg.memory.echo_delay + margin)])
         self.core_guard = self.inner_guard + [m, -m]
         self.n_cycles = int(math.ceil(cfg.duration / cfg.shutter.cycle_period))
-        per_batch = max(1, int(round(6.0 / cfg.shutter.cycle_period)))
+        per_batch = max(1, int(round(_BATCH_SECONDS / cfg.shutter.cycle_period)))
         self.batches = [
             (lo, min(lo + per_batch, self.n_cycles)) for lo in range(0, self.n_cycles, per_batch)
         ]
@@ -376,12 +388,16 @@ class _Engine:
         # an edge pair's photon that lands in inner_f is left to the draws there
         keep = np.concatenate([np.ones(n_both, dtype=bool), ~iv.contains(inner, signal_t[n_both:])])
         signal_t, signal_mode = signal_t[keep], signal_mode[keep]
+        # each array goes as soon as its last reader is done, which keeps a
+        # batch's working set inside the heap-trim floor (module docstring)
+        del mode_idx, both, edge_t, edge_mode, keep
         # the signal darks go ahead of the memory: the heralds they can pair
         # with must be drawn
         det_rng = _stream(cfg.seed, _S_SIGNAL_DETECT, b)
         darks = iv.sample_poisson(windows, cfg.detectors.signal.dark_rate, det_rng)
 
         h_times, h_org = self.herald_arm(b, windows, t_pairs, signal_t[n_both:], darks, vec)
+        del t_pairs
         det_t, det_org = self.signal_arm(b, windows, inner, h_times, h_org, signal_t, signal_mode, darks, det_rng, vec)
 
         # histogram and the per-herald noise flux into the echo window
@@ -435,6 +451,7 @@ class _Engine:
         # N0 outside U sees only itself: its registered count, at the rate of
         # a non-paralyzable detector
         below = iv.length_below(centres, pad, windows)
+        del centres, k
         outside = max(0.0, iv.total_length(windows) - (below[:, 1] - below[:, 0]).sum())
         vec[_HERALD_ORIGIN + ORIGIN_CONVERSION_NOISE] += rng.poisson(
             self.n0_rate * outside / (1.0 + self.n0_rate * det.dead_time)
@@ -488,6 +505,8 @@ class _Engine:
         # noise or a pair of mode k, and a pair point outside inner_f is left
         # to the edge draws
         points = self.reach_points(h_times, h_org, windows, rng)
+        # the gate's closures, before the photons' arrays join the working set
+        closed = as_closures(h_times, cfg.shutter)
         u = rng.random(len(points))
         pair = u < self.pair_marks[-1]
         mark = np.searchsorted(self.pair_marks, u[pair], side="right")
@@ -499,10 +518,11 @@ class _Engine:
         entry_off = np.concatenate([self.mode_offsets[pair_mode], cfg.converter.noise_offsets(len(n_t), rng)])
         entry_t = np.concatenate([pair_t, n_t])
         entry_org = _origins(pair_t, n_t)
-        closed = as_closures(h_times, cfg.shutter)
+        del points, u, pair, mark, pair_t, pair_mode, n_t
         rng = _stream(cfg.seed, _S_GATE_LEAK, b)
         passes = gate_passes(entry_t, windows, closed, cfg.shutter.extinction, rng)
         entry_t, entry_off, entry_org = entry_t[passes], entry_off[passes], entry_org[passes]
+        del closed, passes
         # the lock-chain residual shifts every photon against the comb
         entry_off = entry_off + self.lock_result.residual_at(entry_t)
 

@@ -359,19 +359,19 @@ def test_run_deterministic_byte_identical():
 # report format) updates the constants and says so in CHANGES.md.
 _PINNED_PAYLOADS = {
     "smoke": {
-        "report.json": "d1bbd6cdd7e64fb05823bc728524a58fa0bb1dd118686071b946d0a661215a58",
-        "histogram.csv": "37df2c440e64fcfcefd65f00dfdbb22eec8c27ffde3fd94017663a3e6168ca91",
-        "summary.csv": "0ee08b4f27ab1264f57e5d9edaca87376596134cf72656455aacf30bd929d8e2",
+        "report.json": "46bc33e6c6798bc254db8e55be45947c71db455fee60087f1c921c89cff2b5db",
+        "histogram.csv": "8e2420deff1c66db03faf58590f947b87281fd3f8659fb23c3de51b2971da7f9",
+        "summary.csv": "5feec2894764a3e6d715ad14dc914639adaa2f07747c8d9475415926398b39c7",
     },
     "pair_rich_30s": {
-        "report.json": "a4661f959aacd16d649e87418b9ff9bae94e21766c8eb9e27925e96b4dc82698",
-        "histogram.csv": "b357c6b99a49c132da2d5e5d538945376c660c82230115221dfb855432b910e2",
-        "summary.csv": "3c32c7a07f05b6eb784f5d59ad090741bc0b29bfa5c2991d8942e666cad23e98",
+        "report.json": "b80a7e8dc2d3c6f2a58aada9fc43bae744da3f6b686960032b74291763daebad",
+        "histogram.csv": "6de1dde12991ac8e5bfa6fd86e1461414493a5d93af784fee60ecc6736a712a6",
+        "summary.csv": "5cd387d0072cc455e3eb20ba5126ab3c8c4716a14c2a05741904a6b9a4f690ac",
     },
     "ideal_lock_30s": {
-        "report.json": "d775de3780c62576d021c5653699c0c0dae3d6762e027e819199d7b965edf09c",
-        "histogram.csv": "bf6050efd5a5f889c92eab62e283030584ab5fd4452bfac4482c0c10cb07322f",
-        "summary.csv": "d8635d0575279b353f5b5ec250c8a21f8e0cc0f78dd06d26beb84d78239de07f",
+        "report.json": "2e4904102e49031ad0f05e8b64658913fc4ad6e7975b974b293ca6b7d4bdccfd",
+        "histogram.csv": "9266a48cbbde5b7c344ec12e8269ad08eaae610d487f89f5b2836cf13d14ffd5",
+        "summary.csv": "30428793861f78850c54296d6b055979798a8547911e743f8e89c438f3bfbb34",
     },
 }
 

@@ -8,6 +8,7 @@ import os
 import platform
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +31,7 @@ from afclink.detection import (
     ORIGIN_CONVERSION_NOISE,
     ORIGIN_DARK_COUNT,
     ORIGIN_PAIR,
+    CoincidenceHistogram,
     SPDConfig,
     dead_time_filter,
     heralds_in_range,
@@ -472,3 +474,33 @@ def test_a_chunk_keeps_its_batch_memory():
     out = subprocess.run([sys.executable, "-c", _BATCH_FAULTS], env={**os.environ, "PYTHONPATH": pythonpath},
                          capture_output=True, text=True, check=True)
     assert float(out.stdout) < 20
+
+
+def test_a_batch_fits_under_the_heap_trim_floor():
+    # _BATCH_FAULTS's document: the raised trim floor keeps at most
+    # 2 * _HEAP_FLOOR_BYTES of freed batch memory mapped, and a batch that
+    # outgrows it is trimmed and faulted in again every batch
+    flagship = load_bundled_scenario("multiplexed_25mode_10km")
+    converter = dataclasses.replace(flagship.converter, pump_power=14.0)
+    engine = pipeline._Engine(dataclasses.replace(flagship, duration=240.0, converter=converter).with_rate(2e4))
+    hist = CoincidenceHistogram(**dataclasses.asdict(engine.cfg.histogram))
+    vec = np.zeros(pipeline._N_SLOTS, dtype=np.int64)
+    engine.run_batch(0, hist, vec)
+    tracemalloc.start()
+    try:
+        engine.run_batch(1, hist, vec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * pipeline._HEAP_FLOOR_BYTES
+
+
+@pytest.mark.parametrize("name", bundled_scenarios())
+def test_an_hour_holds_whole_batches(name):
+    # an hour is a whole number of batches, so per-hour rows of a run's
+    # counts each hold whole batches
+    cfg = load_bundled_scenario(name)
+    engine = pipeline._Engine(dataclasses.replace(cfg, duration=4 * pipeline._BATCH_SECONDS))
+    lo, hi = engine.batches[0]
+    per_hour = 3600.0 / ((hi - lo) * cfg.shutter.cycle_period)
+    assert per_hour == pytest.approx(round(per_hour), abs=1e-9)

@@ -96,8 +96,9 @@ LINKS = {
 
 
 def reference_config(seed: int, edits: dict, lock: LockSettings):
-    """A 12 s (two-batch) flagship slice with 5x the converter noise, 2e4
-    pairs/s, the given edits and ``lock``."""
+    """A 12.6 s flagship slice (21 cycles: one 20-cycle batch and one
+    1-cycle batch) with 5x the converter noise, 2e4 pairs/s, the given
+    edits and ``lock``."""
     doc = scenario_to_dict(load_bundled_scenario("multiplexed_25mode_10km"))
     for path, value in edits.items():
         *parents, key = path.split(".")
@@ -107,7 +108,7 @@ def reference_config(seed: int, edits: dict, lock: LockSettings):
     return dataclasses.replace(
         flagship,
         seed=seed,
-        duration=12.0,
+        duration=12.6,
         converter=dataclasses.replace(converter, noise_rate_per_mw=NOISE_BOOST * converter.noise_rate_per_mw),
         lock=lock,
     ).with_rate(2e4)
