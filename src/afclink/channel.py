@@ -30,22 +30,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import intervals as iv
+from .domains import Checked, ScenarioError, ranged
 
 
 @dataclass(frozen=True)
-class FiberLink:
+class FiberLink(Checked):
     """Passive fiber span: loss per km.  Photon times are taken at the far
     end; the span's group delay is common to both arms, cancels in every
     coincidence and is not modelled."""
 
-    length: float = 10.0  # km
-    loss: float = 0.2  # dB/km
-
-    def __post_init__(self):
-        if self.length < 0:
-            raise ValueError("length must be >= 0")
-        if self.loss < 0:
-            raise ValueError("loss must be >= 0")
+    length: float = ranged(">= 0", 10.0)  # km
+    loss: float = ranged(">= 0", 0.2)  # dB/km
 
     @property
     def survival_probability(self) -> float:
@@ -53,23 +48,13 @@ class FiberLink:
 
 
 @dataclass(frozen=True)
-class ConverterConfig:
+class ConverterConfig(Checked):
     """Sum-frequency wavelength converter with a Gaussian phase-matching window."""
 
-    efficiency: float = 0.558
-    pm_fwhm: float = 40e9  # Hz
-    pump_power: float = 140.0  # mW
-    noise_rate_per_mw: float = 40e3 / 140.0  # counts/s per mW of pump
-
-    def __post_init__(self):
-        if not 0.0 <= self.efficiency <= 1.0:
-            raise ValueError("efficiency must be in [0, 1]")
-        if self.pm_fwhm <= 0:
-            raise ValueError("pm_fwhm must be > 0")
-        if self.pump_power < 0:
-            raise ValueError("pump_power must be >= 0")
-        if self.noise_rate_per_mw < 0:
-            raise ValueError("noise_rate_per_mw must be >= 0")
+    efficiency: float = ranged("in [0, 1]", 0.558)
+    pm_fwhm: float = ranged("> 0", 40e9)  # Hz
+    pump_power: float = ranged(">= 0", 140.0)  # mW
+    noise_rate_per_mw: float = ranged(">= 0", 40e3 / 140.0)  # counts/s per mW of pump
 
     @property
     def noise_rate(self) -> float:
@@ -97,25 +82,24 @@ class ConverterConfig:
 
 
 @dataclass(frozen=True)
-class ShutterSchedule:
+class ShutterSchedule(Checked):
     """Cycle and herald-triggered gating of the noise shutter (see module docstring)."""
 
     cycle_period: float = 0.6
-    prep_duration: float = 0.3
-    herald_close_delay: float = 200e-9
+    prep_duration: float = ranged("> 0", 0.3)
+    herald_close_delay: float = ranged(">= 0", 200e-9)
     echo_window: tuple[float, float] = (900e-9, 1200e-9)
-    extinction: float = 1e-3
+    extinction: float = ranged("in [0, 1]", 1e-3)
 
     def __post_init__(self):
-        if not 0 < self.prep_duration < self.cycle_period:
-            raise ValueError("prep_duration must lie inside the cycle")
-        if not 0.0 <= self.extinction <= 1.0:
-            raise ValueError("extinction must be in [0, 1]")
+        super().__post_init__()
+        if not self.prep_duration < self.cycle_period:
+            raise ScenarioError("prep_duration", "must lie inside the cycle, below cycle_period")
         t_open, t_close = self.echo_window
         if not t_open < t_close:
-            raise ValueError("echo window requires t_open < t_close")
-        if self.herald_close_delay < 0 or self.herald_close_delay > t_open:
-            raise ValueError("herald_close_delay must be in [0, t_open]")
+            raise ScenarioError("echo_window", "requires t_open < t_close")
+        if not self.herald_close_delay <= t_open:
+            raise ScenarioError("herald_close_delay", "must be at most t_open, the echo window's start")
 
     def transmission_windows(self, cycle_lo: int, cycle_hi: int, duration: float) -> np.ndarray:
         """Transmission phases of cycles ``cycle_lo .. cycle_hi - 1``, clipped

@@ -25,6 +25,7 @@ import numpy as np
 
 from .channel import ConverterConfig, FiberLink, ShutterSchedule
 from .detection import HistogramLayout, SPDConfig
+from .domains import Checked, ScenarioError, ranged
 from .lockchain import LaserId, LockChainConfig
 from .memory import AFCConfig, InhomogeneousProfile
 from .source import SourceConfig
@@ -34,23 +35,11 @@ _REACH_SIGMAS = 8  # jitter sigmas of margin on both sides of the signal reach
 _MAX_RATE_DEAD_TIME = 1e-2  # largest click rate x dead time of either detector
 
 
-class ScenarioError(ValueError):
-    """Invalid scenario configuration; ``field`` names the offending entry."""
-
-    def __init__(self, field_path: str, message: str):
-        self.field = field_path
-        super().__init__(f"{field_path}: {message}")
-
-
 @dataclass(frozen=True)
-class MemorySettings:
+class MemorySettings(Checked):
     inhomogeneous: InhomogeneousProfile = field(default_factory=InhomogeneousProfile)
     afc: AFCConfig = field(default_factory=AFCConfig)
-    slow_light_delay: float = 150e-9
-
-    def __post_init__(self):
-        if self.slow_light_delay < 0:
-            raise ValueError("slow_light_delay must be >= 0")
+    slow_light_delay: float = ranged(">= 0", 150e-9)
 
     @property
     def echo_delay(self) -> float:
@@ -66,7 +55,7 @@ class DetectorSettings:
 
 
 @dataclass(frozen=True)
-class LockSettings:
+class LockSettings(Checked):
     """Lock chain treatment: 'ideal' pins the matching residual at zero and
     takes no ``config``; 'simulated' runs the closed-loop network ``config``
     (the default chain when null) at telemetry step ``dt`` and feeds its
@@ -75,22 +64,21 @@ class LockSettings:
 
     mode: Literal["ideal", "simulated"] = "ideal"
     config: Optional[LockChainConfig] = None
-    dt: float = 1.0
+    dt: float = ranged("> 0", 1.0)
 
     def __post_init__(self):
+        super().__post_init__()
         if self.mode not in ("ideal", "simulated"):
-            raise ValueError("lock mode must be 'ideal' or 'simulated'")
+            raise ScenarioError("mode", "must be 'ideal' or 'simulated'")
         if self.mode == "ideal" and self.config is not None:
-            raise ScenarioError("lock.config", "must be null for an ideal lock, which runs no chain")
-        if self.dt <= 0:
-            raise ValueError("lock dt must be > 0")
+            raise ScenarioError("config", "must be null for an ideal lock, which runs no chain")
 
 
 @dataclass(frozen=True)
-class ScenarioConfig:
+class ScenarioConfig(Checked):
     name: str
-    seed: int
-    duration: float
+    seed: int = ranged(">= 0")
+    duration: float = ranged("> 0")
     source: SourceConfig
     link: FiberLink = field(default_factory=FiberLink)
     converter: ConverterConfig = field(default_factory=ConverterConfig)
@@ -101,10 +89,7 @@ class ScenarioConfig:
     lock: LockSettings = field(default_factory=LockSettings)
 
     def __post_init__(self):
-        if not self.duration > 0:
-            raise ScenarioError("duration", "must be > 0")
-        if self.seed < 0:
-            raise ScenarioError("seed", "must be >= 0")
+        super().__post_init__()
         # the memory prepares one pit per source mode; overlapping pits are
         # refused, since the nearest-mode pick cannot tell them apart
         try:
@@ -243,8 +228,8 @@ def _build(cls, d: dict, path: str):
             raise ScenarioError(sub, "missing required key")
     try:
         return cls(**kwargs)
-    except ScenarioError:
-        raise
+    except ScenarioError as exc:  # its field is relative to ``cls``
+        raise ScenarioError(f"{path}.{exc.field}" if path else exc.field, exc.message) from exc
     except ValueError as exc:
         raise ScenarioError(path or "<document>", str(exc)) from exc
 

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import intervals as iv
+from .domains import Checked, ScenarioError, ranged
 
 #: origin codes of a detection record
 ORIGIN_PAIR = 0
@@ -30,19 +31,13 @@ NO_OUTCOME = 255
 
 
 @dataclass(frozen=True)
-class SPDConfig:
+class SPDConfig(Checked):
     """Single-photon detector: efficiency, dark rate, dead time, jitter."""
 
-    efficiency: float = 0.5
-    dark_rate: float = 100.0  # counts/s
-    dead_time: float = 50e-9
-    jitter_fwhm: float = 100e-12
-
-    def __post_init__(self):
-        if not 0.0 <= self.efficiency <= 1.0:
-            raise ValueError("efficiency must be in [0, 1]")
-        if self.dark_rate < 0 or self.dead_time < 0 or self.jitter_fwhm < 0:
-            raise ValueError("dark_rate, dead_time and jitter_fwhm must be >= 0")
+    efficiency: float = ranged("in [0, 1]", 0.5)
+    dark_rate: float = ranged(">= 0", 100.0)  # counts/s
+    dead_time: float = ranged(">= 0", 50e-9)
+    jitter_fwhm: float = ranged(">= 0", 100e-12)
 
     @property
     def jitter_sigma(self) -> float:
@@ -129,29 +124,28 @@ def detect(
 
 
 @dataclass(frozen=True)
-class HistogramLayout:
+class HistogramLayout(Checked):
     """Delay range, bin width and signal/noise windows of a coincidence
     histogram (seconds); bins cover [tau_min, tau_max)."""
 
-    bin_width: float = 0.128e-9
+    bin_width: float = ranged("> 0", 0.128e-9)
     tau_min: float = -200e-9
     tau_max: float = 1400e-9
     signal_window: tuple[float, float] = (900e-9, 1150e-9)
     noise_window: tuple[float, float] = (1155e-9, 1195e-9)
 
     def __post_init__(self):
-        if self.bin_width <= 0:
-            raise ValueError("bin_width must be > 0")
+        super().__post_init__()
         if not self.tau_min < self.tau_max:
-            raise ValueError("range must satisfy tau_min < tau_max")
+            raise ScenarioError("tau_max", "must exceed tau_min")
         for name, (a, b) in (("signal_window", self.signal_window), ("noise_window", self.noise_window)):
             if not (self.tau_min <= a < b <= self.tau_max):
-                raise ValueError(f"{name} must lie inside the histogram range")
+                raise ScenarioError(name, "must lie inside the histogram range")
             if self.window_bins((a, b)) < 1:
-                raise ValueError(f"{name} must hold at least one whole bin of width {self.bin_width:g} s")
+                raise ScenarioError(name, f"must hold at least one whole bin of width {self.bin_width:g} s")
         s, nw = self.signal_window, self.noise_window
         if max(s[0], nw[0]) < min(s[1], nw[1]):
-            raise ValueError("signal and noise windows must be disjoint")
+            raise ScenarioError("noise_window", "must be disjoint from signal_window")
 
     @property
     def n_bins(self) -> int:

@@ -52,6 +52,8 @@ from typing import Mapping
 
 import numpy as np
 
+from .domains import Checked, ScenarioError, ranged
+
 
 class LaserId(str, enum.Enum):
     """Driven lasers of the network; the 606 nm frequencies derive from them."""
@@ -70,17 +72,12 @@ BEAT = (1.0, -2.0, 1.0)
 
 
 @dataclass(frozen=True)
-class RfOffsets:
+class RfOffsets(Checked):
     """RF frequencies applied by the lock chain's modulators (Hz)."""
 
-    f_qm_pump_aom: float = 164.3e6
-    f_beat: float = 83.4e6
-    f_noisecut_aom: float = 80.9e6
-
-    def __post_init__(self):
-        for name in ("f_qm_pump_aom", "f_beat", "f_noisecut_aom"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be > 0")
+    f_qm_pump_aom: float = ranged("> 0", 164.3e6)
+    f_beat: float = ranged("> 0", 83.4e6)
+    f_noisecut_aom: float = ranged("> 0", 80.9e6)
 
     @property
     def mismatch(self) -> float:
@@ -89,7 +86,7 @@ class RfOffsets:
 
 
 @dataclass(frozen=True)
-class DriftModel:
+class DriftModel(Checked):
     """Free-running frequency drift: an Ornstein-Uhlenbeck process, which is
     a random walk at ``reversion_rate`` 0.
 
@@ -98,29 +95,17 @@ class DriftModel:
     standard deviation is sigma / sqrt(2 * reversion_rate).
     """
 
-    sigma: float = 0.0
-    reversion_rate: float = 0.0
-
-    def __post_init__(self):
-        if self.sigma < 0:
-            raise ValueError("sigma must be >= 0")
-        if self.reversion_rate < 0:
-            raise ValueError("reversion_rate must be >= 0")
+    sigma: float = ranged(">= 0", 0.0)
+    reversion_rate: float = ranged(">= 0", 0.0)
 
 
 @dataclass(frozen=True)
-class ServoModel:
+class ServoModel(Checked):
     """First-order offset-lock loop pulling its beat error to zero at rate
     ``gain`` (1/s); gain 0 leaves the loop open."""
 
-    gain: float
-    residual_noise_rms: float = 0.0
-
-    def __post_init__(self):
-        if self.gain < 0:
-            raise ValueError("gain must be >= 0")
-        if self.residual_noise_rms < 0:
-            raise ValueError("residual_noise_rms must be >= 0")
+    gain: float = ranged(">= 0")
+    residual_noise_rms: float = ranged(">= 0", 0.0)
 
 
 @dataclass(frozen=True)
@@ -180,7 +165,7 @@ class LockChainConfig:
     def __post_init__(self):
         for laser in self.comb_locks:
             if laser not in (LaserId.TPC_PUMP_1514, LaserId.QM_MASTER_1212):
-                raise ValueError("comb locks act on the 1514 and 1212 nm lasers")
+                raise ScenarioError("comb_locks", "act on the 1514 and 1212 nm lasers only")
 
     def with_servos_disabled(self) -> "LockChainConfig":
         locks = {k: replace(v, gain=0.0) for k, v in self.comb_locks.items()}

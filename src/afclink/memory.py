@@ -33,6 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .domains import Checked, ScenarioError, ranged
+
 _FOUR_LN2 = 4.0 * math.log(2.0)
 #: integral of a unit-peak Gaussian in units of its FWHM
 _GAUSS_AREA_PER_FWHM = math.sqrt(math.pi / _FOUR_LN2)
@@ -47,17 +49,11 @@ KIND_LOST = 3
 
 
 @dataclass(frozen=True)
-class InhomogeneousProfile:
+class InhomogeneousProfile(Checked):
     """Gaussian inhomogeneous absorption profile of the storage crystal."""
 
-    fwhm: float = 10e9
-    peak_optical_depth: float = 5.0
-
-    def __post_init__(self):
-        if self.fwhm <= 0:
-            raise ValueError("fwhm must be > 0")
-        if self.peak_optical_depth < 0:
-            raise ValueError("peak_optical_depth must be >= 0")
+    fwhm: float = ranged("> 0", 10e9)
+    peak_optical_depth: float = ranged(">= 0", 5.0)
 
     def depth_at(self, f) -> np.ndarray:
         x = np.asarray(f, dtype=np.float64) / self.fwhm
@@ -70,24 +66,19 @@ class InhomogeneousProfile:
 
 
 @dataclass(frozen=True)
-class AFCConfig:
+class AFCConfig(Checked):
     """Comb preparation parameters shared by every pit of the source's mode plan."""
 
-    tooth_spacing: float = 1.15e6
-    finesse: float = 4.0
-    tooth_peak_depth: float = 2.0
-    background_depth: float = 0.2
+    tooth_spacing: float = ranged("> 0", 1.15e6)
+    finesse: float = ranged("> 1", 4.0)
+    tooth_peak_depth: float = ranged(">= 0", 2.0)
+    background_depth: float = ranged(">= 0", 0.2)
     pit_halfwidth: float = 9e6
 
     def __post_init__(self):
-        if self.tooth_spacing <= 0:
-            raise ValueError("tooth_spacing must be > 0")
-        if self.finesse <= 1:
-            raise ValueError("finesse must be > 1")
-        if self.tooth_peak_depth < 0 or self.background_depth < 0:
-            raise ValueError("depths must be >= 0")
-        if self.pit_halfwidth <= 2 * self.tooth_spacing:
-            raise ValueError("pit_halfwidth must span several tooth spacings")
+        super().__post_init__()
+        if not self.pit_halfwidth > 2 * self.tooth_spacing:
+            raise ScenarioError("pit_halfwidth", "must span several tooth spacings")
 
     @property
     def tooth_fwhm(self) -> float:

@@ -22,10 +22,11 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import intervals as iv
+from .domains import Checked, ScenarioError, ranged
 
 
 @dataclass(frozen=True)
-class SourceConfig:
+class SourceConfig(Checked):
     """Pair source settings.
 
     ``total_pair_rate`` is pairs/s summed over all active modes; the mode
@@ -33,29 +34,22 @@ class SourceConfig:
     reach the memory and are not generated.
     """
 
-    total_pair_rate: float
-    n_modes: int = 25
-    fsr: float = 117.2e6
-    linewidth: float = 7.1e6
+    total_pair_rate: float = ranged(">= 0")
+    n_modes: int = ranged(">= 1", 25)
+    fsr: float = ranged("> 0", 117.2e6)
+    linewidth: float = ranged("> 0", 7.1e6)
     mode_weights: Optional[Sequence[float]] = None
 
     def __post_init__(self):
-        if self.total_pair_rate < 0:
-            raise ValueError("total_pair_rate must be >= 0")
-        if self.n_modes < 1:
-            raise ValueError("n_modes must be >= 1")
-        if self.fsr <= 0:
-            raise ValueError("fsr must be > 0")
-        if self.linewidth <= 0:
-            raise ValueError("linewidth must be > 0")
+        super().__post_init__()
         if self.mode_weights is not None:
             w = np.asarray(self.mode_weights, dtype=np.float64)
             if len(w) != self.n_modes:
-                raise ValueError("mode_weights length must equal n_modes")
-            if np.any(w < 0):
-                raise ValueError("mode_weights must be nonnegative")
+                raise ScenarioError("mode_weights", "length must equal n_modes")
+            if not np.all(w >= 0):
+                raise ScenarioError("mode_weights", "must be nonnegative")
             if not math.isclose(float(w.sum()), 1.0, rel_tol=0, abs_tol=1e-9):
-                raise ValueError("mode_weights must sum to 1")
+                raise ScenarioError("mode_weights", "must sum to 1")
 
     @property
     def coherence_time(self) -> float:

@@ -7,8 +7,10 @@ import math
 import os
 import subprocess
 import sys
+import typing
 import warnings
 from collections import Counter
+from collections.abc import Mapping
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +34,7 @@ from afclink.config import (
     scenario_to_json,
 )
 from afclink.detection import CoincidenceHistogram
+from afclink.domains import DOMAINS
 from afclink.lockchain import LockRunResult, RfOffsets
 from afclink.memory import AbsorptionSpectrum
 from afclink.reporting import RunReport, analyze, run_scenario
@@ -123,7 +126,7 @@ def test_invalid_value_names_field():
     d["link"]["loss"] = -1.0
     with pytest.raises(ScenarioError) as err:
         scenario_from_dict(d)
-    assert "link" in str(err.value)
+    assert err.value.field == "link.loss"
 
 
 _LOCK = "lock.config.comb_locks.tpc_pump_1514"
@@ -147,18 +150,18 @@ _MALFORMED = [
     ("link.length", True, "link.length"),
     ("link.length", float("nan"), "link.length"),
     ("histogram.signal_window", [9e-7, 1e-6, 1.1e-6], "histogram.signal_window"),
-    ("histogram.tau_min", 2e-6, "histogram"),
-    ("histogram.bin_width", 0, "histogram"),
-    ("histogram.noise_window", [1.1e-6, 1.2e-6], "histogram"),
+    ("histogram.tau_min", 2e-6, "histogram.tau_max"),
+    ("histogram.bin_width", 0, "histogram.bin_width"),
+    ("histogram.noise_window", [1.1e-6, 1.2e-6], "histogram.noise_window"),
     # a window that holds no whole bin has no counts to report
-    ("histogram.bin_width", 1e-6, "histogram"),
-    ("histogram.noise_window", [1.155e-6, 1.1551e-6], "histogram"),
+    ("histogram.bin_width", 1e-6, "histogram.signal_window"),
+    ("histogram.noise_window", [1.155e-6, 1.1551e-6], "histogram.noise_window"),
     # keys of older documents: one field says each setting, so these are unknown
     (f"{_LOCK}.enabled", "no", f"{_LOCK}.enabled"),
     (f"{_LOCK}.setpoint", 0.0, f"{_LOCK}.setpoint"),
     ("lock.config.monitor_lock.enabled", True, "lock.config.monitor_lock.enabled"),
     ("lock.config.drift.tpc_pump_1514.kind", "random_walk", "lock.config.drift.tpc_pump_1514.kind"),
-    (f"{_LOCK}.gain", -1.0, _LOCK),
+    (f"{_LOCK}.gain", -1.0, f"{_LOCK}.gain"),
     ("lock.config.drift.tpc_pump_1515", {}, "lock.config.drift.tpc_pump_1515"),
     ("lock.config.drift.monitor_606", {}, "lock.config.drift.monitor_606"),
     ("memory.afc.mode_offsets", [0.0], "memory.afc.mode_offsets"),
@@ -174,10 +177,18 @@ _MALFORMED = [
     # converter noise is one field, the rate per mW of pump
     ("converter.noise_rate_ref", 40e3, "converter.noise_rate_ref"),
     ("converter.reference_power", 140.0, "converter.reference_power"),
-    ("converter.noise_rate_per_mw", -1.0, "converter"),
+    ("converter.noise_rate_per_mw", -1.0, "converter.noise_rate_per_mw"),
     # 10 kHz of herald clicks x 2 us is 2e-2: herald dead-time chains the
     # sparse herald stream cuts would no longer be second order
     ("detectors.herald.dead_time", 2e-6, "detectors.herald.dead_time"),
+    # a relation between fields is refused under the field it names
+    ("shutter.prep_duration", 0.7, "shutter.prep_duration"),
+    ("shutter.herald_close_delay", 1e-6, "shutter.herald_close_delay"),
+    ("shutter.echo_window", [1.2e-6, 9e-7], "shutter.echo_window"),
+    ("source.mode_weights", [1.0], "source.mode_weights"),
+    ("source.mode_weights", [0.5] * 25, "source.mode_weights"),
+    ("memory.afc.pit_halfwidth", 2e6, "memory.afc.pit_halfwidth"),
+    ("lock.config.comb_locks.wc_pump_1010", {"gain": 1.0}, "lock.config.comb_locks"),
 ]
 
 
@@ -197,6 +208,105 @@ def test_malformed_document_rejected_with_path(path, value, field):
     with pytest.raises(ScenarioError) as err:
         scenario_from_dict(d)
     assert err.value.field == field
+
+
+# the numeric fields that declare no domain, each bounded only by a relation
+# to other fields, which the named check enforces
+_UNDECLARED = {
+    "source.mode_weights",  # one per mode, each >= 0, summing to 1 (SourceConfig)
+    "shutter.cycle_period",  # exceeds prep_duration, which is > 0 (ShutterSchedule)
+    "shutter.echo_window",  # t_open < t_close, t_open >= herald_close_delay (ShutterSchedule)
+    "memory.afc.pit_halfwidth",  # above 2 tooth spacings (AFCConfig), pits apart (ScenarioConfig)
+    "histogram.tau_min",  # below tau_max (HistogramLayout)
+    "histogram.tau_max",  # above tau_min (HistogramLayout)
+    "histogram.signal_window",  # inside the range, a whole bin, the echo (HistogramLayout, ScenarioConfig)
+    "histogram.noise_window",  # inside the range, a whole bin, apart from signal_window (HistogramLayout)
+}
+
+
+def _numeric_fields(cls, doc: dict, path: tuple = ()):
+    """(key path, field, type) of every numeric field that document ``doc``
+    of dataclass ``cls`` reaches: scalars and lists of numbers."""
+    hints = typing.get_type_hints(cls)
+    for f in dataclasses.fields(cls):
+        tp, sub, value = hints[f.name], path + (f.name,), doc[f.name]
+        args = typing.get_args(tp)
+        if type(None) in args:  # Optional[X]
+            (tp,) = [a for a in args if a is not type(None)]
+            args = typing.get_args(tp)
+        if dataclasses.is_dataclass(tp):
+            yield from _numeric_fields(tp, value, sub)
+        elif typing.get_origin(tp) is Mapping:  # keyed by laser
+            for key, item in value.items():
+                yield from _numeric_fields(args[1], item, sub + (key,))
+        elif tp in (int, float) or args[:1] == (float,):
+            yield sub, f, tp
+
+
+# a value just outside each domain: its bound when the bound is excluded,
+# else the next float past it
+_OUTSIDE = {
+    "> 0": [0.0],
+    ">= 0": [math.nextafter(0.0, -1.0)],
+    "> 1": [1.0],
+    ">= 1": [math.nextafter(1.0, 0.0)],
+    "in [0, 1]": [math.nextafter(0.0, -1.0), math.nextafter(1.0, 2.0)],
+}
+
+
+def test_every_declared_domain_is_refused_under_its_leaf():
+    # the simulated-lock document reaches the lock chain's fields too
+    doc = scenario_to_dict(load_bundled_scenario("lock_12h"))
+    declared, undeclared = [], set()
+    for path, f, tp in _numeric_fields(ScenarioConfig, doc):
+        if "domain" in f.metadata:
+            declared.append((path, f, tp))
+        else:
+            undeclared.add(".".join(path))
+    assert undeclared == _UNDECLARED
+    assert {f.metadata["domain"] for _, f, _ in declared} == set(DOMAINS)
+    assert ("lock", "config", "comb_locks", "tpc_pump_1514", "gain") in [p for p, _, _ in declared]
+    for path, f, tp in declared:
+        for outside in _OUTSIDE[f.metadata["domain"]]:
+            bad = json.loads(json.dumps(doc))
+            obj = bad
+            for key in path[:-1]:
+                obj = obj[key]
+            obj[path[-1]] = math.floor(outside) if tp is int else outside
+            with pytest.raises(ScenarioError) as err:
+                scenario_from_dict(bad)
+            assert err.value.field == ".".join(path), (path, outside)
+
+
+def _dataclass_instances(obj):
+    """``obj`` and every dataclass instance inside it."""
+    if dataclasses.is_dataclass(obj):
+        yield obj
+        for f in dataclasses.fields(obj):
+            yield from _dataclass_instances(getattr(obj, f.name))
+    elif isinstance(obj, dict):
+        for item in obj.values():
+            yield from _dataclass_instances(item)
+
+
+def test_nan_is_outside_every_declared_domain():
+    # each domain is a membership test, so a NaN built directly is refused
+    # under the field's own name, relative to the dataclass built
+    cfg = load_bundled_scenario("lock_12h")
+    built = set()
+    for obj in _dataclass_instances(cfg):
+        for f in dataclasses.fields(obj):
+            if "domain" in f.metadata:
+                with pytest.raises(ScenarioError) as err:
+                    dataclasses.replace(obj, **{f.name: math.nan})
+                assert err.value.field == f.name, (type(obj).__name__, f.name)
+                built.add(f"{type(obj).__name__}.{f.name}")
+    assert {"FiberLink.loss", "SourceConfig.total_pair_rate", "SPDConfig.dead_time",
+            "ConverterConfig.pm_fwhm", "ServoModel.gain", "ScenarioConfig.duration"} <= built
+    smoke = load_bundled_scenario("multiplexed_25mode_10km_smoke")
+    with pytest.raises(ScenarioError) as err:
+        smoke.with_rate(math.nan)
+    assert err.value.field == "total_pair_rate"
 
 
 # steps for the leaves that x1.1 would not move or not keep valid in
@@ -629,7 +739,7 @@ def test_sweep_decodes_every_value_before_the_first_run(monkeypatch):
     _refuse_runs(monkeypatch)
     with pytest.raises(ScenarioError) as err:
         sweep(small_cfg(), "link.loss", [0.2, -1])
-    assert err.value.field == "link"
+    assert err.value.field == "link.loss"
 
 
 def test_sweep_refuses_the_seed(monkeypatch):
@@ -815,7 +925,7 @@ _SWEEP = ["sweep", "--config", "multiplexed_25mode_10km_smoke", "--param"]
     (["simulate", "--config", "{bad}"], "source"),
     (["simulate", "--config", "multiplexed_25mode_10km_smoke", "--seed", "-1"], "seed"),
     (_SWEEP + ["link.lenght", "--values", "1"], "link.lenght"),
-    (_SWEEP + ["link.loss", "--values", "-1"], "link"),
+    (_SWEEP + ["link.loss", "--values", "-1"], "link.loss"),
     (_SWEEP + ["source.n_modes", "--values", "1,3.5"], "source.n_modes"),
     (_SWEEP + ["source.n_modes", "--values", "1,4"], "source.n_modes"),
     (_SWEEP + ["link.loss", "--values", "0.2,x"], "--values"),
