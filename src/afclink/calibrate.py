@@ -8,6 +8,7 @@ from dataclasses import replace
 from typing import Optional, Sequence
 
 from .config import ScenarioConfig, ScenarioError, scenario_from_dict, scenario_to_dict
+from .domains import DOMAINS
 from .pipeline import _spawn_seed
 from .reporting import RunReport, run_scenario
 
@@ -66,10 +67,10 @@ def calibrate_rate(
     CalibrationError listing every evaluation after 12 misses, or when the
     scenario refuses a proposed rate (naming the refused field).
     """
-    if target_peak_counts <= 0:
-        raise CalibrationError("target_peak_counts must be > 0")
+    if not DOMAINS["> 0"](target_peak_counts):
+        raise CalibrationError("target_peak_counts must be a finite number > 0")
     rate = cfg.source.total_pair_rate
-    if rate <= 0:
+    if not DOMAINS["> 0"](rate):
         raise CalibrationError("scenario must start from a positive pair rate")
 
     evals: list[tuple[float, float]] = []

@@ -22,6 +22,7 @@ from .config import (
     load_scenario_file,
     scenario_to_json,
 )
+from .domains import check
 from .memory import prepare_afc
 from .pipeline import lock_run
 from .reporting import run_scenario, write_text
@@ -61,8 +62,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_lockcheck(args) -> int:
-    if not args.hours > 0:
-        raise ScenarioError("--hours", "must be > 0")
+    check("--hours", args.hours, "> 0")
     cfg = _load_config(args.config)
     lock = cfg.lock
     if lock.mode == "ideal":
@@ -90,8 +90,9 @@ def _cmd_afc_plot(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
-    if args.calibration_duration is not None and not args.calibration_duration > 0:
-        raise ScenarioError("--calibration-duration", "must be > 0")
+    check("--target-peak", args.target_peak, "> 0")
+    if args.calibration_duration is not None:
+        check("--calibration-duration", args.calibration_duration, "> 0")
     cfg = _load_config(args.config)
     calibrated = calibrate_rate(
         cfg,
@@ -146,8 +147,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if getattr(args, "workers", None) is not None and args.workers < 1:
-            raise ScenarioError("--workers", "must be >= 1")
+        if getattr(args, "workers", None) is not None:
+            check("--workers", args.workers, ">= 1")
         return args.func(args)
     except ScenarioError as exc:
         print(json.dumps({"error": {"kind": "config", "field": exc.field, "message": str(exc)}}))

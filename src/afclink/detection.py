@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import intervals as iv
-from .domains import Checked, ScenarioError, ranged
+from .domains import Checked, ScenarioError, check, ranged
 
 #: origin codes of a detection record
 ORIGIN_PAIR = 0
@@ -233,8 +233,7 @@ def moving_average(counts: np.ndarray, n_bins: int) -> np.ndarray:
     For even ``n_bins`` the window takes one extra bin on the left of the
     center, i.e. bins [i - n//2, i + (n-1)//2].
     """
-    if n_bins < 1:
-        raise ValueError("n_bins must be >= 1")
+    check("n_bins", n_bins, ">= 1")
     counts = np.asarray(counts, dtype=np.float64)
     n = len(counts)
     cum = np.concatenate([[0.0], np.cumsum(counts)])

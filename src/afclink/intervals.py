@@ -110,9 +110,8 @@ def sample_poisson(intervals: np.ndarray, rate: float, rng: np.random.Generator)
     sorted uniforms (Devroye 1986, ch. V).  Point u of the concatenated
     length goes to the row k with cum[k] <= u < cum[k + 1] (the last row
     also takes a u rounded past the end).  Both sequences being sorted, the
-    shorter one is searched in the longer: a few windows holding many points
-    are filled by counting the points per row, while one search per point
-    serves many short rows.
+    row edges are searched among the points, which counts the points per
+    row: the engine passes a few rows, its windows or their edge zones.
     """
     cum = np.empty(len(intervals) + 1)
     cum[0] = 0.0
@@ -123,9 +122,6 @@ def sample_poisson(intervals: np.ndarray, rate: float, rng: np.random.Generator)
         return np.empty(0)
     u = np.cumsum(rng.standard_exponential(n + 1))
     u = u[:-1] * (L / u[-1])
-    if n < len(intervals):
-        row = np.searchsorted(cum[1:-1], u, side="right")
-        return intervals[row, 0] + (u - cum[row])
     first = np.searchsorted(u, cum, side="left")
     first[-1] = n
     per = first[1:] - first[:-1]

@@ -52,7 +52,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .domains import Checked, ScenarioError, ranged
+from .domains import Checked, ScenarioError, check, ranged
 
 
 class LaserId(str, enum.Enum):
@@ -292,8 +292,8 @@ def simulate_lock_run(
     with servos disabled replays the identical noise draws through the
     open-loop dynamics, so locked and unlocked runs are directly paired.
     """
-    if duration <= 0 or dt <= 0:
-        raise ValueError("duration and dt must be > 0")
+    check("duration", duration, "> 0")
+    check("dt", dt, "> 0")
     n_steps = int(round(duration / dt))
     M, L = _exact_step_operators(*_system_matrices(config), dt)
 

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domains import Checked, ScenarioError, ranged
+from .domains import Checked, ScenarioError, check, ranged
 
 _FOUR_LN2 = 4.0 * math.log(2.0)
 #: integral of a unit-peak Gaussian in units of its FWHM
@@ -117,9 +117,8 @@ class AbsorptionSpectrum:
 
     def __post_init__(self):
         depth = np.asarray(self.optical_depth, dtype=np.float64)
-        if self.step <= 0:
-            raise ValueError("grid step must be > 0")
-        if np.any(depth < 0):
+        check("step", self.step, "> 0")
+        if not np.all(depth >= 0):
             raise ValueError("optical depth must be nonnegative")
         object.__setattr__(self, "optical_depth", depth)
 
@@ -181,10 +180,9 @@ def eom_sideband_offsets(f1: float, f2: float, max_order: int) -> np.ndarray:
     the source free spectral range, f2 = 5*f1 and max_order 2, the 25
     combinations cover k*f1 for k = -12..12 exactly once: the layout of the
     25 memory comb copies."""
-    if f1 <= 0 or f2 <= 0:
-        raise ValueError("modulation frequencies must be > 0")
-    if max_order < 0:
-        raise ValueError("max_order must be >= 0")
+    check("f1", f1, "> 0")
+    check("f2", f2, "> 0")
+    check("max_order", max_order, ">= 0")
     orders = np.arange(-max_order, max_order + 1, dtype=np.float64)
     values = np.sort((orders[:, None] * f1 + orders[None, :] * f2).ravel())
     return values[np.diff(values, prepend=-np.inf) >= _MERGE_TOL_HZ]
@@ -194,10 +192,9 @@ def afc_efficiency(d: float, F: float, d0: float = 0.0) -> float:
     """Forward echo efficiency of a comb with depth parameter d, finesse F
     and background depth d0, at most 4/e^2; squaring (d/F) e^(-d/2F) keeps
     it finite at any depth."""
-    if d < 0 or d0 < 0:
-        raise ValueError("depths must be >= 0")
-    if F <= 1:
-        raise ValueError("finesse must be > 1")
+    check("d", d, ">= 0")
+    check("d0", d0, ">= 0")
+    check("F", F, "> 1")
     dd = d / F
     return (dd * math.exp(-dd / 2.0)) ** 2 * math.exp(-7.0 / (F * F)) * math.exp(-d0)
 

@@ -289,12 +289,6 @@ def _stream(seed: int, stage: int, batch: int) -> np.random.Generator:
     )
 
 
-def _origins(*runs: np.ndarray) -> np.ndarray:
-    """Origin codes for concatenated runs: pair photons first, then noise."""
-    codes = (ORIGIN_PAIR, ORIGIN_CONVERSION_NOISE)
-    return np.concatenate([np.full(len(r), c, dtype=np.uint8) for r, c in zip(runs, codes)])
-
-
 @dataclass
 class RawRunResult:
     """Accumulated pipeline output before report assembly."""
@@ -446,7 +440,7 @@ class _Engine:
         n0 = centres[rng.integers(0, max(n, 1), rng.poisson(self.n0_rate * 2 * pad * n))]
         n0 += pad * (2 * rng.random(len(n0)) - 1)
         n0 = n0[iv.contains(windows, n0)]
-        k = np.searchsorted(centres, n0 + pad, side="right") - np.searchsorted(centres, n0 - pad, side="right")
+        k = heralds_in_range(centres, n0, -pad, pad)[1]
         n0 = n0[rng.random(len(n0)) * k < 1.0]
         # N0 outside U sees only itself: its registered count, at the rate of
         # a non-paralyzable detector
@@ -486,9 +480,7 @@ class _Engine:
         offset[n1] -= np.log1p(-self.reach_hit * rng.random(len(n1))) / rate
         keep = (x >= heralds[row] + offset[row]) & (origins[row] != ORIGIN_CONVERSION_NOISE)
         x = np.concatenate([heralds[n1] + offset[n1], x[keep]])
-        row = np.concatenate([n1, row[keep]])
-        inside = iv.contains(windows, x)
-        x, row = x[inside], row[inside]
+        x = x[iv.contains(windows, x)]
         k = heralds_in_range(heralds, x, lo, hi)[1]
         return np.sort(x[rng.random(len(x)) * k < 1.0])
 
@@ -517,7 +509,7 @@ class _Engine:
         # one gate test, commanded by the heralds, for the pair photons and the noise
         entry_off = np.concatenate([self.mode_offsets[pair_mode], cfg.converter.noise_offsets(len(n_t), rng)])
         entry_t = np.concatenate([pair_t, n_t])
-        entry_org = _origins(pair_t, n_t)
+        entry_org = np.repeat(np.array([ORIGIN_PAIR, ORIGIN_CONVERSION_NOISE], np.uint8), [len(pair_t), len(n_t)])
         del points, u, pair, mark, pair_t, pair_mode, n_t
         rng = _stream(cfg.seed, _S_GATE_LEAK, b)
         passes = gate_passes(entry_t, windows, closed, cfg.shutter.extinction, rng)

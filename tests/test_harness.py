@@ -33,12 +33,12 @@ from afclink.config import (
     scenario_to_dict,
     scenario_to_json,
 )
-from afclink.detection import CoincidenceHistogram
+from afclink.detection import CoincidenceHistogram, moving_average
 from afclink.domains import DOMAINS
-from afclink.lockchain import LockRunResult, RfOffsets
-from afclink.memory import AbsorptionSpectrum
+from afclink.lockchain import LockRunResult, RfOffsets, simulate_lock_run
+from afclink.memory import AbsorptionSpectrum, afc_efficiency, eom_sideband_offsets
 from afclink.reporting import RunReport, analyze, run_scenario
-from afclink.source import SourceConfig
+from afclink.source import SourceConfig, tpc_mode_offsets
 
 
 def small_cfg(duration=60.0, rate=500.0, seed=777, **kw):
@@ -290,23 +290,59 @@ def _dataclass_instances(obj):
 
 
 def test_nan_is_outside_every_declared_domain():
-    # each domain is a membership test, so a NaN built directly is refused
-    # under the field's own name, relative to the dataclass built
+    # each domain is a membership test of finite numbers, so a NaN or an
+    # infinity built directly is refused under the field's own name,
+    # relative to the dataclass built
     cfg = load_bundled_scenario("lock_12h")
-    built = set()
-    for obj in _dataclass_instances(cfg):
-        for f in dataclasses.fields(obj):
-            if "domain" in f.metadata:
-                with pytest.raises(ScenarioError) as err:
-                    dataclasses.replace(obj, **{f.name: math.nan})
-                assert err.value.field == f.name, (type(obj).__name__, f.name)
-                built.add(f"{type(obj).__name__}.{f.name}")
-    assert {"FiberLink.loss", "SourceConfig.total_pair_rate", "SPDConfig.dead_time",
-            "ConverterConfig.pm_fwhm", "ServoModel.gain", "ScenarioConfig.duration"} <= built
     smoke = load_bundled_scenario("multiplexed_25mode_10km_smoke")
-    with pytest.raises(ScenarioError) as err:
-        smoke.with_rate(math.nan)
-    assert err.value.field == "total_pair_rate"
+    for bad in (math.nan, math.inf, -math.inf):
+        built = set()
+        for obj in _dataclass_instances(cfg):
+            for f in dataclasses.fields(obj):
+                if "domain" in f.metadata:
+                    with pytest.raises(ScenarioError) as err:
+                        dataclasses.replace(obj, **{f.name: bad})
+                    assert err.value.field == f.name, (type(obj).__name__, f.name, bad)
+                    built.add(f"{type(obj).__name__}.{f.name}")
+        assert {"FiberLink.loss", "SourceConfig.total_pair_rate", "SPDConfig.dead_time",
+                "ConverterConfig.pm_fwhm", "ServoModel.gain", "ScenarioConfig.duration"} <= built
+        with pytest.raises(ScenarioError) as err:
+            smoke.with_rate(bad)
+        assert err.value.field == "total_pair_rate"
+
+
+_LOCK_CHAIN = load_bundled_scenario("lock_12h").lock.config
+
+# each public kernel's numeric arguments: the call with every other argument
+# valid, and a value just outside the argument's domain
+_KERNEL_ARGS = {
+    "n_modes": (lambda v: tpc_mode_offsets(v, 117.2e6), 0),
+    "fsr": (lambda v: tpc_mode_offsets(25, v), 0.0),
+    "step": (lambda v: AbsorptionSpectrum(0.0, v, np.zeros(3), 1.15e6), 0.0),
+    "f1": (lambda v: eom_sideband_offsets(v, 5.86e8, 2), 0.0),
+    "f2": (lambda v: eom_sideband_offsets(1.172e8, v, 2), -1.0),
+    "max_order": (lambda v: eom_sideband_offsets(1.172e8, 5.86e8, v), -1),
+    "d": (lambda v: afc_efficiency(v, 4.0), math.nextafter(0.0, -1.0)),
+    "d0": (lambda v: afc_efficiency(2.0, 4.0, v), -1.0),
+    "F": (lambda v: afc_efficiency(2.0, v), 1.0),
+    "duration": (lambda v: simulate_lock_run(_LOCK_CHAIN, v, 1.0, 1), 0.0),
+    "dt": (lambda v: simulate_lock_run(_LOCK_CHAIN, 10.0, v, 1), 0.0),
+    "n_bins": (lambda v: moving_average(np.ones(5), v), 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_KERNEL_ARGS))
+def test_kernel_arguments_use_the_declared_domains(name):
+    call, outside = _KERNEL_ARGS[name]
+    for bad in (outside, math.nan, math.inf):
+        with pytest.raises(ScenarioError) as err:
+            call(bad)
+        assert err.value.field == name, bad
+
+
+def test_absorption_spectrum_refuses_a_nan_depth():
+    with pytest.raises(ValueError, match="optical depth"):
+        AbsorptionSpectrum(0.0, 1e6, np.array([1.0, math.nan, 0.5]), 1.15e6)
 
 
 # steps for the leaves that x1.1 would not move or not keep valid in
@@ -802,9 +838,12 @@ def test_sweep_mode_count_rescales_rate():
         assert rows[0]["signal_pair"] < rows[1]["signal_pair"]
 
 
-def test_calibrate_rejects_nonpositive_target():
-    with pytest.raises(CalibrationError):
-        calibrate_rate(small_cfg(), 0.0)
+def test_calibrate_rejects_nonpositive_target(monkeypatch):
+    # a target outside the finite "> 0" domain is refused before any run
+    _refuse_runs(monkeypatch)
+    for target in (0.0, math.inf, math.nan):
+        with pytest.raises(CalibrationError):
+            calibrate_rate(small_cfg(), target)
 
 
 def _fake_peaks(monkeypatch, model):
@@ -936,10 +975,19 @@ _SWEEP = ["sweep", "--config", "multiplexed_25mode_10km_smoke", "--param"]
     (["simulate", "--config", "multiplexed_25mode_10km_smoke", "--workers", "0"], "--workers"),
     (["calibrate", "--config", "multiplexed_25mode_10km_smoke", "--target-peak", "74",
       "--calibration-duration", "-1"], "--calibration-duration"),
+    (["lockcheck", "--config", "lock_12h", "--hours", "inf"], "--hours"),
+    (["lockcheck", "--config", "lock_12h", "--hours", "nan"], "--hours"),
+    (["calibrate", "--config", "multiplexed_25mode_10km_smoke", "--target-peak", "74",
+      "--calibration-duration", "inf"], "--calibration-duration"),
+    (["calibrate", "--config", "multiplexed_25mode_10km_smoke", "--target-peak", "inf"], "--target-peak"),
+    (["calibrate", "--config", "multiplexed_25mode_10km_smoke", "--target-peak", "nan"], "--target-peak"),
+    (["calibrate", "--config", "multiplexed_25mode_10km_smoke", "--target-peak", "0"], "--target-peak"),
 ], ids=["source_not_an_object", "negative_seed", "unknown_sweep_path", "refused_sweep_value",
         "fractional_mode_count", "even_mode_count", "unparsed_sweep_values", "echo_off_the_window",
         "swept_seed", "zero_lock_hours", "negative_lock_hours", "zero_workers",
-        "negative_calibration_duration"])
+        "negative_calibration_duration", "infinite_lock_hours", "nan_lock_hours",
+        "infinite_calibration_duration", "infinite_target_peak", "nan_target_peak",
+        "zero_target_peak"])
 def test_cli_config_error_names_field(tmp_path, capsys, monkeypatch, argv, field):
     _refuse_runs(monkeypatch)
     bad = tmp_path / "bad.json"
