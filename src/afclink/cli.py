@@ -3,13 +3,17 @@
 Subcommands: simulate, sweep, lockcheck, afc-plot, calibrate.  Configs are
 JSON scenario documents; ``--config`` accepts a file path or the name of a
 bundled scenario.  Failures exit nonzero after printing a one-line JSON
-error object, so scripts can parse outcomes either way.
+error object, so scripts can parse outcomes either way; a value argparse
+cannot parse (``--workers nan``, or ``--hours -inf``, read as a flag with
+no value) is a ``config`` error naming its flag, or ``command``.  An
+unknown or missing flag keeps argparse's usage text and exit status 2.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -111,8 +115,10 @@ def _cmd_calibrate(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="afclink", description=__doc__)
-    sub = ap.add_subparsers(dest="command", required=True)
+    ap = argparse.ArgumentParser(prog="afclink", description=__doc__, exit_on_error=False)
+    sub = ap.add_subparsers(
+        dest="command", required=True, parser_class=functools.partial(argparse.ArgumentParser, exit_on_error=False)
+    )
 
     base = argparse.ArgumentParser(add_help=False)
     base.add_argument("--config", required=True, help="scenario JSON path or bundled name")
@@ -145,8 +151,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        try:
+            args = build_parser().parse_args(argv)
+        except argparse.ArgumentError as exc:
+            raise ScenarioError(exc.argument_name, exc.message) from exc
         if getattr(args, "workers", None) is not None:
             check("--workers", args.workers, ">= 1")
         return args.func(args)

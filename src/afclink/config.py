@@ -31,7 +31,6 @@ from .memory import AFCConfig, InhomogeneousProfile
 from .source import SourceConfig
 
 
-_REACH_SIGMAS = 8  # jitter sigmas of margin on both sides of the signal reach
 _MAX_RATE_DEAD_TIME = 1e-2  # largest click rate x dead time of either detector
 
 
@@ -141,12 +140,6 @@ class ScenarioConfig(Checked):
         return self.link.survival_probability * self.converter.conversion_probability(self.source.mode_offsets())
 
     @property
-    def jitter_margin(self) -> float:
-        """8 signal-detector jitter sigmas: the farthest the engine takes a
-        signal click's jitter to move it."""
-        return _REACH_SIGMAS * self.detectors.signal.jitter_sigma
-
-    @property
     def delay_margin(self) -> float:
         """36 pair coherence times, which a Laplace pair delay exceeds with chance e^-36."""
         return 36.0 * self.source.coherence_time
@@ -155,12 +148,13 @@ class ScenarioConfig(Checked):
     def signal_reach(self) -> tuple[float, float]:
         """Herald-relative memory-entry times from which a signal-arm photon
         can still reach the histogram or meet a closed gate: ``tau_min`` less
-        the echo delay, one signal dead time and the jitter margin, to the
-        later of ``tau_max`` and the gate's reopening plus the margin.  The
-        closures start at ``herald_close_delay`` >= 0, and the lower end is
-        negative (the signal window holds the echo delay), so the reach
-        covers every closure a herald commands."""
-        h, margin = self.histogram, self.jitter_margin
+        the echo delay, one signal dead time and the signal detector's
+        ``jitter_margin``, to the later of ``tau_max`` and the gate's
+        reopening plus the margin.  The closures start at
+        ``herald_close_delay`` >= 0, and the lower end is negative (the
+        signal window holds the echo delay), so the reach covers every
+        closure a herald commands."""
+        h, margin = self.histogram, self.detectors.signal.jitter_margin
         return (
             h.tau_min - self.memory.echo_delay - self.detectors.signal.dead_time - margin,
             max(h.tau_max, self.shutter.echo_window[1]) + margin,

@@ -43,6 +43,11 @@ class SPDConfig(Checked):
     def jitter_sigma(self) -> float:
         return self.jitter_fwhm / (2.0 * math.sqrt(2.0 * math.log(2.0)))
 
+    @property
+    def jitter_margin(self) -> float:
+        """8 jitter sigmas: the farthest the engine takes a click's jitter to move it."""
+        return 8 * self.jitter_sigma
+
 
 def dead_time_filter(times: np.ndarray, dead_time: float) -> np.ndarray:
     """Boolean keep-mask implementing a non-paralyzable dead time on sorted times.
@@ -82,7 +87,6 @@ def detect(
     darks: np.ndarray,
     rng: np.random.Generator,
     *cols: np.ndarray,
-    noise: np.ndarray = np.empty(0),
 ) -> tuple[np.ndarray, ...]:
     """Detection records of one detector for photons at ``times`` that are
     already thinned by ``spd.efficiency`` (each arm draws that thinning
@@ -94,28 +98,15 @@ def detect(
     time-sorted and dead-time filtered.  The companion columns ``cols`` stay
     aligned with the times; dark counts get ORIGIN_DARK_COUNT in the first
     column (which must be the origin column) and NO_OUTCOME in the others.
+    One stable sort orders the stream: on equal times a photon, then a dark.
     Returns ``(times, *cols)``, sorted by time.
-
-    ``noise`` is an optional run of converter-noise clicks that are already
-    thinned and take no jitter.  The herald arm passes its N0 noise this
-    way: a jittered Poisson process on the windows is again Poisson, with the
-    window indicator convolved with the jitter kernel (displacement
-    theorem), so skipping the jitter changes only the clicks within a few
-    jitter widths of a window edge, about 1e-10 of them at the flagship
-    working point (see the ``pipeline`` docstring).  The noise run draws
-    nothing; its clicks follow the darks, with ORIGIN_CONVERSION_NOISE in
-    the origin column and NO_OUTCOME in the others.  One stable sort orders
-    the stream: on equal times a photon, then a dark, then a noise click.
     """
     t = times
     if spd.jitter_fwhm > 0:
         t = t + spd.jitter_sigma * rng.standard_normal(len(t))
-    origin = np.repeat([ORIGIN_DARK_COUNT, ORIGIN_CONVERSION_NOISE], [len(darks), len(noise)])
-    t = np.concatenate([t, darks, noise])
-    cols = [
-        np.concatenate([c, (origin if i == 0 else np.full(len(origin), NO_OUTCOME)).astype(c.dtype)])
-        for i, c in enumerate(cols)
-    ]
+    t = np.concatenate([t, darks])
+    fill = [ORIGIN_DARK_COUNT] + [NO_OUTCOME] * (len(cols) - 1)
+    cols = [np.concatenate([c, np.full(len(darks), f, c.dtype)]) for c, f in zip(cols, fill)]
     order = np.argsort(t, kind="stable")
     t = t[order]
     cols = [c[order] for c in cols]

@@ -60,20 +60,18 @@ only on the set U where an N0 herald can meet something drawn:
 - the inverse histogram range of each signal dark, so the signal darks are
   drawn ahead of the memory, first on the signal-detection stream.
 
-U is a union of rows of one width (``intervals.length_below`` measures it),
-and N0 is independent of everything that decides U, so drawing it on U
-alone is exact: one draw on every row, each point kept with chance
-1/(the rows that hold it).  ``reach_points`` then draws PP_h: Poisson for a
+Every herald photon (pair, N1 and N0) takes the jitter in one ``detect``
+run, and the darks are its only unjittered clicks.  A drawn herald and an
+N0 herald that meets it each move by up to the herald detector's
+``jitter_margin``, so U's rows are padded by two margins.  U is a union of
+rows of one width (``intervals.length_below`` measures it), and N0 is
+independent of everything that decides U, so drawing it on U alone is
+exact: one draw on every row, each point kept with chance 1/(the rows that
+hold it).  ``reach_points`` then draws PP_h the same way: Poisson for a
 pair herald or a dark, Poisson given that it holds a point for N1 (a first
 point at a truncated exponential offset, Poisson after it), and empty for
-N0.  A herald lost to dead time has no reach, and its PP_h is dropped.  The
-pair heralds and N1 take the jitter in ``detect``; the darks and N0 enter
-unjittered.  A jittered Poisson process is again Poisson, with the window
-indicator convolved with the jitter kernel (displacement theorem; Kingman
-1993, sec. 5.5): with about 40 window edges per 12 s batch against 6 s of
-windows, rate * sigma / sqrt(2 pi) points crossing each edge are a
-relative effect near 40 * 0.4 * 42 ps / 6 s = 1e-10.  A flagship batch
-draws about 4.5 k heralds instead of 61 k.
+N0.  A herald lost to dead time has no reach, and its PP_h is dropped.  A
+flagship batch draws about 4.5 k heralds instead of 61 k.
 
 The signal-only pairs
 ---------------------
@@ -117,8 +115,7 @@ photon-level path.
 
 Approximations
 --------------
-Besides the window-edge effect of the unjittered N0 and the e^-36 delay
-tail, these remain:
+Besides the e^-36 delay tail, these remain:
 
 - P3 clicks take no part in dead time, neither lost to an earlier click nor
   shadowing a later one; that raises ``signal_detected`` by at most the
@@ -188,7 +185,7 @@ import numpy as np
 
 from . import intervals as iv
 from .channel import as_closures, gate_passes
-from .config import _REACH_SIGMAS, ScenarioConfig
+from .config import ScenarioConfig
 from .detection import (
     ORIGIN_CONVERSION_NOISE,
     ORIGIN_DARK_COUNT,
@@ -312,6 +309,24 @@ def lock_run(cfg: ScenarioConfig, duration: float) -> LockRunResult:
     return simulate_lock_run(chain, duration, lock.dt, _spawn_seed(cfg.seed, _S_LOCK, 0))
 
 
+def _draw_on_rows(centres, lo, hi, rate, rng) -> tuple[np.ndarray, np.ndarray]:
+    """A Poisson draw at ``rate`` on each row [c + lo, c + hi) around the
+    sorted ``centres``: one draw on the rows' summed length, one row picked
+    per point.  Returns the points and the index of each point's row."""
+    n = len(centres)
+    row = rng.integers(0, max(n, 1), rng.poisson(rate * (hi - lo) * n))
+    return centres[row] + (lo + (hi - lo) * rng.random(len(row))), row
+
+
+def _thin_to_union(x, centres, lo, hi, windows, rng) -> np.ndarray:
+    """The points ``x`` inside ``windows``, each kept with chance 1/k, k the
+    rows [c + lo, c + hi) around the sorted ``centres`` that hold it: one
+    Poisson process on the rows' union (superposition, then thinning)."""
+    x = x[iv.contains(windows, x)]
+    k = heralds_in_range(centres, x, lo, hi)[1]
+    return x[rng.random(len(x)) * k < 1.0]
+
+
 class _Engine:
     def __init__(self, cfg: ScenarioConfig):
         self.cfg = cfg
@@ -337,17 +352,15 @@ class _Engine:
         self.reach_hit = -math.expm1(-self.reach_rate * (hi - lo))
         self.n1_rate = noise * self.reach_hit
         self.n0_rate = noise * math.exp(-self.reach_rate * (hi - lo))
-        # U's half-width around a drawn herald, before its jitter: its dead
-        # time, the inverse reach of its reach points and, for a pair
-        # herald, that of its signal photon, within the delay margin
-        self.herald_pad = (
-            max(hi - lo, det.dead_time, max(hi, -lo) + cfg.delay_margin) + _REACH_SIGMAS * det.jitter_sigma
-        )
+        # U's half-width around a drawn herald: its dead time, the inverse
+        # reach of its reach points and, for a pair herald, that of its signal
+        # photon within the delay margin, plus its and an N0 herald's jitter
+        self.herald_pad = max(hi - lo, det.dead_time, max(hi, -lo) + cfg.delay_margin) + 2 * det.jitter_margin
         # every herald arrival, at which P3's coverage is taken
         self.herald_arrival_rate = self.herald_source.total_pair_rate + noise + det.dark_rate
         # inner_f and its core, shrunk by the delay margin m (module docstring)
         m = cfg.delay_margin
-        margin = cfg.jitter_margin + m
+        margin = cfg.detectors.signal.jitter_margin + m
         self.inner_guard = np.array([margin, -(cfg.memory.echo_delay + margin)])
         self.core_guard = self.inner_guard + [m, -m]
         self.n_cycles = int(math.ceil(cfg.duration / cfg.shutter.cycle_period))
@@ -433,26 +446,22 @@ class _Engine:
             pair_t, darks, n1, edge_t - 0.5 * (lo + hi), signal_darks - 0.5 * (h.tau_min + h.tau_max)
         ])
         centres.sort(kind="stable")
-        # N0 on U: a Poisson draw on each row, one row of the rows of one
-        # length picked per point, each point kept inside the windows with
-        # chance 1/(the rows that hold it) (superposition, then thinning)
-        n = len(centres)
-        n0 = centres[rng.integers(0, max(n, 1), rng.poisson(self.n0_rate * 2 * pad * n))]
-        n0 += pad * (2 * rng.random(len(n0)) - 1)
-        n0 = n0[iv.contains(windows, n0)]
-        k = heralds_in_range(centres, n0, -pad, pad)[1]
-        n0 = n0[rng.random(len(n0)) * k < 1.0]
+        # N0 on U: a Poisson draw on each row, thinned to the union
+        n0, _ = _draw_on_rows(centres, -pad, pad, self.n0_rate, rng)
+        n0 = _thin_to_union(n0, centres, -pad, pad, windows, rng)
         # N0 outside U sees only itself: its registered count, at the rate of
         # a non-paralyzable detector
         below = iv.length_below(centres, pad, windows)
-        del centres, k
+        del centres
         outside = max(0.0, iv.total_length(windows) - (below[:, 1] - below[:, 0]).sum())
         vec[_HERALD_ORIGIN + ORIGIN_CONVERSION_NOISE] += rng.poisson(
             self.n0_rate * outside / (1.0 + self.n0_rate * det.dead_time)
         )
-        # N1 joins the pair heralds' jittered run
-        org = np.repeat(np.array([ORIGIN_PAIR, _ORIGIN_N1], np.uint8), [len(pair_t), len(n1)])
-        h_times, h_org = detect(np.concatenate([pair_t, n1]), det, darks, det_rng, org, noise=n0)
+        # every herald photon takes the jitter in one run
+        org = np.repeat(
+            np.array([ORIGIN_PAIR, _ORIGIN_N1, ORIGIN_CONVERSION_NOISE], np.uint8), [len(pair_t), len(n1), len(n0)]
+        )
+        h_times, h_org = detect(np.concatenate([pair_t, n1, n0]), det, darks, det_rng, org)
         counts = np.bincount(h_org, minlength=_ORIGIN_N1 + 1)
         vec[_HERALD_ORIGIN:_HERALD_ORIGIN + _N_ORIGIN] += counts[:_N_ORIGIN]
         vec[_HERALD_ORIGIN + ORIGIN_CONVERSION_NOISE] += counts[_ORIGIN_N1]
@@ -468,21 +477,16 @@ class _Engine:
         Poisson process at the reach rate on the windows within the union of
         the reaches (superposition, then independent thinning)."""
         lo, hi = self.cfg.signal_reach
-        rate, n = self.reach_rate, len(heralds)
-        # PP_h on every reach, of one length: one herald picked per point
-        # (an N0 herald's points are dropped below)
-        row = rng.integers(0, max(n, 1), rng.poisson(rate * (hi - lo) * n))
-        x = heralds[row] + (lo + (hi - lo) * rng.random(len(row)))
+        # PP_h on every reach (an N0 herald's points are dropped below)
+        x, row = _draw_on_rows(heralds, lo, hi, self.reach_rate, rng)
         # given that it holds a point, an N1 herald's PP_h has its first
         # point at a truncated exponential offset, and is Poisson after it
         n1 = np.flatnonzero(origins == _ORIGIN_N1)
-        offset = np.full(n, lo)
-        offset[n1] -= np.log1p(-self.reach_hit * rng.random(len(n1))) / rate
+        offset = np.full(len(heralds), lo)
+        offset[n1] -= np.log1p(-self.reach_hit * rng.random(len(n1))) / self.reach_rate
         keep = (x >= heralds[row] + offset[row]) & (origins[row] != ORIGIN_CONVERSION_NOISE)
         x = np.concatenate([heralds[n1] + offset[n1], x[keep]])
-        x = x[iv.contains(windows, x)]
-        k = heralds_in_range(heralds, x, lo, hi)[1]
-        return np.sort(x[rng.random(len(x)) * k < 1.0])
+        return np.sort(_thin_to_union(x, heralds, lo, hi, windows, rng))
 
     def signal_arm(self, b, windows, inner, h_times, h_org, signal_t, mode_idx, darks, det_rng, vec):
         """Signal-arm noise, gate, lock residual, memory and detection of the

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from afclink import intervals as iv
 from afclink.detection import (
     NO_OUTCOME,
-    ORIGIN_CONVERSION_NOISE,
     ORIGIN_DARK_COUNT,
     ORIGIN_PAIR,
     CoincidenceHistogram,
@@ -116,53 +115,24 @@ def test_detect_keeps_companion_columns_aligned():
     assert np.all(lab[~pair] == NO_OUTCOME)
 
 
-def test_detect_merges_unjittered_noise_run():
-    # a noise run enters unjittered and draws nothing; with no jitter the
-    # records equal those of one concatenated stream
-    spd = SPDConfig(efficiency=0.6, dark_rate=2000.0, dead_time=50e-9, jitter_fwhm=0.0)
-    gen = np.random.default_rng(15)
-    t = np.sort(gen.uniform(0, 1, 3000))
-    noise = np.sort(gen.uniform(0, 1, 20000))
-    label = np.arange(len(t), dtype=np.int64)
-    rng = np.random.default_rng(16)
-    got = detect(
-        t, spd, _darks(spd, 0.0, 1.0, rng), rng,
-        np.full(len(t), ORIGIN_PAIR, np.uint8), label, noise=noise,
-    )
-    rng = np.random.default_rng(16)
-    want = detect(
-        np.concatenate([t, noise]), spd, _darks(spd, 0.0, 1.0, rng), rng,
-        np.repeat(np.array([ORIGIN_PAIR, ORIGIN_CONVERSION_NOISE], np.uint8), [len(t), len(noise)]),
-        np.concatenate([label, np.full(len(noise), NO_OUTCOME)]),
-    )
-    assert all(np.array_equal(g, w) for g, w in zip(got, want))
-    assert np.count_nonzero(got[1] == ORIGIN_CONVERSION_NOISE) > 19000
-
-
-def test_detect_photon_wins_a_tie_with_noise():
-    # on equal times the photon sorts before the noise click, so the dead
+def test_detect_photon_wins_a_tie_with_a_dark():
+    # on equal times the photon sorts before the dark count, so the dead
     # time keeps the photon
     spd = SPDConfig(efficiency=1.0, dark_rate=0.0, dead_time=50e-9, jitter_fwhm=0.0)
-    rng = np.random.default_rng(17)
     t, org = detect(
-        np.array([0.5]), spd, _darks(spd, 0.0, 1.0, rng), rng,
-        np.array([ORIGIN_PAIR], np.uint8), noise=np.array([0.5]),
+        np.array([0.5]), spd, np.array([0.5]), np.random.default_rng(17), np.array([ORIGIN_PAIR], np.uint8),
     )
     assert t.tolist() == [0.5]
     assert org.tolist() == [ORIGIN_PAIR]
 
 
-def test_detect_jitters_photons_but_not_noise():
+def test_detect_jitters_photons_but_not_darks():
     spd = SPDConfig(efficiency=1.0, dark_rate=0.0, dead_time=0.0, jitter_fwhm=100e-12)
     gen = np.random.default_rng(18)
     t = np.sort(gen.uniform(0, 1, 2000))
-    noise = np.sort(gen.uniform(0, 1, 5000))
-    rng = np.random.default_rng(19)
-    out_t, org = detect(
-        t, spd, _darks(spd, 0.0, 1.0, rng), rng,
-        np.full(len(t), ORIGIN_PAIR, np.uint8), noise=noise,
-    )
-    assert np.array_equal(out_t[org == ORIGIN_CONVERSION_NOISE], noise)
+    darks = np.sort(gen.uniform(0, 1, 5000))
+    out_t, org = detect(t, spd, darks, np.random.default_rng(19), np.full(len(t), ORIGIN_PAIR, np.uint8))
+    assert np.array_equal(out_t[org == ORIGIN_DARK_COUNT], darks)
     pair = out_t[org == ORIGIN_PAIR]
     assert len(pair) == len(t)
     assert not np.array_equal(np.sort(pair), t)

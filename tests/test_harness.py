@@ -505,19 +505,19 @@ def test_run_deterministic_byte_identical():
 # report format) updates the constants and says so in CHANGES.md.
 _PINNED_PAYLOADS = {
     "smoke": {
-        "report.json": "46bc33e6c6798bc254db8e55be45947c71db455fee60087f1c921c89cff2b5db",
-        "histogram.csv": "8e2420deff1c66db03faf58590f947b87281fd3f8659fb23c3de51b2971da7f9",
+        "report.json": "1bcb0ab6578be157d601af02ed3659b5456c81ecfc60742e09156c0073f2ea4b",
+        "histogram.csv": "13cd40b5547503327bc48c3f90cdbb796d8e747ffac6c3c4be47316fa53e1b56",
         "summary.csv": "5feec2894764a3e6d715ad14dc914639adaa2f07747c8d9475415926398b39c7",
     },
     "pair_rich_30s": {
         "report.json": "b80a7e8dc2d3c6f2a58aada9fc43bae744da3f6b686960032b74291763daebad",
-        "histogram.csv": "6de1dde12991ac8e5bfa6fd86e1461414493a5d93af784fee60ecc6736a712a6",
+        "histogram.csv": "6d7e3dbe1f3b76588bc30e9e3474dff0a583c45794f2184971b1a2ee4cb28394",
         "summary.csv": "5cd387d0072cc455e3eb20ba5126ab3c8c4716a14c2a05741904a6b9a4f690ac",
     },
     "ideal_lock_30s": {
-        "report.json": "2e4904102e49031ad0f05e8b64658913fc4ad6e7975b974b293ca6b7d4bdccfd",
-        "histogram.csv": "9266a48cbbde5b7c344ec12e8269ad08eaae610d487f89f5b2836cf13d14ffd5",
-        "summary.csv": "30428793861f78850c54296d6b055979798a8547911e743f8e89c438f3bfbb34",
+        "report.json": "07f6e59de747ff9ee6c444069c1ff9957514cedf9a6f93d1dde6835f67230731",
+        "histogram.csv": "247d646a13ff73cedc57037ee9beb49bb9790f53a89b649bc3b4e59741fa3076",
+        "summary.csv": "49f1dde1dc2a28833adc8fcf1929a9dad262fc599fd9d9b5ca48003b0cba4cd1",
     },
 }
 
@@ -982,12 +982,15 @@ _SWEEP = ["sweep", "--config", "multiplexed_25mode_10km_smoke", "--param"]
     (["calibrate", "--config", "multiplexed_25mode_10km_smoke", "--target-peak", "inf"], "--target-peak"),
     (["calibrate", "--config", "multiplexed_25mode_10km_smoke", "--target-peak", "nan"], "--target-peak"),
     (["calibrate", "--config", "multiplexed_25mode_10km_smoke", "--target-peak", "0"], "--target-peak"),
+    (["simulate", "--config", "multiplexed_25mode_10km_smoke", "--workers", "nan"], "--workers"),
+    (["simulate", "--config", "multiplexed_25mode_10km_smoke", "--seed", "x"], "--seed"),
+    (["lockcheck", "--config", "lock_12h", "--hours", "-inf"], "--hours"),
 ], ids=["source_not_an_object", "negative_seed", "unknown_sweep_path", "refused_sweep_value",
         "fractional_mode_count", "even_mode_count", "unparsed_sweep_values", "echo_off_the_window",
         "swept_seed", "zero_lock_hours", "negative_lock_hours", "zero_workers",
         "negative_calibration_duration", "infinite_lock_hours", "nan_lock_hours",
         "infinite_calibration_duration", "infinite_target_peak", "nan_target_peak",
-        "zero_target_peak"])
+        "zero_target_peak", "unparsed_workers", "unparsed_seed", "flag_read_as_lock_hours"])
 def test_cli_config_error_names_field(tmp_path, capsys, monkeypatch, argv, field):
     _refuse_runs(monkeypatch)
     bad = tmp_path / "bad.json"

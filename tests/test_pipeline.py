@@ -152,7 +152,7 @@ def test_signal_reach_covers_a_gate_that_outlasts_the_histogram():
         shutter=ShutterSchedule(echo_window=(900e-9, 1500e-9)),
     )
     lo, hi = cfg.signal_reach
-    assert hi == 1500e-9 + cfg.jitter_margin
+    assert hi == 1500e-9 + cfg.detectors.signal.jitter_margin
     h = np.array([0.4, 0.4 + 700e-9])
     closed = as_closures(h, cfg.shutter)
     assert np.all(closed[:, 0] >= h[0] + lo) and np.all(closed[:, 1] <= h[-1] + hi)
@@ -160,7 +160,7 @@ def test_signal_reach_covers_a_gate_that_outlasts_the_histogram():
     for name in bundled_scenarios():
         shipped = load_bundled_scenario(name)
         assert shipped.histogram.tau_max > shipped.shutter.echo_window[1]
-        assert shipped.signal_reach[1] == shipped.histogram.tau_max + shipped.jitter_margin
+        assert shipped.signal_reach[1] == shipped.histogram.tau_max + shipped.detectors.signal.jitter_margin
 
 
 @functools.lru_cache(maxsize=None)
@@ -221,7 +221,8 @@ def test_far_path_takes_no_photon_a_herald_or_a_window_edge_can_see(
     assert len(far) == last - first + 1 and np.all(far >= 0)
 
     m = 36 * cfg.source.coherence_time
-    start, end = cfg.jitter_margin + m, -(cfg.memory.echo_delay + (cfg.jitter_margin + m))
+    j = cfg.detectors.signal.jitter_margin
+    start, end = j + m, -(cfg.memory.echo_delay + (j + m))
     inner_rows = [(w0 + start, w1 + end) for w0, w1 in windows if w1 + end > w0 + start]
     det = cfg.detectors.herald
     r = cfg.source.total_pair_rate * (det.efficiency * eng.p_signal * cfg.source.weights()).sum()
@@ -339,17 +340,18 @@ def _covers(rows: list, a: float, b: float) -> bool:
 )
 def test_sparse_rows_hold_every_herald_arrival_something_drawn_can_see(n_pairs, n_edge, n_darks, seed):
     # The rows U on which herald_arm draws N0 (the centres and half-width it
-    # hands to length_below) must hold, within the herald jitter margin J,
-    # every arrival a drawn herald can reach through its dead time or a
-    # shared reach point, or its pair photon within the delay margin m; the
-    # inverse reach [x - hi, x - lo] of every P2 photon x; and the inverse
-    # histogram range of every signal dark.  Checked against a walk over
-    # the rows, at the flagship document on a short run.
+    # hands to length_below) must hold every N0 arrival whose detection,
+    # within the herald jitter margin J of it, a drawn herald can reach
+    # through its dead time or a shared reach point, or its pair photon
+    # within the delay margin m; the inverse reach [x - hi, x - lo] of every
+    # P2 photon x; and the inverse histogram range of every signal dark.
+    # Checked against a walk over the rows, at the flagship document on a
+    # short run.
     eng = pipeline._Engine(dataclasses.replace(load_bundled_scenario("multiplexed_25mode_10km"), duration=12.0))
     cfg = eng.cfg
     lo, hi = cfg.signal_reach
     det = cfg.detectors.herald
-    j, m, h = 8 * det.jitter_sigma, cfg.delay_margin, cfg.histogram
+    j, m, h = det.jitter_margin, cfg.delay_margin, cfg.histogram
     windows = cfg.shutter.transmission_windows(0, 3, cfg.duration)
     rng = np.random.default_rng(seed)
 
@@ -376,15 +378,36 @@ def test_sparse_rows_hold_every_herald_arrival_something_drawn_can_see(n_pairs, 
         for a, b in ((-det.dead_time, det.dead_time), (lo - hi, hi - lo), (-hi - m, m - lo)):
             assert _covers(rows, t + a - widen, t + b + widen), (t, a, b)
 
+    # a pair herald is detected within J of its arrival, and the N0 herald
+    # it meets arrives within J of its own detection
     for t in pair_t:
-        must_hold(t, j)
-    # an N1 herald or a herald dark is detected within J of its arrival
+        must_hold(t, 2 * j)
+    # an N1 herald's or a herald dark's detection lies within J of its
+    # centre, and the N0 herald it meets arrives within J of its detection
     for t in h_times[(h_org == pipeline._ORIGIN_N1) | (h_org == ORIGIN_DARK_COUNT)]:
-        must_hold(t, 0.0)
+        must_hold(t, j)
     for x in edge_t:
         assert _covers(rows, x - hi - j, x - lo + j), x
     for d in darks:
         assert _covers(rows, d - h.tau_max - j, d - h.tau_min + j), d
+
+
+def test_n0_heralds_take_the_jitter():
+    # N0 is drawn on U inside the windows and then joins the one jittered
+    # detector run: with a 10 ms herald jitter some N0 heralds are detected
+    # outside the windows, as the brute force detects any jittered herald
+    flagship = load_bundled_scenario("multiplexed_25mode_10km")
+    herald = dataclasses.replace(flagship.detectors.herald, jitter_fwhm=10e-3)
+    cfg = dataclasses.replace(
+        flagship, duration=12.0, detectors=dataclasses.replace(flagship.detectors, herald=herald)
+    )
+    eng = pipeline._Engine(cfg)
+    windows = cfg.shutter.transmission_windows(0, 20, cfg.duration)
+    none = np.empty(0)
+    h_times, h_org = eng.herald_arm(0, windows, none, none, none, np.zeros(pipeline._N_SLOTS, np.int64))
+    n0 = h_times[h_org == ORIGIN_CONVERSION_NOISE]
+    assert len(n0) > 0
+    assert not iv.contains(windows, n0).all()
 
 
 def test_grouped_far_draws_match_per_photon_draws():
